@@ -189,33 +189,20 @@ let interp_call_prog =
       ]
     ~entries:[]
 
-(* Host seconds to interpret [fname nv] in a fresh one-task simulation on
-   the given engine; returns (statements executed, wall seconds). The
-   compiled form is built at [create] time, outside the measured window —
-   compile cost is a one-time charge already covered by the analysis-cache
-   section. *)
-let interp_bench ~engine prog fname nv =
+(* Host seconds to interpret [fname nv] in a fresh one-task simulation;
+   returns (statements executed, wall seconds). The compiled form is built
+   at [create] time, outside the measured window — compile cost is a
+   one-time charge already covered by the analysis-cache section. *)
+let interp_bench prog fname nv =
   let s = Sched.create ~seed:1 () in
   let reg = Wd_env.Faultreg.create () in
   let res = Wd_ir.Runtime.create ~reg ~rng:(Wd_sim.Rng.create ~seed:2) in
-  let main = Wd_ir.Interp.create ~engine ~node:"n" ~res prog in
+  let main = Wd_ir.Interp.create ~node:"n" ~res prog in
   ignore
     (Sched.spawn s (fun () ->
          ignore (Wd_ir.Interp.call main fname [ Wd_ir.Ast.VInt nv ])));
   let (), secs = wall (fun () -> ignore (Sched.run s)) in
   (Wd_ir.Interp.stmts_executed main, secs)
-
-(* (stmt_loop stmts, stmt secs, call_loop calls, call_loop stmts, call
-   secs) for one engine. The call loop also reports statement throughput —
-   each iteration is a handful of statements around the call, so its
-   stmts/s is the "statements with call overhead in the mix" number. *)
-let interp_bench_engine engine =
-  let stmts, stmt_s = interp_bench ~engine interp_prog "sum_to" 100_000 in
-  let calls = 30_000 in
-  let call_stmts, call_s =
-    interp_bench ~engine interp_call_prog "call_loop" calls
-  in
-  (stmts, stmt_s, calls, call_stmts, call_s)
 
 let per_s n secs = float_of_int n /. Float.max 1e-9 secs
 
@@ -230,9 +217,8 @@ let run_json_bench ~jobs_n () =
   let cells =
     List.map (fun s -> Campaign.cell s.Wd_faults.Catalog.sid) scenarios
   in
-  (* Every batch starts from cold analysis + compile caches so each
-     comparison isolates one variable: domain parallelism along the jobs
-     curve, the execution engine between the last two. *)
+  (* Every batch starts from cold analysis + compile caches so the jobs
+     curve isolates one variable: domain parallelism. *)
   let cold_batch ~jobs () =
     Generate.clear_cache ();
     Interp.clear_compile_cache ();
@@ -245,7 +231,6 @@ let run_json_bench ~jobs_n () =
      on a small host several points coincide; the JSON records both the
      requested and the effective width. *)
   let widths = List.sort_uniq compare [ 1; 2; 4; jobs_n ] in
-  Interp.set_default_engine `Compiled;
   let curve =
     List.map
       (fun j ->
@@ -262,18 +247,9 @@ let run_json_bench ~jobs_n () =
     | (_, r1, s1, _, _) :: _, (_, _, _, a_n, c_n) :: _ -> (r1, s1, a_n, c_n)
     | _ -> assert false
   in
-  let secs_n =
-    match List.find_opt (fun (j, _, _, _, _) -> j = jobs_n) curve with
-    | Some (_, _, s, _, _) -> s
-    | None -> secs1
-  in
-  Interp.set_default_engine `Treewalk;
-  let runs_tw, secs_tw = cold_batch ~jobs:jobs_n () in
-  Interp.set_default_engine `Compiled;
   let deterministic =
     List.for_all (fun (_, runs, _, _, _) -> runs = runs1) curve
   in
-  let engines_identical = runs1 = runs_tw in
   (* randomized fault-space sweep (E20 grid) at each width, cold caches,
      byte-identity across widths checked on the full outcome lists *)
   let module Sweep = Wd_harness.Sweep in
@@ -326,16 +302,13 @@ let run_json_bench ~jobs_n () =
   Generate.clear_cache ();
   let _, cold_s = wall (fun () -> ignore (Generate.analyze_cached zk_prog)) in
   let _, hit_s = wall (fun () -> ignore (Generate.analyze_cached zk_prog)) in
-  (* interpreter micro-benches, one row per engine: straight-line
-     statements and call-heavy *)
-  let c_stmts, c_stmt_s, c_calls, c_cstmts, c_call_s =
-    interp_bench_engine `Compiled
-  in
-  let t_stmts, t_stmt_s, t_calls, t_cstmts, t_call_s =
-    interp_bench_engine `Treewalk
-  in
-  let stmt_speedup = per_s c_stmts c_stmt_s /. per_s t_stmts t_stmt_s in
-  let call_speedup = per_s c_calls c_call_s /. per_s t_calls t_call_s in
+  (* interpreter micro-benches: straight-line statements and call-heavy.
+     The call loop also reports statement throughput — each iteration is a
+     handful of statements around the call, so its stmts/s is the
+     "statements with call overhead in the mix" number. *)
+  let stmts, stmt_s = interp_bench interp_prog "sum_to" 100_000 in
+  let calls = 30_000 in
+  let cstmts, call_s = interp_bench interp_call_prog "call_loop" calls in
   (* heavy-traffic load plane (E22): each workload at >= 10^6 completed
      requests across its deployment rows, sized so the zkmini/cstore
      totals clear the bar with the detection runs included *)
@@ -360,16 +333,12 @@ let run_json_bench ~jobs_n () =
     float_of_int hits /. Float.max 1. (float_of_int (hits + misses))
   in
   bpf "{\n";
-  bpf "  \"schema\": \"wd-bench-harness/v7\",\n";
+  bpf "  \"schema\": \"wd-bench-harness/v8\",\n";
   let gc = Gc.get () in
   bpf
     "  \"host\": { \"recommended_domains\": %d, \"gc\": { \
-     \"minor_heap_words\": %d, \"space_overhead\": %d, \"wd_minor_heap\": %s \
-     } },\n"
-    recommended gc.Gc.minor_heap_size gc.Gc.space_overhead
-    (match Wd_parallel.Pool.minor_heap_words () with
-    | Some w -> string_of_int w
-    | None -> "null");
+     \"minor_heap_words\": %d, \"space_overhead\": %d } },\n"
+    recommended gc.Gc.minor_heap_size gc.Gc.space_overhead;
   bpf "  \"campaign_e2\": {\n";
   bpf "    \"scenarios\": %d,\n" (List.length cells);
   bpf "    \"jobs_curve\": [\n";
@@ -390,11 +359,8 @@ let run_json_bench ~jobs_n () =
     (fst a_cache_n) (snd a_cache_n) (rate a_cache_n);
   bpf
     "    \"compile_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": \
-     %.3f },\n"
+     %.3f }\n"
     (fst c_cache_n) (snd c_cache_n) (rate c_cache_n);
-  bpf "    \"treewalk_jobsN_wall_s\": %.3f,\n" secs_tw;
-  bpf "    \"engine_speedup\": %.2f,\n" (secs_tw /. Float.max 1e-9 secs_n);
-  bpf "    \"engines_identical\": %b\n" engines_identical;
   bpf "  },\n";
   bpf "  \"sweep\": {\n";
   bpf "    \"worlds\": %d,\n" sweep_worlds;
@@ -614,28 +580,20 @@ let run_json_bench ~jobs_n () =
   bpf "  \"analysis_cache\": { \"cold_ms\": %.3f, \"hit_ms\": %.4f },\n"
     (1e3 *. cold_s) (1e3 *. hit_s);
   bpf "  \"interp\": {\n";
-  let engine_rows label stmts stmt_s calls cstmts call_s comma =
-    bpf "    \"%s\": {\n" label;
-    bpf
-      "      \"stmt_loop\": { \"stmts\": %d, \"wall_s\": %.3f, \
-       \"stmts_per_s\": %.0f },\n"
-      stmts stmt_s (per_s stmts stmt_s);
-    bpf
-      "      \"call_loop\": { \"calls\": %d, \"wall_s\": %.3f, \
-       \"calls_per_s\": %.0f, \"stmts\": %d, \"stmts_per_s\": %.0f },\n"
-      calls call_s (per_s calls call_s) cstmts (per_s cstmts call_s);
-    let agg_stmts = stmts + cstmts and agg_s = stmt_s +. call_s in
-    bpf
-      "      \"aggregate\": { \"stmts\": %d, \"wall_s\": %.3f, \
-       \"stmts_per_s\": %.0f, \"pct_of_1e8_target\": %.1f }\n"
-      agg_stmts agg_s (per_s agg_stmts agg_s)
-      (100. *. per_s agg_stmts agg_s /. 1e8);
-    bpf "    }%s\n" comma
-  in
-  engine_rows "compiled" c_stmts c_stmt_s c_calls c_cstmts c_call_s ",";
-  engine_rows "treewalk" t_stmts t_stmt_s t_calls t_cstmts t_call_s ",";
-  bpf "    \"engine_speedup\": { \"stmt_loop\": %.2f, \"call_loop\": %.2f }\n"
-    stmt_speedup call_speedup;
+  bpf
+    "    \"stmt_loop\": { \"stmts\": %d, \"wall_s\": %.3f, \
+     \"stmts_per_s\": %.0f },\n"
+    stmts stmt_s (per_s stmts stmt_s);
+  bpf
+    "    \"call_loop\": { \"calls\": %d, \"wall_s\": %.3f, \
+     \"calls_per_s\": %.0f, \"stmts\": %d, \"stmts_per_s\": %.0f },\n"
+    calls call_s (per_s calls call_s) cstmts (per_s cstmts call_s);
+  let agg_stmts = stmts + cstmts and agg_s = stmt_s +. call_s in
+  bpf
+    "    \"aggregate\": { \"stmts\": %d, \"wall_s\": %.3f, \
+     \"stmts_per_s\": %.0f, \"pct_of_1e8_target\": %.1f }\n"
+    agg_stmts agg_s (per_s agg_stmts agg_s)
+    (100. *. per_s agg_stmts agg_s /. 1e8);
   bpf "  }\n";
   bpf "}\n";
   let json = Buffer.contents buf in
@@ -646,10 +604,6 @@ let run_json_bench ~jobs_n () =
   Printf.printf "-> wrote BENCH_harness.json\n%!";
   if not deterministic then begin
     prerr_endline "ERROR: campaign results differ across jobs widths";
-    exit 1
-  end;
-  if not engines_identical then begin
-    prerr_endline "ERROR: compiled and treewalk campaign results differ";
     exit 1
   end;
   if not sweep_identical then begin
@@ -826,7 +780,7 @@ let run_json_bench ~jobs_n () =
 
 let () =
   let argv = Array.to_list Sys.argv in
-  (* same --jobs/--seed/--engine flags as repro, via the shared scanner
+  (* same --jobs/--seed flags as repro, via the shared scanner
      (bechamel owns argv, so no cmdliner here); --json stays bench-local *)
   let opts =
     match Wd_harness.Cli.scan argv with

@@ -8,19 +8,16 @@
 
 open Cmdliner
 
-(* The shared --jobs/--seed/--engine flags live in [Wd_harness.Cli], so
-   repro and bench stay in lockstep. *)
+(* The shared --jobs/--seed flags live in [Wd_harness.Cli], so repro and
+   bench stay in lockstep. *)
 let jobs_arg = Wd_harness.Cli.jobs_arg
 let seed_arg = Wd_harness.Cli.seed_arg
-let engine_arg = Wd_harness.Cli.engine_arg
 let apply_jobs = Wd_harness.Cli.apply_jobs
 let apply_seed = Wd_harness.Cli.apply_seed
-let apply_engine = Wd_harness.Cli.apply_engine
 
-let run_experiment name jobs seed engine =
+let run_experiment name jobs seed =
   apply_jobs jobs;
   apply_seed seed;
-  apply_engine engine;
   match List.assoc_opt name (Wd_harness.Experiments.all_texts ()) with
   | Some f ->
       print_string (f ());
@@ -52,9 +49,7 @@ let experiment_cmds =
       else
         let doc = Printf.sprintf "Run experiment %s." ename in
         let term =
-          Term.(
-            const run_experiment $ const ename $ jobs_arg $ seed_arg
-            $ engine_arg)
+          Term.(const run_experiment $ const ename $ jobs_arg $ seed_arg)
         in
         Some (Cmd.v (Cmd.info ename ~doc) term))
     (Wd_harness.Experiments.all_texts ())
@@ -71,10 +66,9 @@ let faultspace_cmd =
       & info [ "worlds" ] ~docv:"N"
           ~doc:"Number of worlds in the sweep grid (default $(docv)=1000).")
   in
-  let run worlds jobs seed engine =
+  let run worlds jobs seed =
     apply_jobs jobs;
     apply_seed seed;
-    apply_engine engine;
     if worlds < 0 then begin
       Fmt.epr "--worlds must be non-negative@.";
       1
@@ -86,7 +80,7 @@ let faultspace_cmd =
   in
   Cmd.v
     (Cmd.info "faultspace" ~doc)
-    Term.(const run $ worlds_arg $ jobs_arg $ seed_arg $ engine_arg)
+    Term.(const run $ worlds_arg $ jobs_arg $ seed_arg)
 
 let load_cmd =
   let doc =
@@ -103,10 +97,9 @@ let load_cmd =
             "Request budget per deployment row of each workload (default \
              $(docv)=60000).")
   in
-  let run requests jobs seed engine =
+  let run requests jobs seed =
     apply_jobs jobs;
     apply_seed seed;
-    apply_engine engine;
     if requests <= 0 then begin
       Fmt.epr "--requests must be positive@.";
       1
@@ -118,7 +111,7 @@ let load_cmd =
   in
   Cmd.v
     (Cmd.info "load" ~doc)
-    Term.(const run $ requests_arg $ jobs_arg $ seed_arg $ engine_arg)
+    Term.(const run $ requests_arg $ jobs_arg $ seed_arg)
 
 let frontier_cmd =
   let doc =
@@ -135,10 +128,9 @@ let frontier_cmd =
             "Request budget per load-plane run of each scheduling mode \
              (default $(docv)=60000).")
   in
-  let run requests jobs seed engine =
+  let run requests jobs seed =
     apply_jobs jobs;
     apply_seed seed;
-    apply_engine engine;
     if requests <= 0 then begin
       Fmt.epr "--requests must be positive@.";
       1
@@ -150,22 +142,21 @@ let frontier_cmd =
   in
   Cmd.v
     (Cmd.info "frontier" ~doc)
-    Term.(const run $ requests_arg $ jobs_arg $ seed_arg $ engine_arg)
+    Term.(const run $ requests_arg $ jobs_arg $ seed_arg)
 
 let all_cmd =
   let doc = "Run every experiment." in
-  let run jobs seed engine =
+  let run jobs seed =
     apply_jobs jobs;
     apply_seed seed;
-    apply_engine engine;
     List.fold_left
       (fun acc (name, _) ->
         Printf.printf "\n================ repro %s ================\n\n" name;
-        max acc (run_experiment name None None None))
+        max acc (run_experiment name None None))
       0
       (Wd_harness.Experiments.all_texts ())
   in
-  Cmd.v (Cmd.info "all" ~doc) Term.(const run $ jobs_arg $ seed_arg $ engine_arg)
+  Cmd.v (Cmd.info "all" ~doc) Term.(const run $ jobs_arg $ seed_arg)
 
 let checkers_cmd =
   let doc =

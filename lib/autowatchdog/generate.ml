@@ -22,12 +22,10 @@ type generated = {
   red : Reduction.result;
   units : Reduction.unit_ list; (* after recipe enhancement *)
   watchdog_prog : program;      (* all unit functions, one program *)
-  watchdog_compiled : Interp.compiled option;
+  watchdog_compiled : Interp.compiled;
       (* closure-compiled form of [watchdog_prog], warmed at analysis time
-         when the default engine is [`Compiled] so per-unit checker
-         interpreters skip even the compile-cache digest. None under a
-         treewalk default; [checker_of_unit] falls back to
-         [Interp.precompile] if the engine changes afterwards. *)
+         so per-unit checker interpreters skip even the compile-cache
+         digest *)
   callgraph : Wd_analysis.Callgraph.t;
       (* of the original program, built once: region attachment, component
          registration and campaign localisation all need it, and it is
@@ -47,11 +45,7 @@ let analyze ?(config = Config.default) prog =
       entries = [];
     }
   in
-  let watchdog_compiled =
-    match Interp.default_engine () with
-    | `Compiled -> Some (Interp.precompile watchdog_prog)
-    | `Treewalk -> None
-  in
+  let watchdog_compiled = Interp.precompile watchdog_prog in
   { config; red; units; watchdog_prog; watchdog_compiled;
     callgraph = Wd_analysis.Callgraph.build prog }
 
@@ -117,24 +111,11 @@ let analyze_cached ?(config = Config.default) prog =
 
 (* Build the runtime checker for one unit: a checker-mode interpreter over
    the watchdog program, fed by the unit's context. *)
-let checker_of_unit ?engine g ~sched ~wctx ~res ~node (u : Reduction.unit_) =
+let checker_of_unit g ~sched ~wctx ~res ~node (u : Reduction.unit_) =
   let cfg = g.config in
-  let engine =
-    match engine with Some e -> e | None -> Interp.default_engine ()
-  in
   let ci =
-    match engine with
-    | `Treewalk ->
-        Interp.create ~engine:`Treewalk ~mode:Interp.Checker
-          ~lock_timeout:cfg.Config.lock_timeout ~node ~res g.watchdog_prog
-    | `Compiled ->
-        let compiled =
-          match g.watchdog_compiled with
-          | Some cp -> cp
-          | None -> Interp.precompile g.watchdog_prog
-        in
-        Interp.create ~compiled ~mode:Interp.Checker
-          ~lock_timeout:cfg.Config.lock_timeout ~node ~res g.watchdog_prog
+    Interp.create ~compiled:g.watchdog_compiled ~mode:Interp.Checker
+      ~lock_timeout:cfg.Config.lock_timeout ~node ~res g.watchdog_prog
   in
   let unit_id = u.Reduction.unit_id in
   let payload () = Wcontext.snapshot wctx unit_id in
@@ -227,7 +208,7 @@ let regions_for_entry_funcs g ~entry_funcs =
    a context older than the threshold means the surrounding region stopped
    making progress *without* failing any mimicked operation — the
    infinite-loop/stall class that operation mimicry alone cannot see. *)
-let attach ?engine ?only_regions ?progress g ~sched ~main ~driver =
+let attach ?only_regions ?progress g ~sched ~main ~driver =
   let res = Interp.resources main in
   let node = Interp.node main in
   let selected =
@@ -268,7 +249,7 @@ let attach ?engine ?only_regions ?progress g ~sched ~main ~driver =
   List.iter
     (fun u ->
       Wd_watchdog.Driver.add_checker driver
-        (checker_of_unit ?engine g ~sched ~wctx ~res ~node u))
+        (checker_of_unit g ~sched ~wctx ~res ~node u))
     selected;
   (match progress with
   | None -> ()

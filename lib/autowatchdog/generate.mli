@@ -7,9 +7,8 @@ type generated = {
   red : Wd_analysis.Reduction.result;
   units : Wd_analysis.Reduction.unit_ list;  (** after recipe enhancement *)
   watchdog_prog : Wd_ir.Ast.program;         (** all unit functions *)
-  watchdog_compiled : Wd_ir.Interp.compiled option;
-      (** closure-compiled [watchdog_prog], warmed at analysis time when the
-          default engine is [`Compiled] (None under a treewalk default) *)
+  watchdog_compiled : Wd_ir.Interp.compiled;
+      (** closure-compiled [watchdog_prog], warmed at analysis time *)
   callgraph : Wd_analysis.Callgraph.t;
       (** of the original program, built once at analysis time *)
 }
@@ -42,7 +41,6 @@ val regions_for_entry_funcs :
     a node passes its own entries to attach only its own checkers. *)
 
 val attach :
-  ?engine:Wd_ir.Interp.engine ->
   ?only_regions:string list ->
   ?progress:int64 ->
   generated ->
@@ -76,7 +74,6 @@ val register_components :
     returns them). *)
 
 val checker_of_unit :
-  ?engine:Wd_ir.Interp.engine ->
   generated ->
   sched:Wd_sim.Sched.t ->
   wctx:Wd_watchdog.Wcontext.t ->

@@ -99,13 +99,8 @@ let run ?fault ?(timeout = Wd_sim.Time.sec 10) (g : Generate.generated)
               (Wd_env.Memory.create ~reg ~capacity:(64 * 1024 * 1024) m))
           mems;
         let ci =
-          match (Interp.default_engine (), g.Generate.watchdog_compiled) with
-          | `Compiled, Some compiled ->
-              Interp.create ~compiled ~mode:Interp.Checker ~node ~res
-                g.Generate.watchdog_prog
-          | _ ->
-              Interp.create ~mode:Interp.Checker ~node ~res
-                g.Generate.watchdog_prog
+          Interp.create ~compiled:g.Generate.watchdog_compiled
+            ~mode:Interp.Checker ~node ~res g.Generate.watchdog_prog
         in
         let outcome = ref Not_reproduced in
         ignore

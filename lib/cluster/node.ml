@@ -57,7 +57,7 @@ let kind_of_checker_id id : Checker.kind =
   else if has_prefix "signal:" then Checker.Signal
   else Checker.Mimic
 
-let boot ?engine ?schedule ~sched ~system ~index () =
+let boot ?schedule ~sched ~system ~index () =
   let id = Fabric.node_name index in
   let reg = Wd_env.Faultreg.create () in
   let driver = Driver.create ?schedule sched in
@@ -71,11 +71,11 @@ let boot ?engine ?schedule ~sched ~system ~index () =
       let prog = Wd_targets.Zkmini.program () in
       let g = Generate.analyze_cached prog in
       let t =
-        Wd_targets.Zkmini.boot ?engine ~sched ~reg
+        Wd_targets.Zkmini.boot ~sched ~reg
           ~prog:g.Generate.red.Wd_analysis.Reduction.instrumented ()
       in
       ignore
-        (Generate.attach ?engine ~progress:(Wd_sim.Time.sec 20) g ~sched
+        (Generate.attach ~progress:(Wd_sim.Time.sec 20) g ~sched
            ~main:t.Wd_targets.Zkmini.leader ~driver);
       Driver.add_checker driver
         (Wd_detectors.Signalmon.queue_depth ~id:"signal:reqq"
@@ -116,11 +116,11 @@ let boot ?engine ?schedule ~sched ~system ~index () =
       let prog = Wd_targets.Cstore.program () in
       let g = Generate.analyze_cached prog in
       let t =
-        Wd_targets.Cstore.boot ?engine ~sched ~reg
+        Wd_targets.Cstore.boot ~sched ~reg
           ~prog:g.Generate.red.Wd_analysis.Reduction.instrumented ()
       in
       ignore
-        (Generate.attach ?engine ~progress:(Wd_sim.Time.sec 20) g ~sched
+        (Generate.attach ~progress:(Wd_sim.Time.sec 20) g ~sched
            ~main:t.Wd_targets.Cstore.main ~driver);
       Driver.add_checker driver
         (Wd_detectors.Signalmon.queue_depth ~id:"signal:reqq"

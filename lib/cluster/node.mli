@@ -14,7 +14,6 @@
 type t
 
 val boot :
-  ?engine:Wd_ir.Interp.engine ->
   ?schedule:Wd_watchdog.Schedule.policy ->
   sched:Wd_sim.Sched.t ->
   system:Topology.system ->

@@ -21,9 +21,6 @@ type config = {
   topology : Topology.spec;
   warmup : int64; (* let checkers learn latency baselines first *)
   observe : int64; (* post-injection observation window *)
-  engine : Wd_ir.Interp.engine option;
-      (* IR engine for every node's target + checkers; None follows the
-         process default *)
 }
 
 let default_config =
@@ -32,7 +29,6 @@ let default_config =
     topology = Topology.uniform ~nodes:5 Topology.Zkmini;
     warmup = Wd_sim.Time.sec 8;
     observe = Wd_sim.Time.sec 15;
-    engine = None;
   }
 
 (* A booted-but-uninjected fleet world; [run] drives one through a scenario
@@ -53,7 +49,7 @@ let world_nodes w = w.w_nodes
 let world_agents w = w.w_agents
 let world_elections w = w.w_elections
 
-let boot ?engine ~seed ~topology () =
+let boot ~seed ~topology () =
   let sched = Wd_sim.Sched.create ~seed () in
   let n = Topology.nodes topology in
   let ids = List.init n Fabric.node_name in
@@ -61,7 +57,7 @@ let boot ?engine ~seed ~topology () =
   let fabric = Fabric.create ~links ~sched ~nodes:ids () in
   let ns =
     List.init n (fun i ->
-        Node.boot ?engine ~sched
+        Node.boot ~sched
           ~system:(Topology.system_at topology i)
           ~index:i ())
   in
@@ -284,7 +280,7 @@ let run ?(cfg = default_config) csid =
       (Fmt.str "Sim.run: scenario %s touches node %d but topology %s has %d \
                 nodes"
          csid need (Topology.describe topology) n);
-  let w = boot ?engine:cfg.engine ~seed:cfg.seed ~topology () in
+  let w = boot ~seed:cfg.seed ~topology () in
   let sched = w.w_sched in
   ignore (Wd_sim.Sched.run ~until:cfg.warmup sched);
   let inject_at = Wd_sim.Sched.now sched in

@@ -11,9 +11,6 @@ type config = {
       (** node count, per-node target system, link-fabric overrides *)
   warmup : int64;  (** let checkers learn latency baselines first *)
   observe : int64;  (** post-injection observation window *)
-  engine : Wd_ir.Interp.engine option;
-      (** IR engine for every node's target + checkers; [None] follows the
-          process default *)
 }
 
 val default_config : config
@@ -34,7 +31,6 @@ val world_elections : world -> Election.t list
 (** Index-aligned with [world_nodes]. *)
 
 val boot :
-  ?engine:Wd_ir.Interp.engine ->
   seed:int ->
   topology:Topology.spec ->
   unit ->

@@ -1,6 +1,6 @@
-(* Shared campaign-wide CLI flags. Both front ends take the same three
-   knobs — [--jobs] (domain-pool width), [--seed] (base seed) and
-   [--engine] (IR execution engine) — and must apply them identically:
+(* Shared campaign-wide CLI flags. Both front ends take the same two
+   knobs — [--jobs] (domain-pool width) and [--seed] (base seed) — and
+   must apply them identically:
    `bin/repro` through cmdliner terms, `bench` through a hand-rolled argv
    scan (bechamel owns its argv, so bench cannot run a cmdliner parser).
    Keeping both faces in one module keeps the flags' names, parsing and
@@ -29,38 +29,11 @@ let seed_arg =
 
 let apply_seed = function Some s -> Experiments.set_seed s | None -> ()
 
-(* IR execution engine: the closure compiler (default) or the tree-walking
-   reference interpreter. Results are byte-identical on either engine. *)
-let engine_conv =
-  let parse s =
-    match Wd_ir.Interp.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg ("unknown engine " ^ s ^ " (compiled|treewalk)"))
-  in
-  Arg.conv (parse, fun ppf e -> Fmt.string ppf (Wd_ir.Interp.engine_name e))
-
-let engine_arg =
-  let doc =
-    "IR execution engine: $(b,compiled) (closure-compiled, default) or \
-     $(b,treewalk) (reference tree-walker). Results are byte-identical on \
-     either engine; only wall-clock changes."
-  in
-  Arg.(
-    value
-    & opt (some engine_conv) None
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let apply_engine = function Some e -> Experiments.set_engine e | None -> ()
-
 (* --- plain argv scan (bench) ------------------------------------------- *)
 
-type opts = {
-  o_jobs : int option;
-  o_seed : int option;
-  o_engine : Wd_ir.Interp.engine option;
-}
+type opts = { o_jobs : int option; o_seed : int option }
 
-let no_opts = { o_jobs = None; o_seed = None; o_engine = None }
+let no_opts = { o_jobs = None; o_seed = None }
 
 (* Pick the shared flags out of an argv tail, leaving everything else
    (e.g. bench's [--json]) alone; only a malformed value is an error. *)
@@ -75,42 +48,10 @@ let scan argv =
         match int_of_string_opt v with
         | Some s -> go { acc with o_seed = Some s } rest
         | None -> Error (Fmt.str "bad --seed value %S" v))
-    | "--engine" :: v :: rest -> (
-        match Wd_ir.Interp.engine_of_string v with
-        | Some e -> go { acc with o_engine = Some e } rest
-        | None -> Error (Fmt.str "unknown engine %S (compiled|treewalk)" v))
     | _ :: rest -> go acc rest
   in
   go no_opts argv
 
 let apply_opts o =
   apply_jobs o.o_jobs;
-  apply_seed o.o_seed;
-  apply_engine o.o_engine
-
-(* --- environment configuration ----------------------------------------- *)
-
-(* The typed face of the WD_* environment variables. [Wd_config.Env] is the
-   single parse site (the process-wide knobs in [Wd_parallel.Pool] and
-   [Wd_ir.Interp] read the same memoised record); this alias re-exposes it
-   where front ends already look for flag handling, with the engine lifted
-   to the interpreter's type. *)
-
-type config = {
-  c_jobs : int option;
-  c_minor_heap_words : int option;
-  c_engine : Wd_ir.Interp.engine option;
-}
-
-let config () =
-  Result.map
-    (fun (e : Wd_config.Env.t) ->
-      {
-        c_jobs = e.Wd_config.Env.jobs;
-        c_minor_heap_words = e.Wd_config.Env.minor_heap_words;
-        c_engine =
-          Option.map
-            (fun g -> (g :> Wd_ir.Interp.engine))
-            e.Wd_config.Env.engine;
-      })
-    (Wd_config.Env.load ())
+  apply_seed o.o_seed

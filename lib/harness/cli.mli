@@ -1,4 +1,4 @@
-(** Shared campaign-wide CLI flags ([--jobs], [--seed], [--engine]) for
+(** Shared campaign-wide CLI flags ([--jobs], [--seed]) for
     both front ends: cmdliner terms for [bin/repro], a plain argv scan for
     [bench] (bechamel owns its argv). One module so the flags' names,
     parsing and application cannot drift apart. *)
@@ -12,23 +12,14 @@ val jobs_arg : int option Cmdliner.Term.t
 val seed_arg : int option Cmdliner.Term.t
 (** [--seed]/[-s]: base seed for seed-fanned experiments (default 42). *)
 
-val engine_arg : Wd_ir.Interp.engine option Cmdliner.Term.t
-(** [--engine]: [compiled] (default) or [treewalk]; results are
-    byte-identical on either engine. *)
-
 val apply_jobs : int option -> unit
 val apply_seed : int option -> unit
-val apply_engine : Wd_ir.Interp.engine option -> unit
 (** Apply a parsed flag (no-op on [None]) to the process-wide experiment
     knobs in {!Experiments}. *)
 
 (** {2 plain argv scan} *)
 
-type opts = {
-  o_jobs : int option;
-  o_seed : int option;
-  o_engine : Wd_ir.Interp.engine option;
-}
+type opts = { o_jobs : int option; o_seed : int option }
 
 val no_opts : opts
 
@@ -37,22 +28,3 @@ val scan : string list -> (opts, string) result
     (e.g. bench's [--json]); errors only on a malformed value. *)
 
 val apply_opts : opts -> unit
-
-(** {2 environment configuration}
-
-    Typed view of the WD_* environment variables ([WD_JOBS],
-    [WD_MINOR_HEAP], [WD_ENGINE]). {!Wd_config.Env} is the single parse
-    site — no caller reads [Sys.getenv] directly — and this alias
-    re-exposes it on the harness CLI surface with the engine lifted to
-    {!Wd_ir.Interp.engine}. *)
-
-type config = {
-  c_jobs : int option;  (** [WD_JOBS]: domain-pool width *)
-  c_minor_heap_words : int option;
-      (** [WD_MINOR_HEAP]: per-domain minor heap size, words *)
-  c_engine : Wd_ir.Interp.engine option;  (** [WD_ENGINE] *)
-}
-
-val config : unit -> (config, string) result
-(** Parse the environment. [Error msg] names the offending variable and
-    value; unset variables are [None], not errors. *)

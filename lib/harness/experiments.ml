@@ -39,12 +39,6 @@ let seed_override = ref None
 let set_seed n = seed_override := Some n
 let base_seed () = match !seed_override with Some s -> s | None -> 42
 
-(* IR-engine override (the repro/bench [--engine] flag): process-wide, so
-   every target interpreter, generated checker and cluster node of a run
-   uses the selected engine. Results are byte-identical on either engine;
-   only wall-clock changes. *)
-let set_engine e = Wd_ir.Interp.set_default_engine e
-
 let pinpoint_cell = function
   | None -> "-"
   | Some Campaign.Exact -> "exact"

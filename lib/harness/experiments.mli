@@ -18,11 +18,6 @@ val set_seed : int -> unit
 val base_seed : unit -> int
 (** The effective base seed. *)
 
-val set_engine : Wd_ir.Interp.engine -> unit
-(** Select the IR execution engine process-wide (the repro/bench [--engine]
-    flag). Tables are byte-identical on either engine; only wall-clock
-    changes. Defaults to [WD_ENGINE] or [`Compiled]. *)
-
 (* E1 — Table 1 *)
 type e1_row = {
   e1_scenario : string;

@@ -37,12 +37,12 @@ let default_cfg =
   }
 
 (* One mining run: boot [system] fault-free with a recorder attached. *)
-let mine_run ?engine ~warmup ~observe ~seed system =
+let mine_run ~warmup ~observe ~seed system =
   let sched = Wd_sim.Sched.create ~seed () in
   let reg = Wd_env.Faultreg.create () in
   let recorder = Mine.attach sched in
   let _booted =
-    Systems.boot ?engine ~sched ~reg ~mode:Systems.Wd_generated system
+    Systems.boot ~sched ~reg ~mode:Systems.Wd_generated system
   in
   (match Wd_sim.Sched.run ~until:(Int64.add warmup observe) sched with
   | Wd_sim.Sched.Time_limit | Wd_sim.Sched.Quiescent -> ()
@@ -138,12 +138,12 @@ type mined = {
 
 let model_for mined system = List.assoc_opt system mined.md_models
 
-let mine_and_synth ?(cfg = default_cfg) ?engine ?jobs () =
+let mine_and_synth ?(cfg = default_cfg) ?jobs () =
   let sched_list = schedule cfg in
   let obs_runs =
     Wd_parallel.Pool.run_map ?jobs
       (fun (system, seed, observe) ->
-        (system, mine_run ?engine ~warmup:cfg.mc_warmup ~observe ~seed system))
+        (system, mine_run ~warmup:cfg.mc_warmup ~observe ~seed system))
       sched_list
   in
   let models =

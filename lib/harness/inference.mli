@@ -16,7 +16,6 @@ type mine_cfg = {
 val default_cfg : mine_cfg
 
 val mine_run :
-  ?engine:Wd_ir.Interp.engine ->
   warmup:int64 ->
   observe:int64 ->
   seed:int ->
@@ -41,6 +40,6 @@ type mined = {
 val model_for : mined -> string -> Wd_infer.Synth.model option
 
 val mine_and_synth :
-  ?cfg:mine_cfg -> ?engine:Wd_ir.Interp.engine -> ?jobs:int -> unit -> mined
+  ?cfg:mine_cfg -> ?jobs:int -> unit -> mined
 
 val pp_mined : Format.formatter -> mined -> unit

@@ -5,7 +5,7 @@
    Everything is driven by virtual time, so a load run is a pure function
    of (seed, workload): latency percentiles, throughput and shed counts are
    bit-reproducible and any two configurations differing only in wall-clock
-   speed (engine choice, host load) produce identical numbers. That is what
+   speed (host load, CI noise) produce identical numbers. That is what
    makes the watchdog-overhead story measurable: overhead shows up as
    virtual-time inflation, not benchmark noise.
 

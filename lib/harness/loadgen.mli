@@ -8,7 +8,7 @@
     cost one small array, not a latency list.
 
     All load, latency and throughput numbers are functions of virtual time
-    only: two runs differing in wall-clock speed (engine choice, host load)
+    only: two runs differing in wall-clock speed (host load, CI noise)
     produce bit-identical results, which is what makes watchdog overhead a
     measurable virtual-time inflation rather than benchmark noise. *)
 

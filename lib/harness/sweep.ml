@@ -265,7 +265,6 @@ let run_world w =
           topology = fl.fl_topology;
           warmup = fleet_warmup;
           observe = fleet_observe;
-          engine = None;
         }
       in
       let r = Csim.run ~cfg fl.fl_csid in

@@ -84,12 +84,12 @@ let naive_checker_of_unit ~res (u : Wd_analysis.Reduction.unit_) =
                       ~fkind:(Wd_watchdog.Report.Error_sig m)
                       ~loc:u.Wd_analysis.Reduction.anchor_loc ())))
 
-let attach_watchdog ?engine ~mode ~sched ~driver ~res ~main g =
+let attach_watchdog ~mode ~sched ~driver ~res ~main g =
   match mode with
   | Wd_none -> ()
   | Wd_generated ->
       ignore
-        (Generate.attach ?engine ~progress:(Wd_sim.Time.sec 20) g ~sched ~main
+        (Generate.attach ~progress:(Wd_sim.Time.sec 20) g ~sched ~main
            ~driver)
   | Wd_no_context ->
       List.iter
@@ -107,7 +107,7 @@ let expect_str ~prefix v =
 
 (* --- kvs --- *)
 
-let boot_kvs ?engine ?schedule ~sched ~reg ~mode ~special () =
+let boot_kvs ?schedule ~sched ~reg ~mode ~special () =
   let leak_bug = special = Some "leak_bug" in
   let in_memory = special = Some "in_memory" in
   let burst = special = Some "burst" in
@@ -124,11 +124,11 @@ let boot_kvs ?engine ?schedule ~sched ~reg ~mode ~special () =
      observation window. *)
   let mem_capacity = if leak_bug then 48 * 1024 else 64 * 1024 * 1024 in
   let t =
-    Wd_targets.Kvs.boot ?engine ~in_memory ~mem_capacity ~sched ~reg
+    Wd_targets.Kvs.boot ~in_memory ~mem_capacity ~sched ~reg
       ~prog:run_prog ()
   in
   let driver = Driver.create ?schedule sched in
-  attach_watchdog ?engine ~mode ~sched ~driver ~res:t.Wd_targets.Kvs.res
+  attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Kvs.res
     ~main:t.Wd_targets.Kvs.leader g;
   (* baseline detectors *)
   Driver.add_checker driver
@@ -220,7 +220,7 @@ let boot_kvs ?engine ?schedule ~sched ~reg ~mode ~special () =
 
 (* --- zkmini --- *)
 
-let boot_zk ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
+let boot_zk ?schedule ~sched ~reg ~mode ~special:_ () =
   let prog = Wd_targets.Zkmini.program () in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
@@ -229,9 +229,9 @@ let boot_zk ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
     | Wd_generated -> g.Generate.red.Wd_analysis.Reduction.instrumented
     | Wd_no_context | Wd_none -> prog
   in
-  let t = Wd_targets.Zkmini.boot ?engine ~sched ~reg ~prog:run_prog () in
+  let t = Wd_targets.Zkmini.boot ~sched ~reg ~prog:run_prog () in
   let driver = Driver.create ?schedule sched in
-  attach_watchdog ?engine ~mode ~sched ~driver ~res:t.Wd_targets.Zkmini.res
+  attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Zkmini.res
     ~main:t.Wd_targets.Zkmini.leader g;
   (* the paper's two blind baselines: admin `ruok` probe + heartbeats *)
   Driver.add_checker driver
@@ -298,7 +298,7 @@ let boot_zk ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
 
 (* --- dfsmini --- *)
 
-let boot_dfs ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
+let boot_dfs ?schedule ~sched ~reg ~mode ~special:_ () =
   let prog = Wd_targets.Dfsmini.program () in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
@@ -307,9 +307,9 @@ let boot_dfs ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
     | Wd_generated -> g.Generate.red.Wd_analysis.Reduction.instrumented
     | Wd_no_context | Wd_none -> prog
   in
-  let t = Wd_targets.Dfsmini.boot ?engine ~sched ~reg ~prog:run_prog () in
+  let t = Wd_targets.Dfsmini.boot ~sched ~reg ~prog:run_prog () in
   let driver = Driver.create ?schedule sched in
-  attach_watchdog ?engine ~mode ~sched ~driver ~res:t.Wd_targets.Dfsmini.res
+  attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Dfsmini.res
     ~main:t.Wd_targets.Dfsmini.dn g;
   Driver.add_checker driver
     (Wd_detectors.Probe.make ~id:"probe:dfs-rw" (fun () ->
@@ -377,7 +377,7 @@ let boot_dfs ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
 
 (* --- cstore --- *)
 
-let boot_cs ?engine ?schedule ~sched ~reg ~mode ~special () =
+let boot_cs ?schedule ~sched ~reg ~mode ~special () =
   let spin_bug = special = Some "spin_bug" in
   let prog = Wd_targets.Cstore.program ~spin_bug () in
   Wd_ir.Validate.check_exn prog;
@@ -387,9 +387,9 @@ let boot_cs ?engine ?schedule ~sched ~reg ~mode ~special () =
     | Wd_generated -> g.Generate.red.Wd_analysis.Reduction.instrumented
     | Wd_no_context | Wd_none -> prog
   in
-  let t = Wd_targets.Cstore.boot ?engine ~sched ~reg ~prog:run_prog () in
+  let t = Wd_targets.Cstore.boot ~sched ~reg ~prog:run_prog () in
   let driver = Driver.create ?schedule sched in
-  attach_watchdog ?engine ~mode ~sched ~driver ~res:t.Wd_targets.Cstore.res
+  attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Cstore.res
     ~main:t.Wd_targets.Cstore.main g;
   Driver.add_checker driver
     (Wd_detectors.Probe.roundtrip ~id:"probe:cs-rw"
@@ -449,7 +449,7 @@ let boot_cs ?engine ?schedule ~sched ~reg ~mode ~special () =
 
 (* --- mqbroker --- *)
 
-let boot_mq ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
+let boot_mq ?schedule ~sched ~reg ~mode ~special:_ () =
   let prog = Wd_targets.Mqbroker.program () in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
@@ -458,9 +458,9 @@ let boot_mq ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
     | Wd_generated -> g.Generate.red.Wd_analysis.Reduction.instrumented
     | Wd_no_context | Wd_none -> prog
   in
-  let t = Wd_targets.Mqbroker.boot ?engine ~sched ~reg ~prog:run_prog () in
+  let t = Wd_targets.Mqbroker.boot ~sched ~reg ~prog:run_prog () in
   let driver = Driver.create ?schedule sched in
-  attach_watchdog ?engine ~mode ~sched ~driver ~res:t.Wd_targets.Mqbroker.res
+  attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Mqbroker.res
     ~main:t.Wd_targets.Mqbroker.broker g;
   Driver.add_checker driver
     (Wd_detectors.Probe.make ~id:"probe:mq-produce" (fun () ->
@@ -512,13 +512,13 @@ let boot_mq ?engine ?schedule ~sched ~reg ~mode ~special:_ () =
     b_client = client;
   }
 
-let boot ?engine ?schedule ~sched ~reg ~mode ?special system =
+let boot ?schedule ~sched ~reg ~mode ?special system =
   match system with
-  | "kvs" -> boot_kvs ?engine ?schedule ~sched ~reg ~mode ~special ()
-  | "zkmini" -> boot_zk ?engine ?schedule ~sched ~reg ~mode ~special ()
-  | "dfsmini" -> boot_dfs ?engine ?schedule ~sched ~reg ~mode ~special ()
-  | "cstore" -> boot_cs ?engine ?schedule ~sched ~reg ~mode ~special ()
-  | "mqbroker" -> boot_mq ?engine ?schedule ~sched ~reg ~mode ~special ()
+  | "kvs" -> boot_kvs ?schedule ~sched ~reg ~mode ~special ()
+  | "zkmini" -> boot_zk ?schedule ~sched ~reg ~mode ~special ()
+  | "dfsmini" -> boot_dfs ?schedule ~sched ~reg ~mode ~special ()
+  | "cstore" -> boot_cs ?schedule ~sched ~reg ~mode ~special ()
+  | "mqbroker" -> boot_mq ?schedule ~sched ~reg ~mode ~special ()
   | s -> invalid_arg ("Systems.boot: unknown system " ^ s)
 
 let all_systems = [ "kvs"; "zkmini"; "dfsmini"; "cstore"; "mqbroker" ]

@@ -28,7 +28,6 @@ type booted = {
 }
 
 val boot :
-  ?engine:Wd_ir.Interp.engine ->
   ?schedule:Wd_watchdog.Schedule.policy ->
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->
@@ -37,9 +36,7 @@ val boot :
   string ->
   booted
 (** Boot "kvs", "zkmini", "dfsmini" or "cstore". [special] selects boot
-    variants: "leak_bug", "in_memory", "burst" (kvs only). [engine] selects
-    the IR execution engine for the target and its checkers (default:
-    {!Wd_ir.Interp.default_engine}); [schedule] the checker scheduling
-    policy (default {!Wd_watchdog.Schedule.fixed}). *)
+    variants: "leak_bug", "in_memory", "burst" (kvs only); [schedule] the
+    checker scheduling policy (default {!Wd_watchdog.Schedule.fixed}). *)
 
 val all_systems : string list

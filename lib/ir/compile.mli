@@ -30,10 +30,12 @@
     The compiler is generic in the interpreter state ['i]: all effectful
     semantics (op execution, sync, hooks) are supplied through an {!rt}
     record, so [Compile] depends only on the AST and [Interp] stays the
-    single owner of Main/Checker behaviour. Parity contract: compiled
-    execution is observably bit-for-bit identical to the tree-walker —
-    same [stmts_executed] counts, same charge quanta (virtual time), same
-    probe records and hook firing order, same [Violation] payloads. *)
+    single owner of Main/Checker behaviour. This is the only engine
+    programs run on. Parity contract: it is observably bit-for-bit
+    identical to the test-only reference tree-walker in [Interp]
+    ([Interp.Reference]) — same [stmts_executed] counts, same charge quanta
+    (virtual time), same probe records and hook firing order, same
+    [Violation] payloads. *)
 
 open Ast
 

@@ -19,11 +19,11 @@
    flight — when the watchdog driver times a checker out, that record is the
    pinpointed location and payload of the failure.
 
-   Two engines execute the same IR with bit-for-bit identical observable
-   behaviour: the closure compiler ([Compile], the default) and the
-   tree-walker below, kept as the reference semantics. Everything effectful
-   — charging, ops, sync protocols, hooks — funnels through the same
-   [*_v] functions, so the engines can only diverge in *pure* evaluation. *)
+   Programs execute on one engine, the closure compiler ([Compile]). The
+   tree-walker below is kept only as the reference semantics the tests
+   compare against, reachable through [Reference.within]. Everything
+   effectful — charging, ops, sync protocols, hooks — funnels through the
+   same [*_v] functions, so the two can only diverge in *pure* evaluation. *)
 
 open Ast
 
@@ -31,7 +31,6 @@ exception Violation = Compile.Violation
 exception Return_exn = Compile.Return_exn
 
 type mode = Main | Checker
-type engine = [ `Compiled | `Treewalk ]
 
 (* Flat probe record: every field is an immediate or a pointer store, so
    bracketing an op mutates in place — no option/tuple/boxed-int64 blocks
@@ -98,27 +97,8 @@ type t = {
      "kind:target:prefix" string. *)
   trace_keys : (string * string * string, Wd_sim.Site.id) Hashtbl.t;
   node_site : Wd_sim.Site.id;
-  mutable impl : impl;
+  compiled : t Compile.t;
 }
-
-and impl = Treewalk_impl | Compiled_impl of t Compile.t
-
-(* --- engine selection --- *)
-
-let engine_name = function `Compiled -> "compiled" | `Treewalk -> "treewalk"
-
-let engine_of_string s = Wd_config.Env.engine_of_string s
-
-(* The typed env loader owns the WD_ENGINE read; a malformed value fails
-   fast here at module initialisation, as the ad-hoc parse always did. *)
-let default_engine_cell : engine Atomic.t =
-  Atomic.make
-    (match (Wd_config.Env.get ()).Wd_config.Env.engine with
-    | Some e -> (e :> engine)
-    | None -> `Compiled)
-
-let set_default_engine e = Atomic.set default_engine_cell e
-let default_engine () = Atomic.get default_engine_cell
 
 (* --- accessors --- *)
 
@@ -127,9 +107,6 @@ let node t = t.node
 let probe t = t.probe
 let resources t = t.res
 let stmts_executed t = t.ctx.Compile.cx_stmts
-
-let engine t =
-  match t.impl with Treewalk_impl -> `Treewalk | Compiled_impl _ -> `Compiled
 
 let set_hook_sink t sink = t.hook_sink <- Some sink
 let register_hook t ~id spec = Hashtbl.replace t.hooks id spec
@@ -399,12 +376,13 @@ let with_probe t loc ~is_lock ~tkey desc f =
 
 let scratch t path = t.scratch_prefix ^ path
 
-(* Shared empty-mailbox marker: both engines return this exact structure on
-   a timed-out poll; it contains no mutable leaf, so one shared constant is
-   indistinguishable from a fresh allocation. *)
+(* Shared empty-mailbox marker: the engine and the reference walker return
+   this exact structure on a timed-out poll; it contains no mutable leaf, so
+   one shared constant is indistinguishable from a fresh allocation. *)
 let vmap_miss = VMap [ ("ok", VBool false) ]
 
-(* Effectful op over pre-evaluated arguments; shared by both engines. *)
+(* Effectful op over pre-evaluated arguments; shared with the reference
+   walker. *)
 let exec_op_v t loc ~desc ~kind ~target vargs =
   let tkey = trace_key t ~opname:(op_kind_name kind) ~target vargs in
   with_probe t loc ~is_lock:false ~tkey desc (fun () ->
@@ -544,7 +522,8 @@ let exec_op_v t loc ~desc ~kind ~target vargs =
                  msg = Fmt.str "%s: bad arguments" (op_kind_name kind);
                }))
 
-(* Mode-specific lock protocol around a body thunk; shared by both engines. *)
+(* Mode-specific lock protocol around a body thunk; shared with the
+   reference walker. *)
 let exec_sync_v t loc ~lock:lockname ~desc body =
   let lock = Runtime.lock t.res lockname in
   match t.mode with
@@ -593,7 +572,8 @@ let exec_sync_v t loc ~lock:lockname ~desc body =
       Wd_sim.Smutex.unlock lock;
       body ()
 
-(* Fire hook [id]; [lookup] reads a frame variable. Shared by both engines. *)
+(* Fire hook [id]; [lookup] reads a frame variable. Shared with the
+   reference walker. *)
 let exec_hook_v t id lookup =
   match t.mode with
   | Checker -> ()
@@ -750,9 +730,29 @@ let clear_compile_cache () =
 
 (* --- construction and public API --- *)
 
-let create ?engine ?compiled ?(mode = Main) ?(scratch_prefix = "__wd/")
+(* The test-only seam onto the tree-walker. Process-wide rather than
+   domain-local, so that interpreters on every pool domain walk the AST
+   while a differential test holds it. *)
+module Reference = struct
+  let active = Atomic.make false
+
+  let within f =
+    let prev = Atomic.exchange active true in
+    Fun.protect ~finally:(fun () -> Atomic.set active prev) f
+end
+
+let create ?compiled ?(mode = Main) ?(scratch_prefix = "__wd/")
     ?(lock_timeout = Wd_sim.Time.sec 5) ?(stmt_cost = 100L)
     ?(cpu_quantum = Wd_sim.Time.us 10) ~node ~res prog =
+  let compiled =
+    match compiled with
+    | Some cp ->
+        let cprog = Compile.program cp in
+        if not (cprog == prog || cprog = prog) then
+          invalid_arg "Interp.create: compiled form is for a different program";
+        cp
+    | None -> precompile prog
+  in
   let funcs_by_name = Hashtbl.create (2 * List.length prog.funcs) in
   List.iter
     (fun f ->
@@ -760,65 +760,46 @@ let create ?engine ?compiled ?(mode = Main) ?(scratch_prefix = "__wd/")
       if not (Hashtbl.mem funcs_by_name f.fname) then
         Hashtbl.add funcs_by_name f.fname (f, List.length f.params))
     prog.funcs;
-  let t =
-    {
-      prog;
-      funcs_by_name;
-      res;
-      node;
-      mode;
-      hook_sink = None;
-      hooks = Hashtbl.create 16;
-      probe =
-        {
-          op_active = false;
-          op_loc = Loc.dummy;
-          op_desc = "";
-          op_started = 0;
-          last_loc = Loc.dummy;
-          slow_loc = Loc.dummy;
-          slow_ns = -1;
-          ops_executed = 0;
-          op_ns = 0;
-          lock_ns = 0;
-        };
-      shadow_globals = Hashtbl.create 16;
-      scratch_prefix;
-      lock_timeout;
-      ctx =
-        Compile.make_ctx
-          ~stmt_cost:(Int64.to_int stmt_cost)
-          ~quantum:(Int64.to_int cpu_quantum) ~max_depth:512;
-      op_descs = Hashtbl.create 16;
-      lock_descs = Hashtbl.create 8;
-      trace_keys = Hashtbl.create 32;
-      node_site = Wd_sim.Site.intern node;
-      impl = Treewalk_impl;
-    }
-  in
-  (match (compiled, engine) with
-  | Some cp, _ ->
-      let cprog = Compile.program cp in
-      if not (cprog == prog || cprog = prog) then
-        invalid_arg "Interp.create: compiled form is for a different program";
-      t.impl <- Compiled_impl cp
-  | None, Some `Treewalk -> ()
-  | None, Some `Compiled -> t.impl <- Compiled_impl (precompile prog)
-  | None, None -> (
-      match default_engine () with
-      | `Treewalk -> ()
-      | `Compiled -> t.impl <- Compiled_impl (precompile prog)));
-  t
+  {
+    prog;
+    funcs_by_name;
+    res;
+    node;
+    mode;
+    hook_sink = None;
+    hooks = Hashtbl.create 16;
+    probe =
+      {
+        op_active = false;
+        op_loc = Loc.dummy;
+        op_desc = "";
+        op_started = 0;
+        last_loc = Loc.dummy;
+        slow_loc = Loc.dummy;
+        slow_ns = -1;
+        ops_executed = 0;
+        op_ns = 0;
+        lock_ns = 0;
+      };
+    shadow_globals = Hashtbl.create 16;
+    scratch_prefix;
+    lock_timeout;
+    ctx =
+      Compile.make_ctx
+        ~stmt_cost:(Int64.to_int stmt_cost)
+        ~quantum:(Int64.to_int cpu_quantum) ~max_depth:512;
+    op_descs = Hashtbl.create 16;
+    lock_descs = Hashtbl.create 8;
+    trace_keys = Hashtbl.create 32;
+    node_site = Wd_sim.Site.intern node;
+    compiled;
+  }
 
 let call t fname args =
-  match t.impl with
-  | Treewalk_impl -> exec_call t 0 fname args
-  | Compiled_impl cp -> Compile.call cp t t.ctx fname args
+  if Atomic.get Reference.active then exec_call t 0 fname args
+  else Compile.call t.compiled t t.ctx fname args
 
-let frame_pool_stats t fname =
-  match t.impl with
-  | Treewalk_impl -> None
-  | Compiled_impl cp -> Compile.frame_pool_stats cp fname
+let frame_pool_stats t fname = Compile.frame_pool_stats t.compiled fname
 
 let ic_refills = Compile.ic_refill_count
 

@@ -12,17 +12,17 @@
     immediately, allocations are returned, and global-state writes land in a
     private overlay.
 
-    Two engines execute the same IR with bit-for-bit identical observable
-    behaviour — same [stmts_executed] counts, charge quanta (virtual-time
-    progression), probe records, hook firing order and [Violation] payloads:
+    Programs execute on one engine: the one-time closure-compilation pass
+    of {!Compile} — direct-threaded dispatch, slot-indexed pooled frames,
+    call-site inline caches. Compiled forms are cached per-program digest
+    in domain-local storage and shared across instances within a domain
+    (they carry per-domain mutable state and never cross domains).
 
-    - [`Compiled] (the default): the one-time closure-compilation pass of
-      {!Compile} — direct-threaded dispatch, slot-indexed pooled frames,
-      call-site inline caches. Compiled forms are cached per-program digest
-      in domain-local storage and shared across instances within a domain
-      (they carry per-domain mutable state and never cross domains).
-    - [`Treewalk]: the direct AST walker below, kept as the reference
-      semantics ([WD_ENGINE=treewalk] forces it process-wide). *)
+    A direct AST walker is kept as the reference semantics the tests
+    compare against, reachable only through {!Reference.within}. The two
+    are bit-for-bit identical in observable behaviour — same
+    [stmts_executed] counts, charge quanta (virtual-time progression),
+    probe records, hook firing order and [Violation] payloads. *)
 
 open Ast
 
@@ -34,18 +34,6 @@ exception Return_exn of value
 (** Internal control flow; escapes only on a toplevel [Return]. *)
 
 type mode = Main | Checker
-
-type engine = [ `Compiled | `Treewalk ]
-
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
-
-val set_default_engine : engine -> unit
-(** Process-wide default for interpreters created without [?engine] /
-    [?compiled]. Initialised from [WD_ENGINE] ("compiled" / "treewalk");
-    [`Compiled] otherwise. *)
-
-val default_engine : unit -> engine
 
 type compiled
 (** A closure-compiled program (see {!Compile}), shareable across any number
@@ -100,7 +88,6 @@ type hook_spec = { hook_checker : string; hook_vars : string list }
 type t
 
 val create :
-  ?engine:engine ->
   ?compiled:compiled ->
   ?mode:mode ->
   ?scratch_prefix:string ->
@@ -111,9 +98,9 @@ val create :
   res:Runtime.resources ->
   program ->
   t
+(** Without [?compiled], the program's form is fetched from {!precompile}. *)
 
 val program : t -> program
-val engine : t -> engine
 val node : t -> string
 val probe : t -> probe_state
 val resources : t -> Runtime.resources
@@ -121,9 +108,8 @@ val stmts_executed : t -> int
 
 val frame_pool_stats : t -> string -> (int * int) option
 (** [(pooled_frames, pool_hits)] of a function in this interpreter's
-    compiled form (see {!Compile.frame_pool_stats}); [None] on the
-    tree-walker or for an unknown function. For tests and bench
-    introspection. *)
+    compiled form (see {!Compile.frame_pool_stats}); [None] for an unknown
+    function. For tests and bench introspection. *)
 
 val ic_refills : unit -> int
 (** Process-wide inline-cache (re)fill counter (see
@@ -139,6 +125,15 @@ val hook_spec : t -> id:int -> hook_spec option
 val call : t -> string -> value list -> value
 (** Run a function synchronously in the current task. Must be called from
     inside a running simulation. *)
+
+(** Test-only seam onto the reference tree-walker. *)
+module Reference : sig
+  val within : (unit -> 'a) -> 'a
+  (** [within f] runs [f] with every {!call} — on every domain, including
+      entries spawned by {!start} — walking the AST instead of running the
+      compiled form. Restored on exit, also when [f] raises. Differential
+      tests only: nothing in production enters it. *)
+end
 
 val start : ?entries:string list -> t -> Wd_sim.Sched.t -> Wd_sim.Sched.task list
 (** Spawn the program's entries (optionally a subset, by entry name) as

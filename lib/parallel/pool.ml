@@ -33,24 +33,20 @@ type t = {
   mutable closed : bool;
 }
 
+let parse_jobs = function
+  | None | Some "" -> Ok None
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n > 0 -> Ok (Some n)
+      | Some _ | None ->
+          Error ("WD_JOBS: expected a positive integer, got " ^ String.escaped s)
+      )
+
 let default_jobs () =
-  match (Wd_config.Env.get ()).Wd_config.Env.jobs with
-  | Some n -> n
-  | None -> Domain.recommended_domain_count ()
-
-(* Per-domain minor heap size, in words. OCaml 5 gives every domain its own
-   minor arena, and minor collections are stop-the-world across domains —
-   so on allocation-heavy simulation batches a larger arena trades memory
-   for fewer global pauses. [WD_MINOR_HEAP] overrides the runtime default
-   for every pool lane (workers at spawn, the submitting domain at pool
-   creation); values below the runtime's 16k-word floor are ignored. *)
-let minor_heap_words () =
-  (Wd_config.Env.get ()).Wd_config.Env.minor_heap_words
-
-let apply_minor_heap () =
-  match minor_heap_words () with
-  | Some words -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
-  | None -> ()
+  match parse_jobs (Sys.getenv_opt "WD_JOBS") with
+  | Ok (Some n) -> n
+  | Ok None -> Domain.recommended_domain_count ()
+  | Error msg -> failwith msg
 
 let rec worker_loop pool =
   Mutex.lock pool.mu;
@@ -81,14 +77,10 @@ let create ~jobs =
       closed = false;
     }
   in
-  apply_minor_heap ();
   if width > 1 then
     pool.workers <-
-      List.init (width - 1)
-        (fun _ ->
-          Domain.spawn (fun () ->
-              apply_minor_heap ();
-              worker_loop pool));
+      List.init (width - 1) (fun _ ->
+          Domain.spawn (fun () -> worker_loop pool));
   pool
 
 let jobs pool = pool.width

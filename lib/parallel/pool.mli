@@ -71,13 +71,12 @@ val run_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over the {!global} persistent pool. *)
 
 val default_jobs : unit -> int
-(** The [WD_JOBS] environment variable if set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. Counts the submitting
-    domain: width N means N-1 spawned workers. *)
+(** The [WD_JOBS] environment variable if set, otherwise
+    [Domain.recommended_domain_count ()]. Counts the submitting domain:
+    width N means N-1 spawned workers. Fails on a malformed [WD_JOBS] (see
+    {!parse_jobs}). *)
 
-val minor_heap_words : unit -> int option
-(** The [WD_MINOR_HEAP] environment variable (per-domain minor heap size in
-    words) if set to an integer at or above the runtime's 16384-word floor.
-    Applied to every pool lane: worker domains at spawn, the submitting
-    domain at pool creation. Purely a wall-clock/memory trade — results are
-    identical at any size. *)
+val parse_jobs : string option -> (int option, string) result
+(** Parse a [WD_JOBS] value: unset or empty is [Ok None], a positive
+    integer (surrounding blanks allowed) is [Ok (Some n)], anything else an
+    [Error] naming [WD_JOBS]. *)

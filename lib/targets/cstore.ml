@@ -244,7 +244,7 @@ type t = {
   rpc : Rpcq.t;
 }
 
-let boot ?engine ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
+let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   (* environment randomness derives from the scheduler's seed, so a run is
      a pure function of that one seed *)
   let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
@@ -260,7 +260,7 @@ let boot ?engine ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   Runtime.set_global res "cs.sstable_index" (Ast.VMap []);
   Runtime.set_global res "cs.sstable_gen" (Ast.VInt 0);
   Runtime.set_global res "cs.compactions" (Ast.VInt 0);
-  let main = Interp.create ?engine ~node ~res prog in
+  let main = Interp.create ~node ~res prog in
   let rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue in
   { sched; reg; res; prog; main; disk; net; mem; rpc }
 

@@ -32,7 +32,6 @@ type t = {
 }
 
 val boot :
-  ?engine:Wd_ir.Interp.engine ->
   ?mem_capacity:int ->
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->

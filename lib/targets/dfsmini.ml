@@ -219,7 +219,7 @@ type t = {
   rpc : Rpcq.t;
 }
 
-let boot ?engine ?(mem_capacity = 128 * 1024 * 1024) ~sched ~reg ~prog () =
+let boot ?(mem_capacity = 128 * 1024 * 1024) ~sched ~reg ~prog () =
   (* environment randomness derives from the scheduler's seed, so a run is
      a pure function of that one seed *)
   let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
@@ -233,7 +233,7 @@ let boot ?engine ?(mem_capacity = 128 * 1024 * 1024) ~sched ~reg ~prog () =
   List.iter (Wd_env.Net.register net) [ node; namenode ];
   Runtime.set_global res "dfs.corrupt_found" (Ast.VInt 0);
   Runtime.set_global res "dfs.scan_errors" (Ast.VInt 0);
-  let dn = Interp.create ?engine ~node ~res prog in
+  let dn = Interp.create ~node ~res prog in
   let rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue in
   { sched; reg; res; prog; dn; disk; net; mem; rpc }
 

@@ -413,7 +413,7 @@ type t = {
   mutable reply_seq : int;
 }
 
-let boot ?engine ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
+let boot ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
     ~reg ~prog () =
   (* environment randomness derives from the scheduler's seed, so a run is
      a pure function of that one seed *)
@@ -438,8 +438,8 @@ let boot ?engine ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
   Runtime.set_global res "kvs.stats.sets" (Ast.VInt 0);
   Runtime.set_global res "kvs.stats.gets" (Ast.VInt 0);
   Runtime.set_global res "kvs.in_memory" (Ast.VBool in_memory);
-  let leader = Interp.create ?engine ~node:leader_node ~res prog in
-  let replica = Interp.create ?engine ~node:replica_node ~res prog in
+  let leader = Interp.create ~node:leader_node ~res prog in
+  let replica = Interp.create ~node:replica_node ~res prog in
   {
     sched;
     reg;

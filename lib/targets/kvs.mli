@@ -40,7 +40,6 @@ type t = {
 }
 
 val boot :
-  ?engine:Wd_ir.Interp.engine ->
   ?in_memory:bool ->
   ?mem_capacity:int ->
   sched:Wd_sim.Sched.t ->

@@ -233,7 +233,7 @@ type t = {
   rpc : Rpcq.t;
 }
 
-let boot ?engine ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
+let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   (* environment randomness derives from the scheduler's seed, so a run is
      a pure function of that one seed *)
   let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
@@ -249,8 +249,8 @@ let boot ?engine ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   Runtime.set_global res "mq.delivered_offset" (Ast.VInt 0);
   Runtime.set_global res "mq.retention_runs" (Ast.VInt 0);
   Runtime.set_global res "mq.batches_received" (Ast.VInt 0);
-  let broker = Interp.create ?engine ~node ~res prog in
-  let consumer = Interp.create ?engine ~node:consumer_node ~res prog in
+  let broker = Interp.create ~node ~res prog in
+  let consumer = Interp.create ~node:consumer_node ~res prog in
   let rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue in
   { sched; reg; res; prog; broker; consumer; disk; net; mem; rpc }
 

@@ -303,7 +303,7 @@ type t = {
   admin_rpc : Rpcq.t;
 }
 
-let boot ?engine ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
+let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   (* environment randomness derives from the scheduler's seed, so a run is
      a pure function of that one seed *)
   let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
@@ -324,9 +324,9 @@ let boot ?engine ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   Runtime.set_global res "zk.txncount" (Ast.VInt 0);
   Runtime.set_global res "zk.scount" (Ast.VInt 0);
   Runtime.set_global res "zk.tree" (Ast.VMap []);
-  let leader = Interp.create ?engine ~node:leader_node ~res prog in
-  let f1 = Interp.create ?engine ~node:follower1 ~res prog in
-  let f2 = Interp.create ?engine ~node:follower2 ~res prog in
+  let leader = Interp.create ~node:leader_node ~res prog in
+  let f1 = Interp.create ~node:follower1 ~res prog in
+  let f2 = Interp.create ~node:follower2 ~res prog in
   let rpc =
     Rpcq.create ~sched ~res ~request_queue ~replies_queue
   in

@@ -175,9 +175,8 @@ let test_membership_convergence_9node () =
 (* The refactor's acceptance oracle: the decentralized plane — reports as
    wire-encoded fabric messages into the elected leader's engine, never a
    cross-node Driver.on_report subscription — reproduces the pre-refactor
-   verdict grid exactly, and identically at any --jobs width. The engine
-   dimension is covered by CI running this binary under WD_ENGINE=treewalk
-   as well as the default. *)
+   verdict grid exactly, and identically at any --jobs width. Identity with
+   the reference tree-walker is checked by test_engine_diff's E17 case. *)
 let test_e17_oracle_at_jobs_1_and_n () =
   let module E = Wd_harness.Experiments in
   let module M = Wd_harness.Metrics in

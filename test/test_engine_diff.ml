@@ -1,8 +1,10 @@
-(* Differential tests between the two IR execution engines: the closure
-   compiler (Wd_ir.Compile, the default) and the tree-walking reference
-   interpreter. The engines must be observationally identical — statement
-   counts, virtual-time progression, final global state and Violation
-   payloads — on arbitrary programs and on every error path. *)
+(* Differential tests between the IR engine — the closure compiler
+   (Wd_ir.Compile) — and the tree-walking reference semantics, reached
+   through [Interp.Reference.within]. The two must be observationally
+   identical — statement counts, virtual-time progression, final global
+   state, Violation payloads and whole-system results — on arbitrary
+   programs, on every error path, on the fault catalog, the fleet and the
+   load plane. *)
 
 open Wd_ir
 open Ast
@@ -19,12 +21,14 @@ type trace = {
   tr_globals : (string * value) list;
 }
 
-let run_trace ~engine seed =
+let reference = Interp.Reference.within
+
+let run_trace seed =
   let prog = Randgen.gen_program seed in
   let sched = Sched.create ~seed () in
   let reg = Wd_env.Faultreg.create () in
   let res = Randgen.make_env ~reg ~seed in
-  let main = Interp.create ~engine ~node:"n1" ~res prog in
+  let main = Interp.create ~node:"n1" ~res prog in
   ignore (Interp.start main sched);
   ignore (Sched.run ~until:(Time.sec 12) sched);
   {
@@ -39,14 +43,14 @@ let n_seeds = 60
 
 let test_randprog_traces () =
   for seed = 0 to n_seeds - 1 do
-    let c = run_trace ~engine:`Compiled seed in
-    let t = run_trace ~engine:`Treewalk seed in
+    let c = run_trace seed in
+    let t = reference (fun () -> run_trace seed) in
     Alcotest.(check int) (Fmt.str "stmts_executed (seed %d)" seed) t.tr_stmts
       c.tr_stmts;
     Alcotest.(check int64) (Fmt.str "virtual end time (seed %d)" seed)
       t.tr_end c.tr_end;
     if c.tr_globals <> t.tr_globals then
-      Alcotest.failf "final globals differ at seed %d:@.compiled %a@.treewalk %a"
+      Alcotest.failf "final globals differ at seed %d:@.compiled %a@.reference %a"
         seed
         Fmt.(list ~sep:sp (pair string pp_value))
         c.tr_globals
@@ -57,11 +61,11 @@ let test_randprog_traces () =
 (* --- error paths: byte-identical Violation / Ir_error payloads --- *)
 
 (* Run [fname] on a fresh node and render whatever it raises. *)
-let outcome_of ~engine prog fname =
+let outcome_of prog fname =
   let sched = Sched.create ~seed:7 () in
   let reg = Wd_env.Faultreg.create () in
   let res = Randgen.make_env ~reg ~seed:7 in
-  let it = Interp.create ~engine ~node:"n1" ~res prog in
+  let it = Interp.create ~node:"n1" ~res prog in
   let out = ref "no outcome" in
   ignore
     (Sched.spawn ~name:"diff" sched (fun () ->
@@ -120,8 +124,8 @@ let bad_cases =
 let test_error_payloads () =
   List.iter
     (fun (name, prog) ->
-      let c = outcome_of ~engine:`Compiled prog "f" in
-      let t = outcome_of ~engine:`Treewalk prog "f" in
+      let c = outcome_of prog "f" in
+      let t = reference (fun () -> outcome_of prog "f") in
       Alcotest.(check string) name t c;
       Alcotest.(check bool)
         (name ^ " produced an outcome")
@@ -142,7 +146,7 @@ let run_trace_with_redefinition seed =
   let sched = Sched.create ~seed () in
   let reg = Wd_env.Faultreg.create () in
   let res = Randgen.make_env ~reg ~seed in
-  let main = Interp.create ~engine:`Compiled ~node:"n1" ~res prog in
+  let main = Interp.create ~node:"n1" ~res prog in
   ignore (Interp.start main sched);
   (* mid-run: invalidate, then compile an unrelated program into the fresh
      epoch so the old sites cannot accidentally revalidate *)
@@ -165,7 +169,7 @@ let test_ic_invalidation_traces () =
   let refills0 = Interp.ic_refills () in
   for seed = 0 to n_redef_seeds - 1 do
     let c = run_trace_with_redefinition seed in
-    let t = run_trace ~engine:`Treewalk seed in
+    let t = reference (fun () -> run_trace seed) in
     Alcotest.(check int)
       (Fmt.str "stmts_executed under redefinition (seed %d)" seed)
       t.tr_stmts c.tr_stmts;
@@ -212,11 +216,11 @@ let pool_prog =
       ]
     ~entries:[]
 
-let run_pool_fn ~engine fname arg =
+let run_pool_fn fname arg =
   let sched = Sched.create ~seed:11 () in
   let reg = Wd_env.Faultreg.create () in
   let res = Randgen.make_env ~reg ~seed:11 in
-  let it = Interp.create ~engine ~node:"n1" ~res pool_prog in
+  let it = Interp.create ~node:"n1" ~res pool_prog in
   let out = ref VUnit in
   ignore
     (Sched.spawn ~name:"pool" sched (fun () ->
@@ -225,10 +229,10 @@ let run_pool_fn ~engine fname arg =
   (it, !out, Interp.stmts_executed it)
 
 let test_frame_pool_reuse () =
-  let it, v, _ = run_pool_fn ~engine:`Compiled "iterate" 10_000 in
+  let it, v, _ = run_pool_fn "iterate" 10_000 in
   Alcotest.(check bool) "iterate result" true (v = VInt 10_000);
   (match Interp.frame_pool_stats it "leaf" with
-  | None -> Alcotest.fail "no frame pool stats for leaf on compiled engine"
+  | None -> Alcotest.fail "no frame pool stats for leaf"
   | Some (pooled, hits) ->
       (* first call misses (empty pool), every later one must hit *)
       Alcotest.(check bool)
@@ -238,35 +242,76 @@ let test_frame_pool_reuse () =
         (Fmt.str "leaf pool retains %d frame(s)" pooled)
         true
         (pooled >= 1 && pooled <= 32));
-  Alcotest.(check (option (pair int int)))
-    "treewalk has no frame pools" None
-    (let it_tw, _, _ = run_pool_fn ~engine:`Treewalk "iterate" 10 in
-     Interp.frame_pool_stats it_tw "leaf")
+  (* the compiled form is shared through the compile cache, so a run that
+     really walks the AST leaves its frame-pool hit count where it was *)
+  let hits it = Option.map snd (Interp.frame_pool_stats it "leaf") in
+  let before = hits it in
+  let it_ref, v_ref, _ = reference (fun () -> run_pool_fn "iterate" 100) in
+  Alcotest.(check bool) "reference iterate result" true (v_ref = VInt 100);
+  Alcotest.(check (option int))
+    "reference run draws no compiled frames" before (hits it_ref)
 
 let test_deep_recursion_parity () =
   (* depth 500 sits just under the 512 budget: 500 live frames at peak,
      far beyond the pool cap, so growth and drain paths both run *)
-  let _, vc, sc = run_pool_fn ~engine:`Compiled "rec" 500 in
-  let _, vt, st = run_pool_fn ~engine:`Treewalk "rec" 500 in
+  let _, vc, sc = run_pool_fn "rec" 500 in
+  let _, vt, st = reference (fun () -> run_pool_fn "rec" 500) in
   Alcotest.(check bool) "deep recursion value parity" true (vc = vt);
   Alcotest.(check int) "deep recursion stmts parity" st sc;
   Alcotest.(check bool) "deep recursion computed" true (vc = VInt 501)
 
-(* --- E17 fleet summaries: byte-identical across engines and widths --- *)
+(* --- E17 fleet summaries: byte-identical to the reference and across
+   widths --- *)
 
 let test_e17_engine_identity () =
   let module E = Wd_harness.Experiments in
-  let finish () = E.set_engine `Compiled in
-  Fun.protect ~finally:finish (fun () ->
-      E.set_jobs 4;
-      E.set_engine `Compiled;
-      let compiled = E.e17_text () in
-      E.set_jobs 1;
-      E.set_engine `Treewalk;
-      let treewalk = E.e17_text () in
-      Alcotest.(check string)
-        "E17 fleet summary byte-identical across engines and --jobs widths"
-        compiled treewalk)
+  E.set_jobs 4;
+  let compiled = E.e17_text () in
+  E.set_jobs 1;
+  let walked = reference E.e17_text in
+  Alcotest.(check string)
+    "E17 fleet summary byte-identical to the reference and across --jobs \
+     widths"
+    compiled walked
+
+(* --- E22 load plane: every row equals the reference ---
+
+   Small request budget; the rows are virtual-time quantities, so the
+   rendered table must match byte for byte. *)
+
+let test_e22_load_identity () =
+  let module E = Wd_harness.Experiments in
+  let run () = E.e22_text ~requests:2_000 () in
+  let compiled = run () in
+  Alcotest.(check string) "E22 load table byte-identical to the reference"
+    compiled (reference run)
+
+(* --- E2 catalog batch: whole-system results equal the reference ---
+
+   The same batch the bench's jobs curve times: every catalog scenario but
+   the crash ones, from cold analysis and compile caches, over the domain
+   pool — so the reference seam is exercised on every worker domain. *)
+
+let test_e2_batch_identity () =
+  let module Campaign = Wd_harness.Campaign in
+  let module Catalog = Wd_faults.Catalog in
+  let cells =
+    List.filter_map
+      (fun s ->
+        if s.Catalog.special = Some "crash" then None
+        else Some (Campaign.cell s.Catalog.sid))
+      Catalog.all
+  in
+  let cold_batch () =
+    Wd_autowatchdog.Generate.clear_cache ();
+    Interp.clear_compile_cache ();
+    Campaign.run_batch cells
+  in
+  let compiled = cold_batch () in
+  let walked = reference cold_batch in
+  Alcotest.(check int) "batch size" (List.length cells) (List.length compiled);
+  Alcotest.(check bool) "E2 catalog batch equals the reference" true
+    (compiled = walked)
 
 let () =
   Alcotest.run "engine_diff"
@@ -290,5 +335,9 @@ let () =
             test_deep_recursion_parity;
           Alcotest.test_case "E17 byte-identical across engines" `Slow
             test_e17_engine_identity;
+          Alcotest.test_case "E2 catalog batch identical to the reference"
+            `Slow test_e2_batch_identity;
+          Alcotest.test_case "E22 load table identical to the reference"
+            `Slow test_e22_load_identity;
         ] );
     ]

@@ -39,11 +39,11 @@ let test_trace_since () =
 
 (* --- interpreter emission ---------------------------------------------- *)
 
-(* A mining run on a real system must observe disk/net/sync keys, and both
-   engines must emit identical event streams. *)
-let events_of_run engine =
+(* A mining run on a real system must observe disk/net/sync keys, and the
+   engine must emit the same event stream as the reference tree-walker. *)
+let events_of_run () =
   let ro =
-    Inference.mine_run ~engine ~warmup:(sec 2) ~observe:(sec 4) ~seed:7 "zkmini"
+    Inference.mine_run ~warmup:(sec 2) ~observe:(sec 4) ~seed:7 "zkmini"
   in
   List.map
     (fun (e : Trace.event) ->
@@ -53,7 +53,7 @@ let events_of_run engine =
     ro.Mine.ro_events
 
 let test_emission () =
-  let compiled = events_of_run `Compiled in
+  let compiled = events_of_run () in
   Alcotest.(check bool) "events observed" true (List.length compiled > 100);
   let kinds = List.map (fun (_, _, k) -> k) compiled in
   let has prefix =
@@ -65,8 +65,8 @@ let test_emission () =
   in
   Alcotest.(check bool) "disk ops traced" true (has "op-end disk_write:");
   Alcotest.(check bool) "sync traced" true (has "op-end sync:");
-  let treewalk = events_of_run `Treewalk in
-  Alcotest.(check bool) "engines emit identically" true (compiled = treewalk)
+  let walked = Wd_ir.Interp.Reference.within events_of_run in
+  Alcotest.(check bool) "engine emits as the reference" true (compiled = walked)
 
 let test_mining_deterministic () =
   let one () =

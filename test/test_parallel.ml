@@ -173,6 +173,24 @@ let test_campaign_batch_deterministic () =
       check (a.Campaign.r_sid ^ ": identical run record") true (a = b))
     seq par
 
+(* --- WD_JOBS parsing --- *)
+
+let test_parse_jobs () =
+  let ok = Alcotest.(result (option int) string) in
+  Alcotest.(check ok) "unset" (Ok None) (Pool.parse_jobs None);
+  Alcotest.(check ok) "empty" (Ok None) (Pool.parse_jobs (Some ""));
+  Alcotest.(check ok) "blank-padded" (Ok (Some 3)) (Pool.parse_jobs (Some " 3 "));
+  List.iter
+    (fun v ->
+      match Pool.parse_jobs (Some v) with
+      | Ok _ -> Alcotest.failf "WD_JOBS=%S accepted" v
+      | Error msg ->
+          check
+            (Fmt.str "error for %S names WD_JOBS: %s" v msg)
+            true
+            (String.length msg >= 7 && String.sub msg 0 7 = "WD_JOBS"))
+    [ "0"; "-2"; "x" ]
+
 let () =
   Alcotest.run "wd_parallel"
     [
@@ -189,6 +207,7 @@ let () =
             test_persistent_reuse;
           Alcotest.test_case "global shutdown + revival" `Quick
             test_global_shutdown_revival;
+          Alcotest.test_case "WD_JOBS parse" `Quick test_parse_jobs;
         ] );
       ( "campaign",
         [
