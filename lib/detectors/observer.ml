@@ -11,36 +11,41 @@ type t = {
   window : int64;              (* evidence older than this is discarded *)
   threshold : float;           (* failure ratio that flips the verdict *)
   min_samples : int;
-  mutable log : (int64 * evidence) list;
+  log : (int64 * bool) Queue.t; (* (at, bad), oldest first *)
+  mutable bad : int;            (* bad entries in [log] *)
   mutable first_suspect_at : int64 option;
 }
 
 let create ?(window = Wd_sim.Time.sec 5) ?(threshold = 0.5) ?(min_samples = 3)
     sched =
-  { sched; window; threshold; min_samples; log = []; first_suspect_at = None }
+  { sched; window; threshold; min_samples; log = Queue.create (); bad = 0;
+    first_suspect_at = None }
 
+(* Sliding window, O(1) amortised per observation: virtual time never
+   decreases, so entries leave the window oldest first and pruning from the
+   front of the FIFO drops exactly what a filter over the whole log would. *)
 let observe t evidence =
   let now = Wd_sim.Sched.now t.sched in
-  t.log <- (now, evidence) :: t.log;
-  (* prune outside the window *)
-  t.log <- List.filter (fun (at, _) -> Int64.sub now at <= t.window) t.log;
-  let total = List.length t.log in
-  let bad =
-    List.length
-      (List.filter
-         (fun (_, e) -> match e with Success -> false | Failure _ | Timeout -> true)
-         t.log)
-  in
+  let bad = match evidence with Success -> false | Failure _ | Timeout -> true in
+  Queue.push (now, bad) t.log;
+  if bad then t.bad <- t.bad + 1;
+  while
+    (not (Queue.is_empty t.log))
+    && Int64.sub now (fst (Queue.peek t.log)) > t.window
+  do
+    if snd (Queue.pop t.log) then t.bad <- t.bad - 1
+  done;
+  let total = Queue.length t.log in
   if
     total >= t.min_samples
-    && float_of_int bad /. float_of_int total >= t.threshold
+    && float_of_int t.bad /. float_of_int total >= t.threshold
     && t.first_suspect_at = None
   then t.first_suspect_at <- Some now
 
 let suspected t = t.first_suspect_at <> None
 let suspected_at t = t.first_suspect_at
 
-let observations t = List.length t.log
+let observations t = Queue.length t.log
 
 (* Convenience: wrap a client-API result into evidence. *)
 let of_result = function

@@ -81,14 +81,38 @@ let world_id = function
 
 let slow_sids = [ "kvs-mem-leak"; "cs-compaction-spin" ]
 
+(* Per-draw pickers over precomputed arrays and weight totals. Each makes
+   exactly the [Random.State] call of the QCheck combinator it replaces
+   ([Gen.oneofl], [Gen.frequencyl]/[Gen.frequency], [Gen.int_range] over a
+   range below 2^30), so grids stay byte-identical; the combinators walk
+   their list on every draw. *)
+let pick a st = a.(Random.State.int st (Array.length a))
+
+let int_range lo hi st = lo + Random.State.int st (hi - lo + 1)
+
+let weighted choices =
+  let weights = Array.of_list (List.map fst choices) in
+  let values = Array.of_list (List.map snd choices) in
+  let total = Array.fold_left ( + ) 0 weights in
+  fun st ->
+    let i = Random.State.int st total in
+    let rec find k acc =
+      let acc = acc + weights.(k) in
+      if i < acc then values.(k) else find (k + 1) acc
+    in
+    find 0 0
+
 let eligible_sids =
   lazy
-    (List.filter_map
-       (fun (s : Catalog.scenario) ->
-         if s.Catalog.special = Some "crash" || List.mem s.Catalog.sid slow_sids
-         then None
-         else Some s.Catalog.sid)
-       Catalog.all)
+    (Array.of_list
+       (List.filter_map
+          (fun (s : Catalog.scenario) ->
+            if
+              s.Catalog.special = Some "crash"
+              || List.mem s.Catalog.sid slow_sids
+            then None
+            else Some s.Catalog.sid)
+          Catalog.all))
 
 (* Fleet worlds ride the cluster catalog minus the failover cell
    (fleet-leader-limplock needs an election round trip on top of detection,
@@ -105,26 +129,30 @@ let fleet_warmup = Wd_sim.Time.sec 8
 let fleet_observe = Wd_sim.Time.sec 12
 
 let gen_mode : Systems.watchdog_mode Gen.t =
-  Gen.frequencyl [ (9, Systems.Wd_generated); (1, Systems.Wd_none) ]
+  weighted [ (9, Systems.Wd_generated); (1, Systems.Wd_none) ]
+
+let all_systems = Array.of_list Systems.all_systems
+let warmup_secs = [| 8; 10 |]
+let observe_secs = [| 12; 15 |]
 
 let gen_scenario_world st =
-  let sid = Gen.oneofl (Lazy.force eligible_sids) st in
+  let sid = pick (Lazy.force eligible_sids) st in
   let mode = gen_mode st in
-  let seed = Gen.int_range 0 99_999 st in
+  let seed = int_range 0 99_999 st in
   (* Warmup must cover baseline learning: the slow-burn scenarios
      (disk-slow, snap-slow) are flaky below 8 s of fault-free history, so
      the sweep varies the windows upward from the campaign default, not
      downward. *)
-  let warmup = Wd_sim.Time.sec (Gen.oneofl [ 8; 10 ] st) in
-  let observe = Wd_sim.Time.sec (Gen.oneofl [ 12; 15 ] st) in
+  let warmup = Wd_sim.Time.sec (pick warmup_secs st) in
+  let observe = Wd_sim.Time.sec (pick observe_secs st) in
   Scenario_world
     { sw_sid = sid; sw_mode = mode; sw_seed = seed; sw_warmup = warmup;
       sw_observe = observe }
 
 let gen_fault_free_world st =
-  let system = Gen.oneofl Systems.all_systems st in
-  let seed = Gen.int_range 0 99_999 st in
-  let observe = Wd_sim.Time.sec (Gen.oneofl [ 12; 15 ] st) in
+  let system = pick all_systems st in
+  let seed = int_range 0 99_999 st in
+  let observe = Wd_sim.Time.sec (pick observe_secs st) in
   Fault_free_world { ff_system = system; ff_seed = seed; ff_observe = observe }
 
 (* Every topology goes through the validating constructors — [uniform],
@@ -138,29 +166,29 @@ let gen_topology st =
      observers, and at 3 nodes the victim's two peers are too thin a jury —
      limplock and gray-link cells flake there. (Measured: every oracle miss
      in a 400-world calibration grid was an n=3 fleet.) *)
-  let nodes = Gen.int_range 4 6 st in
+  let nodes = int_range 4 6 st in
   let base =
-    match Gen.int_range 0 2 st with
+    match int_range 0 2 st with
     | 0 -> Topology.uniform ~nodes Topology.Zkmini
     | 1 -> Topology.uniform ~nodes Topology.Cstore
     | _ ->
         Topology.mixed
           ~name:(Fmt.str "sweep-mix%d" nodes)
           (List.init nodes (fun _ ->
-               Gen.oneofl [ Topology.Zkmini; Topology.Cstore ] st))
+               pick [| Topology.Zkmini; Topology.Cstore |] st))
   in
-  let n_overrides = Gen.int_range 0 2 st in
+  let n_overrides = int_range 0 2 st in
   let rec add_links spec k =
     if k = 0 then spec
     else
-      let src = Gen.int_range 0 (nodes - 1) st in
-      let dst = Gen.int_range 0 (nodes - 1) st in
+      let src = int_range 0 (nodes - 1) st in
+      let dst = int_range 0 (nodes - 1) st in
       if src = dst then add_links spec k (* reroll; [with_link] rejects self *)
       else
-        let latency = Wd_sim.Time.ms (Gen.oneofl [ 1; 2; 4 ] st) in
-        let bytes_per_sec = Gen.oneofl [ 256 * 1024; 1024 * 1024 ] st in
+        let latency = Wd_sim.Time.ms (pick [| 1; 2; 4 |] st) in
+        let bytes_per_sec = pick [| 256 * 1024; 1024 * 1024 |] st in
         let spec =
-          match Gen.int_range 0 2 st with
+          match int_range 0 2 st with
           | 0 -> Topology.with_link spec ~src ~dst ~latency ()
           | 1 -> Topology.with_link spec ~src ~dst ~bytes_per_sec ()
           | _ -> Topology.with_link spec ~src ~dst ~latency ~bytes_per_sec ()
@@ -171,20 +199,25 @@ let gen_topology st =
 
 let gen_fleet_world st =
   let topology = gen_topology st in
-  let csid = Gen.oneofl (fleet_eligible ~nodes:(Topology.nodes topology)) st in
-  let seed = Gen.int_range 0 9_999 st in
+  let csid =
+    pick (Array.of_list (fleet_eligible ~nodes:(Topology.nodes topology))) st
+  in
+  let seed = int_range 0 9_999 st in
   Fleet_world { fl_csid = csid; fl_topology = topology; fl_seed = seed }
 
 (* Grid shape: mostly single-node scenario worlds (cheap, broad), a slice
    of fault-free accuracy probes, and a thin band of whole-fleet worlds
    (each one boots N nodes and costs roughly N single-node worlds). *)
 let gen_world : world Gen.t =
-  Gen.frequency
-    [
-      (24, gen_scenario_world);
-      (4, gen_fault_free_world);
-      (1, gen_fleet_world);
-    ]
+  let gen =
+    weighted
+      [
+        (24, gen_scenario_world);
+        (4, gen_fault_free_world);
+        (1, gen_fleet_world);
+      ]
+  in
+  fun st -> gen st st
 
 let grid ?(seed = 42) ~worlds () =
   if worlds < 0 then invalid_arg "Sweep.grid: negative world count";

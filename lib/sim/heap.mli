@@ -1,7 +1,9 @@
 (** Deterministic binary min-heap keyed by [(time, insertion sequence)].
 
     Entries with equal times pop in insertion order, which keeps
-    discrete-event runs reproducible. *)
+    discrete-event runs reproducible. Keys are exact over the whole
+    [int64] range. Once the backing arrays have grown, {!push} and
+    {!pop_min} allocate nothing. *)
 
 type 'a t
 
@@ -12,14 +14,13 @@ val create : dummy_payload:'a -> 'a t
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> time:int64 -> 'a -> int
-(** [push h ~time p] inserts [p] and returns its tie-break sequence number. *)
+val push : 'a t -> time:int64 -> 'a -> unit
+(** [push h ~time p] inserts [p], after every entry already keyed [time]. *)
 
-val peek_time : 'a t -> int64 option
-(** Earliest key in the heap, if any. *)
+val min_time : 'a t -> int64
+(** Earliest key. Raises [Invalid_argument] on an empty heap. Where it is
+    not inlined, the only allocation is the boxed result. *)
 
-val pop : 'a t -> (int64 * 'a) option
-(** Remove and return the earliest entry. *)
-
-val drain : 'a t -> (int64 * 'a) list
-(** Pop everything, in key order. *)
+val pop_min : 'a t -> 'a
+(** Remove the earliest entry and return its payload; read its key with
+    {!min_time} first. Raises [Invalid_argument] on an empty heap. *)

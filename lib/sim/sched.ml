@@ -39,6 +39,7 @@ type run_result = Quiescent | Time_limit | Deadlock of task list
 
 type t = {
   mutable now : int64;
+  mutable until : int64; (* the current [run]'s time limit *)
   timers : (unit -> unit) Heap.t;
   runq : (unit -> unit) Queue.t;
   mutable current : task option;
@@ -67,6 +68,7 @@ let get () =
 let create ?(seed = 42) () =
   {
     now = 0L;
+    until = Time.never;
     timers = Heap.create ~dummy_payload:(fun () -> ());
     runq = Queue.create ();
     current = None;
@@ -105,9 +107,10 @@ let stats s = (s.spawned, s.switches, s.events_fired)
 let runq_depth s = Queue.length s.runq
 
 let timer_slack s =
-  match Heap.peek_time s.timers with
-  | None -> Int64.max_int
-  | Some t -> if t <= s.now then 0L else Int64.sub t s.now
+  if Heap.is_empty s.timers then Int64.max_int
+  else
+    let t = Heap.min_time s.timers in
+    if t <= s.now then 0L else Int64.sub t s.now
 
 let timer_count s = Heap.size s.timers
 
@@ -283,16 +286,57 @@ let suspend ~reason ~register =
 
 let at s time f =
   let time = if time < s.now then s.now else time in
-  ignore (Heap.push s.timers ~time f)
+  Heap.push s.timers ~time f
 
 let after s delay f = at s (Int64.add s.now delay) f
 
+module Reference = struct
+  let active = Atomic.make false
+
+  let within f =
+    let prev = Atomic.exchange active true in
+    Fun.protect ~finally:(fun () -> Atomic.set active prev) f
+end
+
 (* Constant reason: sleep is the hottest suspend (every CPU-quantum flush
    goes through it) and a formatted per-call reason string is measurable
-   there. The duration is recoverable from the trace timestamps. *)
+   there. The duration is recoverable from the trace timestamps.
+
+   Uncontended fast path: when the sleeper is the running task, nothing is
+   runnable, no cancel is pending, the wake time is within the current
+   [run]'s limit and every armed timer is strictly later, the slow path
+   would push a timer, pop it straight back as the next event and resume
+   this task as the event after that, with nothing else running in
+   between. So advance the clock inline and do that bookkeeping by hand:
+   two events (timer fire, resume job), one switch, one generation bump,
+   the blocked/resumed trace pair. No continuation is captured and no
+   timer is pushed; heap sequence numbers are skipped, which preserves
+   the relative order of every later push. *)
 let sleep delay =
   let s = get () in
-  suspend ~reason:"sleep" ~register:(fun waker -> after s delay waker)
+  let now = s.now in
+  let wake_at =
+    let w = Int64.add now delay in
+    if w < now then now else w
+  in
+  match s.current with
+  | Some t
+    when t.state = Running
+         && (not t.cancel_requested)
+         && Queue.is_empty s.runq
+         && wake_at <= s.until
+         && (Heap.is_empty s.timers || Heap.min_time s.timers > wake_at)
+         && not (Atomic.get Reference.active) ->
+      emit_blocked s t "sleep";
+      t.blocked_on <- "sleep";
+      t.blocked_since <- now;
+      t.gen <- t.gen + 1;
+      s.now <- wake_at;
+      s.events_fired <- s.events_fired + 2;
+      s.switches <- s.switches + 1;
+      emit_resumed s t
+  | Some _ | None ->
+      suspend ~reason:"sleep" ~register:(fun waker -> at s wake_at waker)
 
 let yield () =
   let s = get () in
@@ -496,8 +540,13 @@ let blocked_tasks s =
 
 let run ?(until = Time.never) s =
   let saved = Domain.DLS.get ambient in
+  let saved_until = s.until in
   Domain.DLS.set ambient (Some s);
-  let restore () = Domain.DLS.set ambient saved in
+  s.until <- until;
+  let restore () =
+    s.until <- saved_until;
+    Domain.DLS.set ambient saved
+  in
   let rec loop () =
     if not (Queue.is_empty s.runq) then begin
       let job = Queue.pop s.runq in
@@ -506,22 +555,22 @@ let run ?(until = Time.never) s =
       s.current <- None;
       loop ()
     end
+    else if Heap.is_empty s.timers then
+      if s.live > 0 then Deadlock (blocked_tasks s) else Quiescent
     else
-      match Heap.peek_time s.timers with
-      | Some t when t <= until -> (
-          match Heap.pop s.timers with
-          | Some (time, fn) ->
-              if time > s.now then s.now <- time;
-              s.events_fired <- s.events_fired + 1;
-              fn ();
-              s.current <- None;
-              loop ()
-          | None -> assert false)
-      | Some _ ->
-          s.now <- until;
-          Time_limit
-      | None ->
-          if s.live > 0 then Deadlock (blocked_tasks s) else Quiescent
+      let time = Heap.min_time s.timers in
+      if time <= until then begin
+        let fn = Heap.pop_min s.timers in
+        if time > s.now then s.now <- time;
+        s.events_fired <- s.events_fired + 1;
+        fn ();
+        s.current <- None;
+        loop ()
+      end
+      else begin
+        s.now <- until;
+        Time_limit
+      end
   in
   match loop () with
   | result ->

@@ -40,7 +40,18 @@ val suspend : reason:string -> register:((unit -> unit) -> unit) -> unit
     called when the task should resume; extra or late calls are ignored. *)
 
 val sleep : int64 -> unit
-(** Block the current task for a virtual duration. *)
+(** Block the current task for a virtual duration. An uncontended sleep
+    (nothing runnable, no timer due by the wake time) advances the clock
+    inline; events, switches, virtual time and trace entries are exactly
+    those of the suspending path. *)
+
+(** Test-only seam: force every {!sleep} onto the suspending path, so
+    differential tests can compare it with the inline fast path. *)
+module Reference : sig
+  val within : (unit -> 'a) -> 'a
+  (** [within f] runs [f] with the fast path off, on every domain, and
+      restores the previous setting when [f] returns or raises. *)
+end
 
 val yield : unit -> unit
 

@@ -195,6 +195,94 @@ let test_observer_window_prunes () =
   ignore (Sched.run s);
   check "never suspected" false (Wd_detectors.Observer.suspected o)
 
+(* The list-based window [Observer.observe] used before it kept a FIFO:
+   rebuild the log with a filter and count it, on every observation. Kept
+   here as the oracle for the FIFO version. *)
+module Observer_oracle = struct
+  type t = {
+    sched : Sched.t;
+    window : int64;
+    threshold : float;
+    min_samples : int;
+    mutable log : (int64 * Wd_detectors.Observer.evidence) list;
+    mutable first_suspect_at : int64 option;
+  }
+
+  let create ~window ~threshold ~min_samples sched =
+    { sched; window; threshold; min_samples; log = []; first_suspect_at = None }
+
+  let observe t evidence =
+    let now = Sched.now t.sched in
+    t.log <- (now, evidence) :: t.log;
+    t.log <- List.filter (fun (at, _) -> Int64.sub now at <= t.window) t.log;
+    let total = List.length t.log in
+    let bad =
+      List.length
+        (List.filter
+           (fun (_, e) ->
+             match e with
+             | Wd_detectors.Observer.Success -> false
+             | Failure _ | Timeout -> true)
+           t.log)
+    in
+    if
+      total >= t.min_samples
+      && float_of_int bad /. float_of_int total >= t.threshold
+      && t.first_suspect_at = None
+    then t.first_suspect_at <- Some now
+
+  let observations t = List.length t.log
+end
+
+(* Random evidence at random virtual-time gaps, most of them within one
+   nanosecond of the window edge (measured from the previous observation),
+   so entries sit exactly on, just inside and just outside the window. *)
+let prop_observer_matches_list_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* window = int_range 1 50 in
+      let* threshold = oneofl [ 0.25; 0.5; 0.75; 1.0 ] in
+      let* min_samples = int_range 1 5 in
+      let gap =
+        frequency
+          [
+            (3, oneofl [ window - 1; window; window + 1 ]);
+            (2, int_range 0 (window / 4));
+            (1, return 0);
+            (1, int_range 0 (3 * window));
+          ]
+      in
+      let evidence =
+        oneofl
+          [ Wd_detectors.Observer.Success; Failure "f"; Timeout ]
+      in
+      let+ steps = list_size (int_range 0 60) (pair gap evidence) in
+      (window, threshold, min_samples, steps))
+  in
+  QCheck.Test.make ~name:"observer window matches the list oracle" ~count:300
+    (QCheck.make gen) (fun (window, threshold, min_samples, steps) ->
+      let s = Sched.create ~seed:1 () in
+      let window = Int64.of_int window in
+      let o = Wd_detectors.Observer.create ~window ~threshold ~min_samples s in
+      let r = Observer_oracle.create ~window ~threshold ~min_samples s in
+      let ok = ref true in
+      ignore
+        (Sched.spawn s (fun () ->
+             List.iter
+               (fun (gap, e) ->
+                 Sched.sleep (Int64.of_int gap);
+                 Wd_detectors.Observer.observe o e;
+                 Observer_oracle.observe r e;
+                 if
+                   Wd_detectors.Observer.suspected_at o
+                   <> r.Observer_oracle.first_suspect_at
+                   || Wd_detectors.Observer.observations o
+                      <> Observer_oracle.observations r
+                 then ok := false)
+               steps));
+      ignore (Sched.run s);
+      !ok)
+
 let test_observer_of_result () =
   check "ok" true (Wd_detectors.Observer.of_result (`Ok 1) = Wd_detectors.Observer.Success);
   check "timeout" true
@@ -226,5 +314,6 @@ let () =
           Alcotest.test_case "threshold" `Quick test_observer_threshold;
           Alcotest.test_case "window prunes" `Quick test_observer_window_prunes;
           Alcotest.test_case "of_result" `Quick test_observer_of_result;
+          QCheck_alcotest.to_alcotest prop_observer_matches_list_oracle;
         ] );
     ]

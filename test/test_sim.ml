@@ -8,40 +8,100 @@ let check_str = Alcotest.(check string)
 
 (* --- heap --- *)
 
+(* Pop everything, in key order, through the allocation-free API. *)
+let drain h =
+  let rec loop acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let time = Heap.min_time h in
+      let p = Heap.pop_min h in
+      loop ((time, p) :: acc)
+  in
+  loop []
+
 let test_heap_order () =
   let h = Heap.create ~dummy_payload:(-1) in
-  ignore (Heap.push h ~time:30L 3);
-  ignore (Heap.push h ~time:10L 1);
-  ignore (Heap.push h ~time:20L 2);
-  let order = List.map snd (Heap.drain h) in
+  Heap.push h ~time:30L 3;
+  Heap.push h ~time:10L 1;
+  Heap.push h ~time:20L 2;
+  let order = List.map snd (drain h) in
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] order
 
 let test_heap_ties_fifo () =
   let h = Heap.create ~dummy_payload:(-1) in
-  List.iter (fun i -> ignore (Heap.push h ~time:5L i)) [ 1; 2; 3; 4; 5 ];
-  let order = List.map snd (Heap.drain h) in
+  List.iter (fun i -> Heap.push h ~time:5L i) [ 1; 2; 3; 4; 5 ];
+  let order = List.map snd (drain h) in
   Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4; 5 ] order
 
 let test_heap_grow () =
   let h = Heap.create ~dummy_payload:0 in
   for i = 1 to 1000 do
-    ignore (Heap.push h ~time:(Int64.of_int (1000 - i)) i)
+    Heap.push h ~time:(Int64.of_int (1000 - i)) i
   done;
   check_int "size" 1000 (Heap.size h);
-  let times = List.map fst (Heap.drain h) in
+  let times = List.map fst (drain h) in
   let rec sorted = function
     | a :: (b :: _ as rest) -> a <= b && sorted rest
     | [ _ ] | [] -> true
   in
   check "sorted" true (sorted times)
 
+(* Keys at and above 2^62 do not fit a native int; they must still order
+   exactly, [Time.never] included, with ties in insertion order. *)
+let test_heap_huge_keys () =
+  let big = Int64.shift_left 1L 62 in
+  let keys =
+    [ Time.never; Int64.add big 1L; big; Int64.sub Time.never 1L; big;
+      Time.never; 0L; Int64.add big 1L; Time.never ]
+  in
+  let h = Heap.create ~dummy_payload:(-1) in
+  List.iteri (fun i k -> Heap.push h ~time:k i) keys;
+  let expected =
+    List.stable_sort
+      (fun (a, _) (b, _) -> Int64.compare a b)
+      (List.mapi (fun i k -> (k, i)) keys)
+  in
+  Alcotest.(check (list (pair int64 int))) "exact int64 order" expected (drain h)
+
+let test_heap_fifo_many_ties () =
+  let h = Heap.create ~dummy_payload:(-1) in
+  (* interleave two tied keys with a churn of pops, so ties meet in every
+     position of the tree *)
+  for i = 0 to 299 do
+    Heap.push h ~time:(if i mod 2 = 0 then 7L else 3L) i
+  done;
+  let got = drain h in
+  let expected =
+    List.init 150 (fun k -> (3L, (2 * k) + 1))
+    @ List.init 150 (fun k -> (7L, 2 * k))
+  in
+  Alcotest.(check (list (pair int64 int))) "fifo among equal keys" expected got
+
+let test_heap_no_alloc () =
+  let n = 10_000 in
+  let keys = Array.init n (fun i -> Int64.of_int ((i * 7919) mod 1000)) in
+  let h = Heap.create ~dummy_payload:0 in
+  (* grow the arrays first, and keep a standing population like the
+     scheduler's stale timers *)
+  Array.iteri (fun i k -> Heap.push h ~time:k i) keys;
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Heap.push h ~time:(Array.unsafe_get keys i) i;
+    sink := !sink + Heap.pop_min h
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "size unchanged" n (Heap.size h);
+  Alcotest.(check (float 0.)) "push/pop_min allocate 0 words" 0. words;
+  ignore (Sys.opaque_identity !sink)
+
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
     QCheck.(list (int_bound 1000))
     (fun times ->
       let h = Heap.create ~dummy_payload:0 in
-      List.iteri (fun i t -> ignore (Heap.push h ~time:(Int64.of_int t) i)) times;
-      let drained = Heap.drain h in
+      List.iteri (fun i t -> Heap.push h ~time:(Int64.of_int t) i) times;
+      let drained = drain h in
       List.length drained = List.length times
       && fst
            (List.fold_left
@@ -278,6 +338,199 @@ let test_runner_matches_timeout_join () =
   Alcotest.(check int64) "same final clock" now1 now2;
   check_int "same context switches" sw1 sw2;
   check_int "same events fired" ev1 ev2
+
+(* --- uncontended-sleep fast path vs the suspending path ---
+
+   Random task programs run twice: as is, and with every sleep forced onto
+   the suspending path by [Sched.Reference.within]. The fast path must be
+   invisible: same stats, same clock, same trace entries, same outputs. *)
+
+type act =
+  | A_sleep of int64
+  | A_yield
+  | A_timer of int64 (* a bare timer callback, armed from the task *)
+  | A_cond_wait of int * int64 (* cond index, timeout *)
+  | A_signal of int
+  | A_broadcast of int
+  | A_send of int (* channel index; blocks while full *)
+  | A_recv of int * int64
+  | A_timeout_join of int64 * act list
+  | A_runner_run of int64 * act list
+  | A_kill of int (* top-level task index *)
+
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0L);
+        (4, map Int64.of_int (int_range 1 10));
+        (4, map Int64.of_int (int_range 100 100_000));
+        (1, return (Time.sec 1));
+        (1, return (Int64.div Int64.max_int 2L));
+        (1, return Int64.max_int);
+      ])
+
+let gen_timeout = QCheck.Gen.(map Int64.of_int (int_range 0 50_000))
+
+let rec gen_act depth =
+  let open QCheck.Gen in
+  let base =
+    [
+      (8, map (fun d -> A_sleep d) gen_delay);
+      (2, return A_yield);
+      (1, map (fun d -> A_timer d) gen_delay);
+      (1, map2 (fun c t -> A_cond_wait (c, t)) (int_bound 1) gen_timeout);
+      (1, map (fun c -> A_signal c) (int_bound 1));
+      (1, map (fun c -> A_broadcast c) (int_bound 1));
+      (1, map (fun c -> A_send c) (int_bound 1));
+      (1, map2 (fun c t -> A_recv (c, t)) (int_bound 1) gen_timeout);
+      (1, map (fun j -> A_kill j) (int_bound 3));
+    ]
+  in
+  if depth = 0 then frequency base
+  else
+    let body = list_size (int_range 0 4) (gen_act (depth - 1)) in
+    frequency
+      (base
+      @ [
+          (1, map2 (fun t b -> A_timeout_join (t, b)) gen_timeout body);
+          (1, map2 (fun t b -> A_runner_run (t, b)) gen_timeout body);
+        ])
+
+let gen_program =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 4)
+         (pair (frequencyl [ (4, false); (1, true) ])
+            (list_size (int_range 0 10) (gen_act 1))))
+      (* [run ~until] cut points before the final unbounded run *)
+      (map (List.sort compare)
+         (list_size (int_range 0 3)
+            (map Int64.of_int (int_range 0 200_000)))))
+
+let string_of_result = function
+  | Ok () -> "ok"
+  | Error `Timeout -> "timeout"
+  | Error `Killed -> "killed"
+  | Error (`Exn e) -> "exn " ^ Printexc.to_string e
+
+let run_program (tasks, cuts) =
+  let s = Sched.create ~seed:3 () in
+  let tr = Trace.create ~capacity:8192 () in
+  Sched.set_trace s tr;
+  let out = Buffer.create 1024 in
+  let note fmt = Printf.bprintf out (fmt ^^ "\n") in
+  let conds = Array.init 2 (fun i -> Cond.create (string_of_int i)) in
+  let signals = Array.make 2 0 in
+  let chans = Array.init 2 (fun i -> Channel.create ~capacity:1 (string_of_int i)) in
+  let handles = Array.make 4 None in
+  let rec exec who runner acts = List.iteri (step who runner) acts
+  and step who runner k a =
+    (match a with
+    | A_sleep d -> Sched.sleep d
+    | A_yield -> Sched.yield ()
+    | A_timer d ->
+        Sched.after s d (fun () -> note "timer %s.%d @%Ld" who k (Sched.now s))
+    | A_cond_wait (c, timeout) ->
+        let seen = signals.(c) in
+        let ok =
+          Cond.await_timeout conds.(c) (fun () -> signals.(c) <> seen) ~timeout
+        in
+        note "%s.%d cond %b" who k ok
+    | A_signal c ->
+        signals.(c) <- signals.(c) + 1;
+        Cond.signal conds.(c)
+    | A_broadcast c ->
+        signals.(c) <- signals.(c) + 1;
+        Cond.broadcast conds.(c)
+    | A_send c -> Channel.send chans.(c) k
+    | A_recv (c, timeout) ->
+        note "%s.%d recv %s" who k
+          (match Channel.recv_timeout chans.(c) ~timeout with
+          | Some v -> string_of_int v
+          | None -> "-")
+    | A_timeout_join (timeout, body) ->
+        let who' = Printf.sprintf "%s.%d/j" who k in
+        note "%s.%d join %s" who k
+          (string_of_result
+             (Sched.timeout_join ~name:who' s ~timeout (fun () ->
+                  exec who' runner body)))
+    | A_runner_run (timeout, body) ->
+        let who' = Printf.sprintf "%s.%d/r" who k in
+        note "%s.%d runner %s" who k
+          (string_of_result
+             (Sched.runner_run runner ~timeout (fun () -> exec who' runner body)))
+    | A_kill j -> (
+        match handles.(j) with Some t -> Sched.kill s t | None -> ()));
+    note "%s.%d @%Ld" who k (Sched.now s)
+  in
+  List.iteri
+    (fun i (daemon, acts) ->
+      let who = "t" ^ string_of_int i in
+      let runner = Sched.runner ~name:(who ^ "r") s in
+      handles.(i) <-
+        Some (Sched.spawn ~name:who ~daemon s (fun () -> exec who runner acts)))
+    tasks;
+  let run_once ?until () =
+    let r =
+      match Sched.run ?until s with
+      | Sched.Quiescent -> "quiescent"
+      | Time_limit -> "time-limit"
+      | Deadlock ts ->
+          "deadlock " ^ String.concat "," (List.map Sched.task_name ts)
+    in
+    let spawned, switches, events = Sched.stats s in
+    note "run %s @%Ld spawned=%d switches=%d events=%d" r (Sched.now s)
+      spawned switches events
+  in
+  List.iter (fun until -> run_once ~until ()) cuts;
+  run_once ();
+  Array.iter
+    (function
+      | Some t ->
+          note "%s %s" (Sched.task_name t)
+            (Fmt.str "%a" Sched.pp_task t)
+      | None -> ())
+    handles;
+  (Buffer.contents out, Sched.stats s, Sched.now s, Trace.recent tr (Trace.total tr))
+
+let prop_sleep_fast_path_invisible =
+  QCheck.Test.make ~name:"sleep fast path matches the suspending path"
+    ~count:400 (QCheck.make gen_program) (fun prog ->
+      let out, stats, now, events = run_program prog in
+      let out', stats', now', events' =
+        Sched.Reference.within (fun () -> run_program prog)
+      in
+      String.equal out out' && stats = stats' && Int64.equal now now'
+      && events = events')
+
+(* The differential above is vacuous if the fast path never fires. An
+   uncontended sleep loop on the fast path captures no continuation and
+   arms no timer, so it allocates a fraction of the suspending path. *)
+let test_sleep_fast_path_taken () =
+  let loop () =
+    let s = Sched.create () in
+    ignore
+      (Sched.spawn s (fun () ->
+           for _ = 1 to 10_000 do
+             Sched.sleep 20L
+           done));
+    let before = Gc.minor_words () in
+    ignore (Sched.run s);
+    (Gc.minor_words () -. before, Sched.stats s, Sched.now s)
+  in
+  let fast, stats, now = loop () in
+  let slow, stats', now' = Sched.Reference.within loop in
+  check "same stats" true (stats = stats');
+  Alcotest.(check int64) "same clock" now now';
+  check_int "start job plus two events per sleep" 20_001
+    (let _, _, events = stats in
+     events);
+  check
+    (Printf.sprintf "fast path allocates far less (%.0f vs %.0f words)" fast
+       slow)
+    true
+    (fast *. 4. < slow)
 
 (* --- Site intern table --- *)
 
@@ -675,6 +928,11 @@ let () =
           Alcotest.test_case "time order" `Quick test_heap_order;
           Alcotest.test_case "fifo ties" `Quick test_heap_ties_fifo;
           Alcotest.test_case "growth" `Quick test_heap_grow;
+          Alcotest.test_case "keys at and above 2^62" `Quick test_heap_huge_keys;
+          Alcotest.test_case "fifo among many ties" `Quick
+            test_heap_fifo_many_ties;
+          Alcotest.test_case "push/pop_min allocate nothing" `Quick
+            test_heap_no_alloc;
           QCheck_alcotest.to_alcotest prop_heap_sorted;
         ] );
       ( "rng",
@@ -712,6 +970,12 @@ let () =
           Alcotest.test_case "runner matches timeout_join" `Quick
             test_runner_matches_timeout_join;
           QCheck_alcotest.to_alcotest prop_sched_deterministic;
+        ] );
+      ( "sleep",
+        [
+          Alcotest.test_case "fast path taken on an uncontended loop" `Quick
+            test_sleep_fast_path_taken;
+          QCheck_alcotest.to_alcotest prop_sleep_fast_path_invisible;
         ] );
       ( "site",
         [

@@ -26,6 +26,22 @@ let test_grid_deterministic () =
   | _ -> Alcotest.fail "expected Invalid_argument for negative count"
   | exception Invalid_argument _ -> ()
 
+(* Marshal digests (values and sharing) of the 4000-world grids, pinned
+   from the generator built on QCheck's list combinators; the array
+   pickers that replaced them must make the same draws. *)
+let test_grid_pinned () =
+  List.iter
+    (fun (seed, hex) ->
+      let grid = Sweep.grid ~seed ~worlds:4000 () in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d grid digest" seed)
+        hex
+        (Digest.to_hex (Digest.string (Marshal.to_string grid []))))
+    [
+      (1, "8ea41c7c5cecc71f43693908f830e2ce");
+      (42, "58c39ce624ca656b022d8fc4efe17eed");
+    ]
+
 let test_grid_validity () =
   let eligible_sids =
     List.filter_map
@@ -144,6 +160,8 @@ let () =
             test_grid_deterministic;
           Alcotest.test_case "every world well-formed" `Quick
             test_grid_validity;
+          Alcotest.test_case "pinned 4000-world digests" `Quick
+            test_grid_pinned;
         ] );
       ( "run",
         [
