@@ -4,16 +4,52 @@
      repro table1 | table2 | ...   run one experiment and print its table
      repro cluster | failover      fleet plane (E17) / leader failover (E18)
      repro all                     run every experiment
+     repro check                   evaluate every hard gate; exit 1 on a failure
      repro scenario <sid>          run one catalog scenario in detail *)
 
 open Cmdliner
 
-(* The shared --jobs/--seed flags live in [Wd_harness.Cli], so repro and
-   bench stay in lockstep. *)
-let jobs_arg = Wd_harness.Cli.jobs_arg
-let seed_arg = Wd_harness.Cli.seed_arg
-let apply_jobs = Wd_harness.Cli.apply_jobs
-let apply_seed = Wd_harness.Cli.apply_seed
+(* Domain-pool width for the parallel campaign engine: a positive integer,
+   by the same rule as [WD_JOBS]. A bad flag or a bad [WD_JOBS] is a usage
+   error before anything runs. Tables are byte-identical at any width; the
+   flag only changes wall-clock. *)
+let jobs_arg =
+  let positive =
+    let parse s =
+      match Wd_parallel.Pool.parse_jobs (Some s) with
+      | Ok (Some n) -> Ok n
+      | Ok None | Error _ ->
+          Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let doc =
+    "Fan simulations out over $(docv) domains (default: \\$WD_JOBS or the \
+     host's recommended domain count). Results are identical at any width."
+  in
+  let flag =
+    Arg.(value & opt (some positive) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  in
+  let with_env flag =
+    match Wd_parallel.Pool.parse_jobs (Sys.getenv_opt "WD_JOBS") with
+    | Error msg -> `Error (false, msg)
+    | Ok env -> `Ok (if flag = None then env else flag)
+  in
+  Term.(ret (const with_env $ flag))
+
+let apply_jobs = function
+  | Some n -> Wd_harness.Experiments.set_jobs n
+  | None -> ()
+
+(* Base seed for experiments that fan out over seed lists (default 42).
+   Results are a pure function of the seed, independent of --jobs. *)
+let seed_arg =
+  let doc = "Base seed for seed-fanned experiments (default 42)." in
+  Arg.(value & opt (some int) None & info [ "seed"; "s" ] ~docv:"S" ~doc)
+
+let apply_seed = function
+  | Some s -> Wd_harness.Experiments.set_seed s
+  | None -> ()
 
 let run_experiment name jobs seed =
   apply_jobs jobs;
@@ -158,6 +194,30 @@ let all_cmd =
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ jobs_arg $ seed_arg)
 
+let check_cmd =
+  let doc =
+    "Run the gated experiments and evaluate every hard gate: one line per \
+     gate (name, measured value, bound, PASS/FAIL). Exits 1 if any gate \
+     failed, after all of them have run."
+  in
+  let run jobs seed =
+    apply_jobs jobs;
+    apply_seed seed;
+    let module Check = Wd_harness.Check in
+    let gates =
+      Check.evaluate
+        (Check.families ~jobs:(Wd_harness.Experiments.jobs ()))
+        (fun g -> print_endline (Check.render g))
+    in
+    let failed = List.filter (fun g -> not g.Check.pass) gates in
+    Printf.printf "\n%d gates, %d failed%s\n" (List.length gates)
+      (List.length failed)
+      (if failed = [] then ""
+       else ": " ^ String.concat ", " (List.map (fun g -> g.Check.name) failed));
+    if failed = [] then 0 else 1
+  in
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ jobs_arg $ seed_arg)
+
 let checkers_cmd =
   let doc =
     "Generate and print the watchdog checkers for a target system \
@@ -276,5 +336,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group ~default info
-          (list_cmd :: all_cmd :: scenario_cmd :: checkers_cmd
+          (list_cmd :: all_cmd :: check_cmd :: scenario_cmd :: checkers_cmd
            :: faultspace_cmd :: load_cmd :: frontier_cmd :: experiment_cmds)))

@@ -96,7 +96,6 @@ let task_state t = t.state
 let task_status t = t.status
 let task_blocked_on t = t.blocked_on
 let task_blocked_since t = t.blocked_since
-let all_tasks s = s.tasks
 
 let stats s = (s.spawned, s.switches, s.events_fired)
 

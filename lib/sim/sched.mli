@@ -33,7 +33,6 @@ val task_state : task -> state
 val task_status : task -> exit_status option
 val task_blocked_on : task -> string
 val task_blocked_since : task -> int64
-val all_tasks : t -> task list
 
 val suspend : reason:string -> register:((unit -> unit) -> unit) -> unit
 (** Core blocking primitive. [register waker] must arrange for [waker] to be

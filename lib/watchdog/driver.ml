@@ -231,13 +231,12 @@ let ensure_central t =
 let schedule_entry t entry =
   let checker = entry.checker in
   match Schedule.policy t.schedule with
-  | Schedule.Fixed _ ->
-      let period = Schedule.scaled_period t.schedule checker.Checker.period in
+  | Schedule.Fixed ->
       let task =
         Wd_sim.Sched.spawn ~name:("wd:" ^ checker.Checker.id) ~daemon:true
           t.sched (fun () ->
             while not t.stopped do
-              Wd_sim.Sched.sleep period;
+              Wd_sim.Sched.sleep checker.Checker.period;
               if not t.stopped then run_once t entry
             done)
       in

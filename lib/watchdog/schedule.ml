@@ -6,9 +6,8 @@
    cadence — as an implicit daemon loop. This module makes the answer a
    typed policy chosen at [Driver.create]:
 
-   - [Fixed cadence]: the historical behaviour. Each checker gets its own
-     daemon loop sleeping [cadence * period]; at the default cadence 1.0
-     the schedule is bit-for-bit the old one.
+   - [Fixed]: the historical behaviour. Each checker gets its own daemon
+     loop sleeping its declared period, bit-for-bit the old schedule.
 
    - [Adaptive _]: one central scheduling loop owns every checker. It
      samples load pressure each window — the sim scheduler's run-queue
@@ -34,14 +33,14 @@
    byte-identical at any domain-pool width. *)
 
 type policy =
-  | Fixed of float
+  | Fixed
   | Adaptive of {
       target_overhead : float;
       latency_bound : int64;
       sample_window : int64;
     }
 
-let fixed = Fixed 1.0
+let fixed = Fixed
 
 let adaptive ?(target_overhead = 0.005) ?(latency_bound = Wd_sim.Time.sec 2)
     ?(sample_window = Wd_sim.Time.ms 500) () =
@@ -53,10 +52,10 @@ let adaptive ?(target_overhead = 0.005) ?(latency_bound = Wd_sim.Time.sec 2)
     invalid_arg "Schedule.adaptive: sample_window must be positive";
   Adaptive { target_overhead; latency_bound; sample_window }
 
-let policy_name = function Fixed _ -> "fixed" | Adaptive _ -> "adaptive"
+let policy_name = function Fixed -> "fixed" | Adaptive _ -> "adaptive"
 
 let pp_policy ppf = function
-  | Fixed c -> Fmt.pf ppf "fixed(x%.2f)" c
+  | Fixed -> Fmt.string ppf "fixed"
   | Adaptive { target_overhead; latency_bound; sample_window } ->
       Fmt.pf ppf "adaptive(target=%.2f%%, bound=%a, window=%a)"
         (100. *. target_overhead)
@@ -119,14 +118,6 @@ let create policy sched =
 let policy t = t.policy
 let set_load_probe t f = t.load_probe <- Some f
 
-(* Fixed-mode effective period. Cadence 1.0 must reproduce the historical
-   schedule exactly, so it bypasses the float round-trip. *)
-let scaled_period t period =
-  match t.policy with
-  | Fixed c when c = 1.0 -> period
-  | Fixed c -> Int64.of_float (Float.max 1. (c *. Int64.to_float period))
-  | Adaptive _ -> period
-
 let register t ~period ?version () =
   let now = Wd_sim.Sched.now t.sched in
   let sl =
@@ -151,7 +142,7 @@ let quantum t =
   let window =
     match t.policy with
     | Adaptive { sample_window; _ } -> sample_window
-    | Fixed _ -> Wd_sim.Time.ms 500
+    | Fixed -> Wd_sim.Time.ms 500
   in
   let fastest =
     List.fold_left (fun acc sl -> Int64.min acc sl.sl_period) window t.slots
@@ -166,7 +157,7 @@ let gap_bound latency_bound sl = Int64.max sl.sl_period latency_bound
    by the latency bound, never faster than the checker asked for. *)
 let eff_period t sl =
   match t.policy with
-  | Fixed _ -> scaled_period t sl.sl_period
+  | Fixed -> sl.sl_period
   | Adaptive { latency_bound; _ } ->
       let stretched =
         Int64.of_float (t.throttle *. Int64.to_float sl.sl_period)
@@ -182,7 +173,7 @@ let max_throttle = 64.
    a loaded-but-cheap window does not flap the cadence back up. *)
 let tick t =
   match t.policy with
-  | Fixed _ -> ()
+  | Fixed -> ()
   | Adaptive { target_overhead; sample_window; _ } ->
       let now = Wd_sim.Sched.now t.sched in
       if Int64.sub now t.window_start >= sample_window then begin
@@ -234,7 +225,7 @@ let begin_batch t slots =
    park the slot so the next decision lands no later than the bound. *)
 let decide t sl =
   match t.policy with
-  | Fixed _ -> `Run
+  | Fixed -> `Run
   | Adaptive { latency_bound; _ } -> (
       let now = Wd_sim.Sched.now t.sched in
       match sl.sl_version with

@@ -1,13 +1,12 @@
 (** Adaptive checker scheduling: the typed policy a {!Driver} is created
     with, replacing the historical implicit fixed-cadence daemon loop.
 
-    [Fixed cadence] reproduces the per-checker loops (cadence 1.0 is
-    bit-for-bit the historical schedule). [Adaptive _] runs one central
-    scheduling loop that samples load pressure (sim run-queue depth,
-    virtual-time slack, the loadgen arrival stream via
-    {!set_load_probe}), throttles checker cadence when the checkers' share
-    of fired events exceeds [target_overhead] — never past
-    [latency_bound] — batches co-scheduled checkers behind a single
+    [Fixed] reproduces the per-checker loops, bit-for-bit the historical
+    schedule. [Adaptive _] runs one central scheduling loop that samples
+    load pressure (sim run-queue depth, virtual-time slack, the loadgen
+    arrival stream via {!set_load_probe}), throttles checker cadence when
+    the checkers' share of fired events exceeds [target_overhead] — never
+    past [latency_bound] — batches co-scheduled checkers behind a single
     context-version sampling pass (one COW snapshot version per batch),
     and deduplicates runs whose context version is unchanged.
 
@@ -16,7 +15,7 @@
     domain-pool width. *)
 
 type policy =
-  | Fixed of float  (** cadence scale on each checker's declared period *)
+  | Fixed  (** each checker on its own loop at its declared period *)
   | Adaptive of {
       target_overhead : float;
           (** budgeted checker share of fired sim events, e.g. [0.005] *)
@@ -27,7 +26,7 @@ type policy =
     }
 
 val fixed : policy
-(** [Fixed 1.0] — the historical schedule, exactly. *)
+(** [Fixed] — the historical schedule, exactly. *)
 
 val adaptive :
   ?target_overhead:float ->
@@ -59,10 +58,6 @@ val register : t -> period:int64 -> ?version:(unit -> int) -> unit -> slot
 (** Add a checker: [period] is its declared cadence, [version] its context
     version function ({!Checker.t.ctx_version}) when dedup applies. First
     due one period from now. *)
-
-val scaled_period : t -> int64 -> int64
-(** Fixed-mode effective period ([cadence * period]; identity at 1.0 and
-    in adaptive mode). The driver's per-checker loops sleep this. *)
 
 val quantum : t -> int64
 (** Central-loop sleep: the fastest registered period, floored at 1ms,
