@@ -200,12 +200,13 @@ let poke d ~path data =
   Hashtbl.replace d.files path (file_of_bytes (Bytes.copy data))
 let file_count d = Hashtbl.length d.files
 
-(* FNV-1a, used by checkers to validate stored payloads. *)
+(* FNV-1a, used by checkers to validate stored payloads. An indexed loop
+   keeps [h] unboxed; a closure capturing it would box an int64 per byte. *)
 let checksum b =
   let h = ref 0xcbf29ce484222325L in
-  Bytes.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    b;
+  for i = 0 to Bytes.length b - 1 do
+    h := Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
+  done;
   !h

@@ -160,7 +160,9 @@ let mine_and_synth ?(cfg = default_cfg) ?jobs () =
       (List.sort compare Systems.all_systems)
   in
   let events =
-    List.fold_left (fun n (_, ro) -> n + List.length ro.Mine.ro_events) 0 obs_runs
+    List.fold_left
+      (fun n (_, ro) -> n + Mine.ops_length ro.Mine.ro_ops)
+      0 obs_runs
   in
   {
     md_models = models;

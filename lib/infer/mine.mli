@@ -3,11 +3,35 @@
     per-key timing/failure statistics, first-occurrence orderings and
     same-target concurrency observations. *)
 
+type ops
+(** One run's op events, in order, stored as parallel columns with op,
+    node and function {!Wd_sim.Site} ids. *)
+
+val ops_length : ops -> int
+
+val iter_ops :
+  ops ->
+  (Wd_sim.Trace.op_tag ->
+  at:int ->
+  task_id:int ->
+  op:Wd_sim.Site.id ->
+  node:Wd_sim.Site.id ->
+  func:Wd_sim.Site.id ->
+  dur:int ->
+  note:string ->
+  unit) ->
+  unit
+(** In order, with the fields {!Wd_sim.Trace.iter_ops} passes. *)
+
+val ops_of_events : Wd_sim.Trace.event list -> ops
+(** The op events of a boxed event list (others are skipped): synthetic
+    traces for tests. *)
+
 type run_obs = {
   ro_id : string;
   ro_seed : int;
   ro_span : int64;
-  ro_events : Wd_sim.Trace.event list; (** op events only, in order *)
+  ro_ops : ops;
   ro_dropped : int;
 }
 

@@ -44,8 +44,9 @@ type t = {
   runq : (unit -> unit) Queue.t;
   mutable current : task option;
   mutable next_id : int;
-  mutable live : int; (* unfinished non-daemon tasks *)
-  mutable tasks : task list;
+  live : (int, task) Hashtbl.t;
+      (* unfinished non-daemon tasks by id; finished tasks leave it, so the
+         scheduler retains nothing of them *)
   rng : Rng.t;
   mutable switches : int;
   mutable spawned : int;
@@ -73,8 +74,7 @@ let create ?(seed = 42) () =
     runq = Queue.create ();
     current = None;
     next_id = 0;
-    live = 0;
-    tasks = [];
+    live = Hashtbl.create 64;
     rng = Rng.create ~seed;
     switches = 0;
     spawned = 0;
@@ -189,7 +189,7 @@ let finish s t status =
   t.state <- Finished;
   t.status <- Some status;
   t.kont <- None;
-  if not t.daemon then s.live <- s.live - 1;
+  if not t.daemon then Hashtbl.remove s.live t.id;
   let hooks = t.exit_hooks in
   t.exit_hooks <- [];
   List.iter (fun h -> h status) hooks;
@@ -265,8 +265,7 @@ let spawn ?(name = "task") ?(daemon = false) s f =
   in
   s.next_id <- s.next_id + 1;
   s.spawned <- s.spawned + 1;
-  if not daemon then s.live <- s.live + 1;
-  s.tasks <- t :: s.tasks;
+  if not daemon then Hashtbl.replace s.live t.id t;
   emit_spawned s t;
   Queue.push
     (fun () ->
@@ -534,8 +533,12 @@ let runner_stop r =
       kill r.r_sched w
   | None -> ()
 
+(* Newest first (descending id). *)
 let blocked_tasks s =
-  List.filter (fun t -> t.state = Blocked && not t.daemon) s.tasks
+  Hashtbl.fold
+    (fun _ t l -> if t.state = Blocked then t :: l else l)
+    s.live []
+  |> List.sort (fun a b -> Int.compare b.id a.id)
 
 let run ?(until = Time.never) s =
   let saved = Domain.DLS.get ambient in
@@ -555,7 +558,8 @@ let run ?(until = Time.never) s =
       loop ()
     end
     else if Heap.is_empty s.timers then
-      if s.live > 0 then Deadlock (blocked_tasks s) else Quiescent
+      if Hashtbl.length s.live > 0 then Deadlock (blocked_tasks s)
+      else Quiescent
     else
       let time = Heap.min_time s.timers in
       if time <= until then begin

@@ -10,9 +10,10 @@
    ring position. Recording an event is a handful of array stores — no
    record or variant block is allocated on the hot path. Op identifiers are
    interned ({!Site}) and timestamps are stored as native ints (virtual ns
-   fits in 62 bits); the boxed [event] view is materialised only when a
-   consumer reads the ring ([recent]/[since]), so readers see exactly the
-   same values as before the columnar rewrite. *)
+   fits in 62 bits). The boxed [event] view is materialised only by
+   [recent]/[dump], for the postmortem timeline and tests; incremental
+   consumers (the trace miner and the inferred-checker monitor) read op
+   slots in place through [iter_ops], which allocates nothing. *)
 
 type kind =
   | Spawned
@@ -181,16 +182,32 @@ let recent t n =
   let start = (t.next - n + (t.capacity * 2)) mod t.capacity in
   List.init n (fun i -> event_of_slot t ((start + i) mod t.capacity))
 
-(* Events with global index >= [cursor], oldest first, and the new cursor
-   (= total). Events that already fell off the ring are lost — the second
-   component counts them so an incremental consumer can tell. *)
-let since t cursor =
-  let cursor = max 0 cursor in
-  let available = min t.total t.capacity in
-  let oldest_kept = t.total - available in
-  let dropped = max 0 (oldest_kept - cursor) in
-  let n = max 0 (t.total - max cursor oldest_kept) in
-  (recent t n, dropped, t.total)
+(* In-place op reader. [lost] and [iter_ops] share one window: the events
+   with global index >= [cursor] that are still in the ring. Slots that
+   already fell off are counted by [lost] so an incremental consumer can
+   tell; the next cursor is [total]. *)
+type op_tag = Start | End | Fail
+
+let lost t cursor =
+  let oldest_kept = t.total - min t.total t.capacity in
+  max 0 (oldest_kept - max 0 cursor)
+
+let iter_ops t cursor f =
+  let n = min (t.total - max 0 cursor) (min t.total t.capacity) in
+  let i = ref ((t.next - n + t.capacity) mod t.capacity) in
+  for _ = 1 to n do
+    let s = !i in
+    let tag = t.c_tag.(s) in
+    if tag >= tag_op_start then
+      f
+        (if tag = tag_op_start then Start
+         else if tag = tag_op_end then End
+         else Fail)
+        ~at:t.c_at.(s) ~task_id:t.c_task_id.(s) ~op:t.c_op.(s)
+        ~node:t.c_node.(s) ~func:t.c_func.(s) ~dur:t.c_dur.(s)
+        ~note:t.c_note.(s);
+    i := if s + 1 = t.capacity then 0 else s + 1
+  done
 
 let kind_name = function
   | Spawned -> "spawned"

@@ -10,8 +10,9 @@
 
     Storage is columnar (struct-of-arrays) with interned op identifiers:
     the zero-allocation recorders below take {!Site.id}s and plain fields;
-    the boxed {!event} view is materialised only on read, byte-identical
-    to what the recorders were given. *)
+    the boxed {!event} view ({!recent}, {!dump}) is materialised only on
+    read, byte-identical to what the recorders were given, and
+    {!iter_ops} reads op slots in place. *)
 
 type kind =
   | Spawned
@@ -87,10 +88,34 @@ val total : t -> int
 val recent : t -> int -> event list
 (** Most recent [n] events, oldest first. *)
 
-val since : t -> int -> event list * int * int
-(** [since t cursor] = events with global index >= [cursor] that are still
-    in the ring (oldest first), how many were already overwritten, and the
-    new cursor to pass next time (= {!total}). *)
+(** {2 Reading op events in place}
+
+    The incremental consumers' reader. [cursor] is a global event index;
+    pass {!total} as the next cursor. *)
+
+type op_tag = Start | End | Fail
+
+val lost : t -> int -> int
+(** [lost t cursor] = how many events with global index >= [cursor] the
+    ring already overwrote. *)
+
+val iter_ops :
+  t ->
+  int ->
+  (op_tag ->
+  at:int ->
+  task_id:int ->
+  op:Site.id ->
+  node:Site.id ->
+  func:Site.id ->
+  dur:int ->
+  note:string ->
+  unit) ->
+  unit
+(** [iter_ops t cursor f] calls [f] on every op event with global index >=
+    [cursor] that is still in the ring, oldest first, skipping scheduler
+    events. [at] and [dur] are virtual ns; [dur] is meaningful on [End]
+    only and [note] (the error) on [Fail] only. Allocates nothing. *)
 
 val kind_name : kind -> string
 val pp_event : Format.formatter -> event -> unit

@@ -182,6 +182,32 @@ let test_disk_checksum () =
   check "stable" true (a = b);
   check "discriminates" false (a = c)
 
+(* The closure-over-a-ref FNV-1a that [Disk.checksum] replaced, kept as its
+   oracle. *)
+let checksum_oracle b =
+  let h = ref 0xcbf29ce484222325L in
+  Bytes.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    b;
+  !h
+
+let prop_disk_checksum_oracle =
+  QCheck.Test.make ~name:"checksum equals the closure oracle" ~count:200
+    QCheck.(string_of_size (QCheck.Gen.int_bound 300))
+    (fun s ->
+      let b = Bytes.of_string s in
+      Disk.checksum b = checksum_oracle b)
+
+let test_disk_checksum_alloc () =
+  let b = Bytes.make 10_000 'x' in
+  ignore (Disk.checksum b);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Disk.checksum b));
+  let words = Gc.minor_words () -. before in
+  check "no per-byte allocation" true (words < 100.)
+
 let prop_disk_roundtrip =
   QCheck.Test.make ~name:"disk read returns the written bytes" ~count:50
     QCheck.(pair (string_of_size (QCheck.Gen.int_bound 64)) small_string)
@@ -486,6 +512,9 @@ let () =
           Alcotest.test_case "checksum" `Quick test_disk_checksum;
           Alcotest.test_case "stats" `Quick test_disk_stats;
           QCheck_alcotest.to_alcotest prop_disk_roundtrip;
+          Alcotest.test_case "checksum allocation" `Quick
+            test_disk_checksum_alloc;
+          QCheck_alcotest.to_alcotest prop_disk_checksum_oracle;
         ] );
       ( "net",
         [

@@ -15,27 +15,39 @@ module Inference = Wd_harness.Inference
 let ms = Wd_sim.Time.ms
 let sec = Wd_sim.Time.sec
 
-(* --- Trace.since cursor ------------------------------------------------ *)
+(* --- Trace.iter_ops cursor ---------------------------------------------- *)
+
+(* Op events read in place from [cursor]: how many, how many lost, and the
+   next cursor. Scheduler events in the window are skipped. *)
+let read_ops t cursor =
+  let n = ref 0 in
+  Trace.iter_ops t cursor (fun _ ~at:_ ~task_id:_ ~op:_ ~node:_ ~func:_ ~dur:_
+                               ~note:_ -> incr n);
+  (!n, Trace.lost t cursor, Trace.total t)
 
 let test_trace_since () =
   let t = Trace.create ~capacity:4 () in
   let ev i = Trace.record t ~at:(Int64.of_int i) ~task_id:i ~task_name:"t"
-      Trace.Resumed in
+      (Trace.Op_start { op = "disk_read:d:x"; node = "n"; func = "f" }) in
   ev 1; ev 2;
-  let es, dropped, cur = Trace.since t 0 in
-  Alcotest.(check int) "two events" 2 (List.length es);
+  let es, dropped, cur = read_ops t 0 in
+  Alcotest.(check int) "two events" 2 es;
   Alcotest.(check int) "none dropped" 0 dropped;
   Alcotest.(check int) "cursor" 2 cur;
   ev 3; ev 4; ev 5; ev 6;
   (* ring holds 4: events 3..6; cursor 2 means event index 2 (3rd) onward *)
-  let es, dropped, cur = Trace.since t cur in
-  Alcotest.(check int) "ring window" 4 (List.length es);
+  let es, dropped, cur = read_ops t cur in
+  Alcotest.(check int) "ring window" 4 es;
   Alcotest.(check int) "still none dropped" 0 dropped;
   Alcotest.(check int) "cursor advanced" 6 cur;
   ev 7; ev 8; ev 9; ev 10; ev 11;
-  let es, dropped, _ = Trace.since t cur in
-  Alcotest.(check int) "only ring window" 4 (List.length es);
-  Alcotest.(check int) "one overwritten" 1 dropped
+  let es, dropped, _ = read_ops t cur in
+  Alcotest.(check int) "only ring window" 4 es;
+  Alcotest.(check int) "one overwritten" 1 dropped;
+  Trace.record t ~at:12L ~task_id:12 ~task_name:"t" Trace.Resumed;
+  let es, dropped, _ = read_ops t 11 in
+  Alcotest.(check int) "scheduler events skipped" 0 es;
+  Alcotest.(check int) "nothing lost at the head" 0 dropped
 
 (* --- interpreter emission ---------------------------------------------- *)
 
@@ -45,17 +57,25 @@ let events_of_run () =
   let ro =
     Inference.mine_run ~warmup:(sec 2) ~observe:(sec 4) ~seed:7 "zkmini"
   in
-  List.map
-    (fun (e : Trace.event) ->
-      ( e.Trace.at,
-        e.Trace.task_id,
-        Trace.kind_name e.Trace.kind ))
-    ro.Mine.ro_events
+  let acc = ref [] in
+  Mine.iter_ops ro.Mine.ro_ops
+    (fun tag ~at ~task_id ~op ~node ~func ~dur ~note ->
+      let op = Wd_sim.Site.str op
+      and node = Wd_sim.Site.str node
+      and func = Wd_sim.Site.str func in
+      let kind =
+        match tag with
+        | Trace.Start -> Trace.Op_start { op; node; func }
+        | Trace.End -> Trace.Op_end { op; node; func; dur = Int64.of_int dur }
+        | Trace.Fail -> Trace.Op_fail { op; node; func; err = note }
+      in
+      acc := (Int64.of_int at, task_id, Trace.kind_name kind, func) :: !acc);
+  List.rev !acc
 
 let test_emission () =
   let compiled = events_of_run () in
   Alcotest.(check bool) "events observed" true (List.length compiled > 100);
-  let kinds = List.map (fun (_, _, k) -> k) compiled in
+  let kinds = List.map (fun (_, _, k, _) -> k) compiled in
   let has prefix =
     List.exists
       (fun k ->
@@ -97,7 +117,7 @@ let steady_run ~n ~period ~dur op seed =
     events := end_ (Int64.add t dur) 1 op dur :: start_ t 1 op :: !events
   done;
   { Mine.ro_id = Fmt.str "run%d" seed; ro_seed = seed; ro_span = Int64.mul (Int64.of_int n) period;
-    ro_events = List.rev !events; ro_dropped = 0 }
+    ro_ops = Mine.ops_of_events (List.rev !events); ro_dropped = 0 }
 
 let test_synth_thresholds () =
   let op = "disk_write:d:seg/" in
@@ -149,7 +169,7 @@ let test_synth_ordering () =
                [ start_ t 2 a; end_ (Int64.add t (ms 1)) 2 a (ms 1) ]))
     in
     { Mine.ro_id = Fmt.str "r%d" seed; ro_seed = seed; ro_span = sec 5;
-      ro_events = events; ro_dropped = 0 }
+      ro_ops = Mine.ops_of_events events; ro_dropped = 0 }
   in
   let m = Synth.synthesize ~system:"t" (Mine.aggregate [ run 1; run 2; run 3 ]) in
   let precedes =
@@ -220,6 +240,349 @@ let test_monitor_checkers () =
         | Wd_watchdog.Report.Error_sig _ -> true
         | _ -> false)
   | None -> Alcotest.fail "expected a never-fail report")
+
+(* --- differentials against the boxed-list consumers ------------------- *)
+
+(* The boxed window the consumers read before they moved onto
+   [Trace.iter_ops]: every event still in the ring from [cursor], the
+   number already overwritten, and the next cursor. *)
+let boxed_since ~capacity t cursor =
+  let total = Trace.total t in
+  let cursor = max 0 cursor in
+  let available = min total capacity in
+  let oldest_kept = total - available in
+  let dropped = max 0 (oldest_kept - cursor) in
+  let n = max 0 (total - max cursor oldest_kept) in
+  (Trace.recent t n, dropped, total)
+
+(* The string-keyed monitor fold over boxed events, kept as the oracle for
+   [Monitor.drain]. *)
+module Old_monitor = struct
+  type t = {
+    capacity : int;
+    trace : Trace.t;
+    mutable cursor : int;
+    mutable dropped : int;
+    keys : (string, Monitor.key_state) Hashtbl.t;
+    overlaps : (string * string, int64) Hashtbl.t;
+  }
+
+  let create ~capacity trace =
+    { capacity; trace; cursor = 0; dropped = 0; keys = Hashtbl.create 64;
+      overlaps = Hashtbl.create 16 }
+
+  let state t key =
+    match Hashtbl.find_opt t.keys key with
+    | Some st -> st
+    | None ->
+        let st =
+          { Monitor.st_started = 0; st_completed = 0; st_failed = 0;
+            st_first_err = ""; st_last_start = -1L; st_worst = 0L;
+            st_worst_at = 0L; st_first_seen = -1L; st_inflight = [] }
+        in
+        Hashtbl.add t.keys key st;
+        st
+
+  let drain t =
+    let events, dropped, cursor =
+      boxed_since ~capacity:t.capacity t.trace t.cursor
+    in
+    t.cursor <- cursor;
+    if dropped > 0 then begin
+      t.dropped <- t.dropped + dropped;
+      Hashtbl.iter (fun _ st -> st.Monitor.st_inflight <- []) t.keys
+    end;
+    List.iter
+      (fun (e : Trace.event) ->
+        let open Monitor in
+        match e.Trace.kind with
+        | Trace.Op_start { op; func; _ } ->
+            let st = state t op in
+            st.st_started <- st.st_started + 1;
+            st.st_last_start <- e.Trace.at;
+            if st.st_first_seen < 0L then st.st_first_seen <- e.Trace.at;
+            let tgt = Mine.target_of_key op in
+            Hashtbl.iter
+              (fun other st' ->
+                if
+                  (not (String.equal other op))
+                  && String.equal (Mine.target_of_key other) tgt
+                  && List.exists (fun (task, _, _) -> task <> e.Trace.task_id)
+                       st'.st_inflight
+                then
+                  let pair = if other < op then (other, op) else (op, other) in
+                  if not (Hashtbl.mem t.overlaps pair) then
+                    Hashtbl.add t.overlaps pair e.Trace.at)
+              t.keys;
+            st.st_inflight <-
+              (e.Trace.task_id, e.Trace.at, func) :: st.st_inflight
+        | Trace.Op_end { op; dur; _ } ->
+            let st = state t op in
+            st.st_completed <- st.st_completed + 1;
+            st.st_inflight <-
+              List.filter (fun (task, _, _) -> task <> e.Trace.task_id)
+                st.st_inflight;
+            if dur > st.st_worst then begin
+              st.st_worst <- dur;
+              st.st_worst_at <- e.Trace.at
+            end
+        | Trace.Op_fail { op; err; _ } ->
+            let st = state t op in
+            st.st_failed <- st.st_failed + 1;
+            if st.st_first_err = "" then st.st_first_err <- err;
+            st.st_inflight <-
+              List.filter (fun (task, _, _) -> task <> e.Trace.task_id)
+                st.st_inflight
+        | _ -> ())
+      events
+end
+
+(* The string-keyed [Mine.aggregate] over boxed events, kept as its
+   oracle. *)
+let old_aggregate (runs : (Trace.event list * int) list) : Mine.observations =
+  let target_of_key = Mine.target_of_key in
+  let is_sync_key key = String.length key >= 5 && String.sub key 0 5 = "sync:" in
+  let inter a b = List.filter (fun x -> List.mem x b) a in
+  let keys = Hashtbl.create 64 and overlaps = Hashtbl.create 16 in
+  let acc_of key func =
+    match Hashtbl.find_opt keys key with
+    | Some a -> a
+    | None ->
+        (* runs, count, fails, durs, max_gap, func, last_run, locks *)
+        let a = (ref 0, ref 0, ref 0, ref [], ref 0L, ref func, ref (-1), ref None) in
+        Hashtbl.add keys key a;
+        a
+  in
+  let orders = ref [] and events = ref 0 and dropped = ref 0 in
+  List.iteri
+    (fun run_idx (evs, ro_dropped) ->
+      events := !events + List.length evs;
+      dropped := !dropped + ro_dropped;
+      let first_order = ref [] in
+      let seen_first = Hashtbl.create 64 and last_start = Hashtbl.create 64 in
+      let inflight : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+      let stack_of task =
+        Option.value ~default:[] (Hashtbl.find_opt inflight task)
+      in
+      let pop task op =
+        let rec drop = function
+          | [] -> []
+          | x :: rest -> if String.equal x op then rest else x :: drop rest
+        in
+        Hashtbl.replace inflight task (drop (stack_of task))
+      in
+      let run_end =
+        match List.rev evs with [] -> 0L | last :: _ -> last.Trace.at
+      in
+      let bump_gap key gap =
+        let _, _, _, _, max_gap, _, _, _ = acc_of key "" in
+        if gap > !max_gap then max_gap := gap
+      in
+      List.iter
+        (fun (e : Trace.event) ->
+          match e.Trace.kind with
+          | Trace.Op_start { op; func; _ } ->
+              let (_, _, _, _, _, a_func, _, a_locks) = acc_of op func in
+              if !a_func = "" then a_func := func;
+              if not (Hashtbl.mem seen_first op) then begin
+                Hashtbl.add seen_first op ();
+                first_order := op :: !first_order
+              end;
+              (match Hashtbl.find_opt last_start op with
+              | Some prev -> bump_gap op (Int64.sub e.Trace.at prev)
+              | None -> ());
+              Hashtbl.replace last_start op e.Trace.at;
+              let stack = stack_of e.Trace.task_id in
+              let held = List.sort compare (List.filter is_sync_key stack) in
+              a_locks :=
+                Some (match !a_locks with None -> held | Some l -> inter l held);
+              let tgt = target_of_key op in
+              Hashtbl.iter
+                (fun task others ->
+                  if task <> e.Trace.task_id then
+                    List.iter
+                      (fun other ->
+                        if other <> op && String.equal (target_of_key other) tgt
+                        then
+                          Hashtbl.replace overlaps
+                            (if other < op then (other, op) else (op, other))
+                            ())
+                      others)
+                inflight;
+              Hashtbl.replace inflight e.Trace.task_id (op :: stack)
+          | Trace.Op_end { op; dur; _ } ->
+              let (runs, count, _, durs, _, _, last_run, _) = acc_of op "" in
+              incr count;
+              durs := dur :: !durs;
+              if !last_run <> run_idx then begin
+                last_run := run_idx;
+                incr runs
+              end;
+              pop e.Trace.task_id op
+          | Trace.Op_fail { op; _ } ->
+              let (_, _, fails, _, _, _, _, _) = acc_of op "" in
+              incr fails;
+              pop e.Trace.task_id op
+          | _ -> ())
+        evs;
+      Hashtbl.iter (fun key last -> bump_gap key (Int64.sub run_end last)) last_start;
+      orders := List.rev !first_order :: !orders)
+    runs;
+  let obs_keys =
+    Hashtbl.fold
+      (fun key (runs, count, fails, durs, max_gap, func, _, locks) l ->
+        { Mine.ks_key = key; ks_target = target_of_key key; ks_runs = !runs;
+          ks_count = !count; ks_fails = !fails;
+          ks_durs =
+            (let arr = Array.of_list !durs in
+             Array.sort Int64.compare arr;
+             arr);
+          ks_max_gap = !max_gap; ks_func = !func;
+          ks_locks = Option.value ~default:[] !locks }
+        :: l)
+      keys []
+    |> List.sort (fun a b -> compare a.Mine.ks_key b.Mine.ks_key)
+  in
+  { Mine.obs_runs = List.length runs; obs_keys; obs_orders = List.rev !orders;
+    obs_overlaps = Hashtbl.fold (fun p () l -> p :: l) overlaps [] |> List.sort compare;
+    obs_events = !events; obs_dropped = !dropped }
+
+(* Random op streams: a few tasks over keys on two disk targets, one net
+   target and two locks, with nested sync sections, ends and fails of ops
+   that may not be in flight, scheduler noise and ops on keys never seen
+   before. [`Drain] marks a cut point. *)
+let diff_keys =
+  [| "disk_write:d:seg/"; "disk_read:d:seg/"; "disk_list:d:sst/";
+     "disk_write:e:log/"; "net_send:n:peer"; "sync:d:lock-a"; "sync:d:lock-b";
+     "sync:e:lock-c"; "weird-key" |]
+
+let gen_stream =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (1, return `Drain);
+        (1, return `Noise);
+        ( 12,
+          map
+            (fun (kind, task, key, (dt, dur)) -> `Op (kind, task, key, dt, dur))
+            (quad (int_bound 9) (int_range 1 4)
+               (int_bound (Array.length diff_keys - 1))
+               (pair (int_bound 3) (int_bound 50))) );
+      ]
+  in
+  list_size (int_range 0 120) step
+
+let print_stream s =
+  String.concat " "
+    (List.map
+       (function
+         | `Drain -> "|"
+         | `Noise -> "~"
+         | `Op (k, task, key, dt, dur) ->
+             Printf.sprintf "%d/%d/%d/+%d/%d" k task key dt dur)
+       s)
+
+(* Turn a stream into boxed events with nondecreasing times: kinds 0-4
+   start, 5-7 end, 8 fail. *)
+let events_of_stream stream =
+  let now = ref 0 in
+  List.filter_map
+    (function
+      | `Drain -> None
+      | `Noise ->
+          Some { Trace.at = Int64.of_int !now; task_id = 9; task_name = "bg";
+                 kind = Trace.Resumed }
+      | `Op (kind, task, key, dt, dur) ->
+          now := !now + dt;
+          let op = diff_keys.(key) and func = "f" ^ string_of_int task in
+          let kind =
+            if kind <= 4 then Trace.Op_start { op; node = "n"; func }
+            else if kind <= 7 then
+              Trace.Op_end { op; node = "n"; func; dur = Int64.of_int dur }
+            else Trace.Op_fail { op; node = "n"; func; err = Printf.sprintf "e%d" dur }
+          in
+          Some { Trace.at = Int64.of_int !now; task_id = task; task_name = "w";
+                 kind })
+    stream
+
+let prop_monitor_matches_boxed =
+  QCheck.Test.make ~name:"drain equals the boxed oracle"
+    ~count:300
+    (QCheck.make ~print:print_stream gen_stream)
+    (fun stream ->
+      let capacity = 8 in
+      let sched = Wd_sim.Sched.create ~seed:1 () in
+      let monitor = Monitor.create ~capacity sched in
+      let trace = Option.get (Wd_sim.Sched.trace sched) in
+      let old = Old_monitor.create ~capacity trace in
+      let agree () =
+        Monitor.drain monitor;
+        Old_monitor.drain old;
+        let keys = Array.to_list diff_keys in
+        Monitor.keys_tracked monitor = Hashtbl.length old.Old_monitor.keys
+        && Monitor.dropped monitor = old.Old_monitor.dropped
+        && List.for_all
+             (fun k ->
+               Monitor.view monitor k = Hashtbl.find_opt old.Old_monitor.keys k)
+             keys
+        && List.for_all
+             (fun a ->
+               List.for_all
+                 (fun b ->
+                   let pair = if a < b then (a, b) else (b, a) in
+                   Monitor.overlapped_at monitor a b
+                   = Hashtbl.find_opt old.Old_monitor.overlaps pair)
+                 keys)
+             keys
+      in
+      let ok = ref true in
+      let events = ref (events_of_stream stream) in
+      List.iter
+        (function
+          | `Drain -> if not (agree ()) then ok := false
+          | `Noise | `Op _ -> (
+              match !events with
+              | (e : Trace.event) :: rest ->
+                  events := rest;
+                  Trace.record trace ~at:e.Trace.at ~task_id:e.Trace.task_id
+                    ~task_name:e.Trace.task_name e.Trace.kind
+              | [] -> assert false))
+        stream;
+      !ok && agree ())
+
+let prop_aggregate_matches_boxed =
+  QCheck.Test.make ~name:"aggregate equals the boxed oracle"
+    ~count:300
+    (QCheck.make
+       ~print:(fun runs -> String.concat " || " (List.map print_stream runs))
+       QCheck.Gen.(list_size (int_range 0 4) gen_stream))
+    (fun streams ->
+      let runs =
+        List.mapi
+          (fun i stream ->
+            let events = events_of_stream stream in
+            let dropped = List.length stream mod 3 in
+            ( { Mine.ro_id = Fmt.str "r%d" i; ro_seed = i; ro_span = 0L;
+                ro_ops = Mine.ops_of_events events; ro_dropped = dropped },
+              (List.filter
+                 (fun (e : Trace.event) ->
+                   match e.Trace.kind with
+                   | Trace.Op_start _ | Trace.Op_end _ | Trace.Op_fail _ -> true
+                   | _ -> false)
+                 events,
+               dropped) ))
+          streams
+      in
+      Mine.aggregate (List.map fst runs) = old_aggregate (List.map snd runs))
+
+(* The default mining pass, pinned: the model digest and op-event count
+   E21 reports. *)
+let test_default_mining_pinned () =
+  let m = Inference.mine_and_synth () in
+  Alcotest.(check string) "model digest" "c74a7ff8ad4501311f18b83e37b74d4d"
+    m.Inference.md_digest;
+  Alcotest.(check int) "op events" 527_494 m.Inference.md_events
 
 (* --- end-to-end: inferred-only race ------------------------------------ *)
 
@@ -320,9 +683,15 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_mining_deterministic;
           Alcotest.test_case "support thresholds" `Quick test_synth_thresholds;
           Alcotest.test_case "ordering" `Quick test_synth_ordering;
+          Alcotest.test_case "default mining pinned" `Quick
+            test_default_mining_pinned;
+          QCheck_alcotest.to_alcotest prop_aggregate_matches_boxed;
         ] );
       ( "monitor",
-        [ Alcotest.test_case "checker eval" `Quick test_monitor_checkers ] );
+        [
+          Alcotest.test_case "checker eval" `Quick test_monitor_checkers;
+          QCheck_alcotest.to_alcotest prop_monitor_matches_boxed;
+        ] );
       ( "race",
         [
           Alcotest.test_case "inferred-only detects" `Quick

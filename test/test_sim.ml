@@ -583,6 +583,58 @@ let test_sched_deadlock_detection () =
   | Sched.Deadlock [ t ] -> check_str "who" "waiter" (Sched.task_name t)
   | _ -> Alcotest.fail "expected deadlock"
 
+(* Several tasks wedge, in an order unlike their ids, among tasks that
+   finish and a blocked daemon: the report lists exactly the blocked
+   non-daemon tasks, newest first (descending id). *)
+let test_sched_deadlock_order () =
+  let s = Sched.create () in
+  let c = Cond.create "never" in
+  let wait_after d () =
+    Sched.sleep d;
+    Cond.wait c
+  in
+  ignore (Sched.spawn ~name:"w0" s (wait_after (Time.ms 9)));
+  ignore (Sched.spawn ~name:"done1" s (fun () -> Sched.sleep (Time.ms 1)));
+  ignore (Sched.spawn ~name:"w2" s (wait_after (Time.ms 1)));
+  ignore (Sched.spawn ~name:"d3" ~daemon:true s (fun () -> Cond.wait c));
+  ignore
+    (Sched.spawn ~name:"w4" s (fun () ->
+         ignore (Sched.spawn ~name:"w6" s (wait_after (Time.ms 3)));
+         wait_after (Time.ms 5) ()));
+  ignore (Sched.spawn ~name:"done5" s (fun () -> ()));
+  match Sched.run s with
+  | Sched.Deadlock ts ->
+      Alcotest.(check (list string))
+        "newest first" [ "w6"; "w4"; "w2"; "w0" ]
+        (List.map Sched.task_name ts);
+      Alcotest.(check (list int))
+        "descending ids" [ 6; 4; 2; 0 ] (List.map Sched.task_id ts)
+  | _ -> Alcotest.fail "expected deadlock"
+
+(* Spawn [n] short tasks, remembering them only weakly. *)
+let[@inline never] spawn_weakly s n =
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    Weak.set w i
+      (Some (Sched.spawn s (fun () -> Sched.sleep (Time.us (i + 1)))))
+  done;
+  w
+
+let test_sched_finished_tasks_collectable () =
+  let s = Sched.create () in
+  let w = spawn_weakly s 100 in
+  (match Sched.run s with
+  | Sched.Quiescent -> ()
+  | _ -> Alcotest.fail "expected quiescence");
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr alive
+  done;
+  check_int "finished tasks retained" 0 !alive;
+  let spawned, _, _ = Sched.stats (Sys.opaque_identity s) in
+  check_int "all ran" 100 spawned
+
 let test_sched_daemon_does_not_block_exit () =
   let s = Sched.create () in
   ignore
@@ -970,6 +1022,9 @@ let () =
           Alcotest.test_case "runner matches timeout_join" `Quick
             test_runner_matches_timeout_join;
           QCheck_alcotest.to_alcotest prop_sched_deterministic;
+          Alcotest.test_case "deadlock list order" `Quick test_sched_deadlock_order;
+          Alcotest.test_case "finished tasks collectable" `Quick
+            test_sched_finished_tasks_collectable;
         ] );
       ( "sleep",
         [
