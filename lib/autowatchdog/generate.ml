@@ -244,8 +244,10 @@ let attach ?only_regions ?progress g ~sched ~main ~driver =
           }
       end)
     g.red.Reduction.hooks;
-  Interp.set_hook_sink main (fun hook_id values ->
-      Wcontext.sink wctx ~now:(Wd_sim.Sched.now sched) hook_id values);
+  Interp.set_hook_sink main (fun hook_id spec ->
+      Option.map
+        (fun c vals -> Wcontext.deliver c ~now:(Wd_sim.Sched.now sched) vals)
+        (Wcontext.capture wctx ~hook_id ~vars:spec.Interp.hook_vars));
   List.iter
     (fun u ->
       Wd_watchdog.Driver.add_checker driver

@@ -180,12 +180,7 @@ let sync d =
 let list d ~prefix =
   ignore (perform d ~op:"list" ~path:prefix ~len:0);
   Hashtbl.fold
-    (fun path _ acc ->
-      if
-        String.length path >= String.length prefix
-        && String.sub path 0 (String.length prefix) = prefix
-      then path :: acc
-      else acc)
+    (fun path _ acc -> if String.starts_with ~prefix path then path :: acc else acc)
     d.files []
   |> List.sort String.compare
 

@@ -450,9 +450,9 @@ let attach_inplace g ~main =
           hook_vars = List.map (fun (_, tmp, _) -> tmp) h.Reduction.hi_captures;
         })
     g.Generate.red.Reduction.hooks;
-  I.set_hook_sink main (fun hook_id values ->
+  I.set_hook_sink main (fun hook_id spec ->
       match Hashtbl.find_opt by_hook hook_id with
-      | None -> ()
+      | None -> None
       | Some h -> (
           match
             List.find_opt
@@ -460,21 +460,39 @@ let attach_inplace g ~main =
                 u.Reduction.unit_id = h.Reduction.hi_unit)
               g.Generate.units
           with
-          | None -> ()
+          | None -> None
           | Some u ->
-              let args =
-                List.filter_map
-                  (fun p ->
-                    List.find_map
-                      (fun (pp, tmp, _) ->
-                        if pp = p then List.assoc_opt tmp values else None)
-                      h.Reduction.hi_captures)
-                  u.Reduction.ufunc.Wd_ir.Ast.params
+              (* Per param, in order: the buffer indices of the variables
+                 that capture it; the first bound one supplies the arg. *)
+              let vars = Array.of_list spec.I.hook_vars in
+              let index tmp =
+                let rec go j =
+                  if j = Array.length vars then -1
+                  else if vars.(j) = tmp then j
+                  else go (j + 1)
+                in
+                go 0
               in
-              if List.length args = List.length u.Reduction.ufunc.Wd_ir.Ast.params
-              then
-                try ignore (I.call ci u.Reduction.ufunc.Wd_ir.Ast.fname args)
-                with _ -> ()))
+              let params = u.Reduction.ufunc.Wd_ir.Ast.params in
+              let sources =
+                List.map
+                  (fun p ->
+                    List.filter_map
+                      (fun (pp, tmp, _) ->
+                        if pp = p then Some (index tmp) else None)
+                      h.Reduction.hi_captures)
+                  params
+              in
+              Some
+                (fun vals ->
+                  let args =
+                    List.filter_map
+                      (List.find_map (fun j -> if j < 0 then None else vals.(j)))
+                      sources
+                  in
+                  if List.length args = List.length params then
+                    try ignore (I.call ci u.Reduction.ufunc.Wd_ir.Ast.fname args)
+                    with _ -> ())))
 
 let e7_run_one mode_name () =
   let sched = Wd_sim.Sched.create ~seed:11 () in

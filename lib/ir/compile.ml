@@ -101,7 +101,7 @@ type 'i rt = {
     value list ->
     value;
   exec_sync : 'i -> Loc.t -> lock:string -> desc:string -> (unit -> unit) -> unit;
-  exec_hook : 'i -> int -> (string -> value option) -> unit;
+  exec_hook : 'i -> int -> (string, int) Hashtbl.t -> value array -> unit;
 }
 
 (* Frame slots are always "bound" to something; reads of a name the program
@@ -244,6 +244,67 @@ let refill site =
   site.s_params <- site.s_cf.cf_param_slots;
   site.s_epoch <- current_epoch ()
 
+(* Flattened left-to-right argument evaluation: no [List.map] closure per
+   execution for the common small arities. *)
+let cargs cs : value array -> value list =
+  match cs with
+  | [] -> fun _ -> []
+  | [ a ] -> fun f -> [ a f ]
+  | [ a; b ] ->
+      fun f ->
+        let va = a f in
+        let vb = b f in
+        [ va; vb ]
+  | [ a; b; c ] ->
+      fun f ->
+        let va = a f in
+        let vb = b f in
+        let vc = c f in
+        [ va; vb; vc ]
+  | [ a; b; c; d ] ->
+      fun f ->
+        let va = a f in
+        let vb = b f in
+        let vc = c f in
+        let vd = d f in
+        [ va; vb; vc; vd ]
+  | cs -> fun f -> List.map (fun c -> c f) cs
+
+(* A [Prim] node is bound to its implementation here, once: a call is the
+   arguments, left to right, then a direct call — no argument list, no
+   name dispatch; a variadic primitive gets the argument list. Unknown
+   names and wrong arities go through [Prims.apply], which raises exactly
+   as it does for the tree-walker. *)
+let cprim loc name cs : value array -> value =
+  match (Prims.find name, cs) with
+  | Some (Prims.A0 p), [] -> (
+      fun _ -> try p () with Prims.Prim_error m -> err_prim loc m)
+  | Some (Prims.A1 p), [ a ] -> (
+      fun f ->
+        let va = a f in
+        try p va with Prims.Prim_error m -> err_prim loc m)
+  | Some (Prims.A2 p), [ a; b ] -> (
+      fun f ->
+        let va = a f in
+        let vb = b f in
+        try p va vb with Prims.Prim_error m -> err_prim loc m)
+  | Some (Prims.A3 p), [ a; b; c ] -> (
+      fun f ->
+        let va = a f in
+        let vb = b f in
+        let vc = c f in
+        try p va vb vc with Prims.Prim_error m -> err_prim loc m)
+  | Some (Prims.An p), _ -> (
+      let k = cargs cs in
+      fun f ->
+        let vs = k f in
+        try p vs with Prims.Prim_error m -> err_prim loc m)
+  | _ -> (
+      let k = cargs cs in
+      fun f ->
+        let vs = k f in
+        try Prims.apply name vs with Prims.Prim_error m -> err_prim loc m)
+
 (* --- expression compilation (pure: closures take only the frame) --- *)
 
 let rec cexpr fenv loc e : value array -> value =
@@ -283,11 +344,7 @@ let rec cexpr fenv loc e : value array -> value =
   | Snd e1 -> (
       let c = cexpr fenv loc e1 in
       fun f -> match c f with VPair (_, b) -> b | v -> err_snd loc v)
-  | Prim (name, args) ->
-      let k = clist fenv loc args in
-      fun f ->
-        let vs = k f in
-        (try Prims.apply name vs with Prims.Prim_error m -> err_prim loc m)
+  | Prim (name, args) -> cprim loc name (List.map (cexpr fenv loc) args)
 
 (* Operand-shape specialisation: loop-dominant arithmetic and comparison
    shapes (Var/Const and Var/Var int operands) compile to flat slot reads
@@ -581,31 +638,7 @@ and cbool fenv loc (bad : value -> bool) e : value array -> bool =
       let c = cexpr fenv loc e in
       fun f -> match c f with VBool b -> b | v -> bad v)
 
-(* Flattened left-to-right argument evaluation: no [List.map] closure per
-   execution for the common small arities. *)
-and clist fenv loc args : value array -> value list =
-  match List.map (cexpr fenv loc) args with
-  | [] -> fun _ -> []
-  | [ a ] -> fun f -> [ a f ]
-  | [ a; b ] ->
-      fun f ->
-        let va = a f in
-        let vb = b f in
-        [ va; vb ]
-  | [ a; b; c ] ->
-      fun f ->
-        let va = a f in
-        let vb = b f in
-        let vc = c f in
-        [ va; vb; vc ]
-  | [ a; b; c; d ] ->
-      fun f ->
-        let va = a f in
-        let vb = b f in
-        let vc = c f in
-        let vd = d f in
-        [ va; vb; vc; vd ]
-  | cs -> fun f -> List.map (fun c -> c f) cs
+let clist fenv loc args = cargs (List.map (cexpr fenv loc) args)
 
 (* --- statement and program compilation --- *)
 
@@ -744,15 +777,13 @@ let compile ~rt prog =
           charge c cost_ns;
           k t c f d
     | Hook id ->
-        let slots = fenv.slots in
+        (* The function's name-to-slot layout, complete once it is
+           compiled; the interpreter resolves a hook's captures against it
+           on first fire. *)
+        let layout = fenv.slots in
         fun t c f d ->
           charge_stmt c;
-          rt.exec_hook t id (fun name ->
-              match Hashtbl.find_opt slots name with
-              | Some i ->
-                  let v = Array.unsafe_get f i in
-                  if v == unbound then None else Some v
-              | None -> None);
+          rt.exec_hook t id layout f;
           k t c f d
   and cblock fenv block k = List.fold_right (cstmt fenv) block k
   and ccall fenv loc func args bind k =

@@ -23,8 +23,10 @@
     - binops, unops, comparisons and conditions are specialised per operand
       shape (notably Var/Const-int and Var/Var integer arithmetic), keeping
       the generic [Violation] path only as the fallback;
-    - [Prim]/[Op]/[Call] argument evaluation is flattened for small arities
-      to avoid per-step [List.map] closure allocation;
+    - each [Prim] node is bound to its {!Prims.impl} at compile time and
+      called with its arguments directly, with no argument list or name
+      dispatch; [Op]/[Call] argument evaluation is flattened for small
+      arities to avoid per-step [List.map] closure allocation;
     - op descriptions ("disk_write(d0)", "lock(m)") are precomputed.
 
     The compiler is generic in the interpreter state ['i]: all effectful
@@ -98,11 +100,17 @@ type 'i rt = {
       (** effectful op with pre-evaluated arguments (probe + env) *)
   exec_sync : 'i -> Loc.t -> lock:string -> desc:string -> (unit -> unit) -> unit;
       (** run the body thunk under the named lock's mode-specific protocol *)
-  exec_hook : 'i -> int -> (string -> value option) -> unit;
-      (** fire hook [id]; the callback reads a frame variable (None when
-          unbound) *)
+  exec_hook : 'i -> int -> (string, int) Hashtbl.t -> value array -> unit;
+      (** fire hook [id] from a frame; the table is the firing function's
+          layout (variable name to frame slot), one physical table per
+          compiled function, complete once it is compiled *)
 }
 (** Everything mode- or state-dependent, supplied by the interpreter. *)
+
+val unbound : value
+(** The marker of a frame slot the program has not assigned. Never
+    program-visible: variable reads and hook captures test for it by
+    physical equality. *)
 
 (** {1 Shared raise helpers}
 

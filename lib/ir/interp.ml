@@ -22,8 +22,10 @@
    Programs execute on one engine, the closure compiler ([Compile]). The
    tree-walker below is kept only as the reference semantics the tests
    compare against, reachable through [Reference.within]. Everything
-   effectful — charging, ops, sync protocols, hooks — funnels through the
-   same [*_v] functions, so the two can only diverge in *pure* evaluation. *)
+   effectful — charging, ops, sync protocols — funnels through the same
+   [*_v] functions, and hooks through the same binding and delivery (only
+   the frame read differs), so the two can only diverge in *pure*
+   evaluation. *)
 
 open Ast
 
@@ -68,6 +70,21 @@ let probe_lock_ns p = Int64.of_int p.lock_ns
 
 type hook_spec = { hook_checker : string; hook_vars : string list }
 
+type deliver = value option array -> unit
+
+(* One registered hook, bound on its first fire (see [bound_hook]). *)
+type hook = {
+  hk_spec : hook_spec;
+  hk_vars : string array;
+  hk_buf : value option array; (* reused by every fire *)
+  mutable hk_bound : bool; (* [hk_deliver] reflects the current sink *)
+  mutable hk_deliver : deliver option; (* [None]: the sink declined it *)
+  mutable hk_layout : (string, int) Hashtbl.t; (* [hk_slots] is for this *)
+  mutable hk_slots : int array; (* frame slot per var; -1 = never bound *)
+}
+
+let no_layout : (string, int) Hashtbl.t = Hashtbl.create 1
+
 type t = {
   prog : program;
   (* Call fast path: function lookup and arity check are on the per-call
@@ -77,8 +94,8 @@ type t = {
   res : Runtime.resources;
   node : string;
   mode : mode;
-  mutable hook_sink : (int -> (string * value) list -> unit) option;
-  hooks : (int, hook_spec) Hashtbl.t;
+  mutable hook_sink : (int -> hook_spec -> deliver option) option;
+  mutable hooks : hook option array; (* by hook id *)
   probe : probe_state;
   shadow_globals : (string, value) Hashtbl.t;
   scratch_prefix : string;
@@ -108,9 +125,29 @@ let probe t = t.probe
 let resources t = t.res
 let stmts_executed t = t.ctx.Compile.cx_stmts
 
-let set_hook_sink t sink = t.hook_sink <- Some sink
-let register_hook t ~id spec = Hashtbl.replace t.hooks id spec
-let hook_spec t ~id = Hashtbl.find_opt t.hooks id
+let set_hook_sink t sink =
+  t.hook_sink <- Some sink;
+  Array.iter (Option.iter (fun hk -> hk.hk_bound <- false)) t.hooks
+
+let register_hook t ~id spec =
+  if id < 0 then invalid_arg "Interp.register_hook: negative hook id";
+  if id >= Array.length t.hooks then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length t.hooks)) None in
+    Array.blit t.hooks 0 grown 0 (Array.length t.hooks);
+    t.hooks <- grown
+  end;
+  let vars = Array.of_list spec.hook_vars in
+  t.hooks.(id) <-
+    Some
+      {
+        hk_spec = spec;
+        hk_vars = vars;
+        hk_buf = Array.make (Array.length vars) None;
+        hk_bound = false;
+        hk_deliver = None;
+        hk_layout = no_layout;
+        hk_slots = [||];
+      }
 
 (* CPU charging is implemented on [Compile.ctx] (inlined into compiled
    closures); the tree-walker routes through the same functions. *)
@@ -293,10 +330,10 @@ let lock_desc_memo t lockname =
    key string is built once per distinct (opname, target, prefix) family. *)
 let no_tkey = -1
 
-let trace_key t ~opname ~target vargs =
+let trace_key t s ~opname ~target vargs =
   if t.mode <> Main then no_tkey
   else
-    match Wd_sim.Sched.trace (Wd_sim.Sched.get ()) with
+    match Wd_sim.Sched.trace s with
     | None -> no_tkey
     | Some _ -> (
         let prefix =
@@ -323,19 +360,22 @@ let trace_err = function
   | Out_of_memory -> "out_of_memory"
   | e -> Printexc.to_string e
 
-(* Record op start/end around an effectful action so the watchdog driver can
-   pinpoint an in-flight hang and track slow operations. [is_lock] routes
+(* The probe bracket around an effectful action, so the watchdog driver can
+   pinpoint an in-flight hang and track slow operations. [probe_enter]
+   opens it and returns the start time; exactly one of [probe_exit] (the
+   action returned) or [probe_fail] (it raised) closes it. [is_lock] routes
    the elapsed time to the lock-wait counter (excluded from slowness
    assessment); the call site knows, so no description sniffing. [tkey],
    when not [no_tkey], additionally emits Op_start/Op_end/Op_fail trace
    events keyed by it — the raw material for trace-inferred checkers. The
-   probe bracket is pure field stores: nothing is boxed per op. *)
-let with_probe t loc ~is_lock ~tkey desc f =
-  let s = Wd_sim.Sched.get () in
+   bracket is pure field stores and plain calls: nothing is boxed and no
+   closure is built per op. *)
+let probe_enter t s loc ~tkey desc =
   let p = t.probe in
-  (* [started] must be a local: the probe record is shared by every task of
-     this interpreter, so a concurrent op overwrites [p.op_started] while
-     this op blocks — elapsed-time accounting has to survive that. *)
+  (* The start time is returned, not only stored: the probe record is
+     shared by every task of this interpreter, so a concurrent op
+     overwrites [p.op_started] while this op blocks — elapsed-time
+     accounting has to survive that. *)
   let started = Int64.to_int (Wd_sim.Sched.now s) in
   p.op_active <- true;
   p.op_loc <- loc;
@@ -344,35 +384,32 @@ let with_probe t loc ~is_lock ~tkey desc f =
   if tkey >= 0 then
     Wd_sim.Sched.trace_op_start s ~op:tkey ~node:t.node_site
       ~func:(Wd_sim.Site.intern (Loc.func loc));
-  let finish () =
-    let elapsed = Int64.to_int (Wd_sim.Sched.now s) - started in
-    p.op_active <- false;
-    p.last_loc <- loc;
-    p.ops_executed <- p.ops_executed + 1;
-    (if is_lock then p.lock_ns <- p.lock_ns + elapsed
-     else p.op_ns <- p.op_ns + elapsed);
-    if elapsed > p.slow_ns then begin
-      p.slow_loc <- loc;
-      p.slow_ns <- elapsed
-    end;
-    elapsed
-  in
-  match f () with
-  | v ->
-      let elapsed = finish () in
-      if tkey >= 0 then
-        Wd_sim.Sched.trace_op_end s ~op:tkey ~node:t.node_site
-          ~func:(Wd_sim.Site.intern (Loc.func loc))
-          ~dur:(Int64.of_int elapsed);
-      v
-  | exception e ->
-      (* Leave the in-flight op set on failure: it is the pinpoint. *)
-      p.last_loc <- loc;
-      if tkey >= 0 then
-        Wd_sim.Sched.trace_op_fail s ~op:tkey ~node:t.node_site
-          ~func:(Wd_sim.Site.intern (Loc.func loc))
-          ~err:(trace_err e);
-      raise e
+  started
+
+let probe_exit t s loc ~is_lock ~tkey started =
+  let p = t.probe in
+  let elapsed = Int64.to_int (Wd_sim.Sched.now s) - started in
+  p.op_active <- false;
+  p.last_loc <- loc;
+  p.ops_executed <- p.ops_executed + 1;
+  (if is_lock then p.lock_ns <- p.lock_ns + elapsed
+   else p.op_ns <- p.op_ns + elapsed);
+  if elapsed > p.slow_ns then begin
+    p.slow_loc <- loc;
+    p.slow_ns <- elapsed
+  end;
+  if tkey >= 0 then
+    Wd_sim.Sched.trace_op_end s ~op:tkey ~node:t.node_site
+      ~func:(Wd_sim.Site.intern (Loc.func loc))
+      ~dur:(Int64.of_int elapsed)
+
+(* Leave the in-flight op set on failure: it is the pinpoint. *)
+let probe_fail t s loc ~tkey e =
+  t.probe.last_loc <- loc;
+  if tkey >= 0 then
+    Wd_sim.Sched.trace_op_fail s ~op:tkey ~node:t.node_site
+      ~func:(Wd_sim.Site.intern (Loc.func loc))
+      ~err:(trace_err e)
 
 let scratch t path = t.scratch_prefix ^ path
 
@@ -381,161 +418,186 @@ let scratch t path = t.scratch_prefix ^ path
    one shared constant is indistinguishable from a fresh allocation. *)
 let vmap_miss = VMap [ ("ok", VBool false) ]
 
+(* The effect of an op over pre-evaluated arguments, outside its probe
+   bracket. *)
+let op_body t loc ~kind ~target vargs =
+  match (kind, vargs) with
+  | Disk_write, [ p; data ] ->
+      let d = Runtime.disk t.res target in
+      let path = arg_str loc p and data = arg_bytes loc data in
+      (match t.mode with
+      | Main -> Wd_env.Disk.write d ~path data
+      | Checker ->
+          Wd_env.Disk.write ~as_path:path d ~path:(scratch t path) data);
+      VUnit
+  | Disk_append, [ p; data ] ->
+      let d = Runtime.disk t.res target in
+      let path = arg_str loc p and data = arg_bytes loc data in
+      (match t.mode with
+      | Main -> Wd_env.Disk.append d ~path data
+      | Checker ->
+          Wd_env.Disk.append ~as_path:path d ~path:(scratch t path) data);
+      VUnit
+  | Disk_read, [ p ] ->
+      let d = Runtime.disk t.res target in
+      let path = arg_str loc p in
+      (match t.mode with
+      | Main -> VBytes (Wd_env.Disk.read d ~path)
+      | Checker ->
+          (* Prefer the checker's own scratch copy; fall back to the
+             real file, which a read cannot damage. Either way the
+             fault site is the original path (fate sharing). *)
+          let phys =
+            if Wd_env.Disk.peek d ~path:(scratch t path) <> None then
+              scratch t path
+            else path
+          in
+          VBytes (Wd_env.Disk.read ~as_path:path d ~path:phys))
+  | Disk_sync, [] ->
+      Wd_env.Disk.sync (Runtime.disk t.res target);
+      VUnit
+  | Disk_delete, [ p ] ->
+      let d = Runtime.disk t.res target in
+      let path = arg_str loc p in
+      (match t.mode with
+      | Main -> Wd_env.Disk.delete d ~path
+      | Checker -> Wd_env.Disk.delete ~as_path:path d ~path:(scratch t path));
+      VUnit
+  | Disk_exists, [ p ] ->
+      VBool (Wd_env.Disk.exists (Runtime.disk t.res target) ~path:(arg_str loc p))
+  | Disk_list, [ p ] ->
+      let files =
+        Wd_env.Disk.list (Runtime.disk t.res target) ~prefix:(arg_str loc p)
+      in
+      VList (List.map (fun f -> VStr f) files)
+  | Net_send, [ dst; payload ] ->
+      let n = Runtime.net t.res target in
+      let dst = arg_str loc dst in
+      (match t.mode with
+      | Main -> Wd_env.Net.send n ~src:t.node ~dst payload
+      | Checker ->
+          (* Same src/dst fault site (fate sharing) but delivery lands in
+             the destination's shadow inbox, invisible to the main
+             program. *)
+          let shadow = "__wd:" ^ dst in
+          Wd_env.Net.ensure_registered n shadow;
+          Wd_env.Net.send ~site_dst:dst n ~src:t.node ~dst:shadow payload);
+      VUnit
+  | Net_recv, [ timeout ] -> (
+      let n = Runtime.net t.res target in
+      let timeout = Wd_sim.Time.ms (arg_int loc timeout) in
+      match t.mode with
+      | Main -> (
+          match Wd_env.Net.recv_timeout n t.node ~timeout with
+          | Some env ->
+              VMap
+                [
+                  ("ok", VBool true);
+                  ("src", VStr env.Wd_env.Net.src);
+                  ("payload", env.Wd_env.Net.payload);
+                  ("corrupted", VBool env.Wd_env.Net.corrupted);
+                ]
+          | None -> vmap_miss)
+      | Checker ->
+          (* Receiving is not mimicked against live traffic; a checker
+             poll returns an empty mailbox marker. *)
+          vmap_miss)
+  | Queue_put, [ data ] ->
+      let q =
+        Runtime.queue t.res
+          (match t.mode with Main -> target | Checker -> "__wd:" ^ target)
+      in
+      Wd_sim.Channel.send q data;
+      VUnit
+  | Queue_get, [ timeout ] -> (
+      match t.mode with
+      | Main -> (
+          let q = Runtime.queue t.res target in
+          let timeout = Wd_sim.Time.ms (arg_int loc timeout) in
+          match Wd_sim.Channel.recv_timeout q ~timeout with
+          | Some v -> VMap [ ("ok", VBool true); ("payload", v) ]
+          | None -> vmap_miss)
+      | Checker -> vmap_miss)
+  | Mem_alloc, [ size ] ->
+      let m = Runtime.mem t.res target in
+      let size = arg_int loc size in
+      Wd_env.Memory.alloc m size;
+      (* A checker must experience allocation stalls without leaking. *)
+      (match t.mode with Checker -> Wd_env.Memory.free m size | Main -> ());
+      VUnit
+  | Mem_free, [ size ] ->
+      (match t.mode with
+      | Main -> Wd_env.Memory.free (Runtime.mem t.res target) (arg_int loc size)
+      | Checker -> ());
+      VUnit
+  | State_get, [] -> (
+      match t.mode with
+      | Main -> Runtime.global t.res target
+      | Checker -> (
+          match Hashtbl.find_opt t.shadow_globals target with
+          | Some v -> v
+          | None -> copy_value (Runtime.global t.res target)))
+  | State_set, [ v ] ->
+      (match t.mode with
+      | Main -> Runtime.set_global t.res target v
+      | Checker -> Hashtbl.replace t.shadow_globals target v);
+      VUnit
+  | Sleep_op, [ ms ] ->
+      Wd_sim.Sched.sleep (Wd_sim.Time.ms (arg_int loc ms));
+      VUnit
+  | Log_op, [ msg ] ->
+      Runtime.log t.res ~node:t.node (value_to_string msg);
+      VUnit
+  | _, _ ->
+      raise
+        (Violation
+           {
+             loc;
+             vkind = "arity";
+             msg = Fmt.str "%s: bad arguments" (op_kind_name kind);
+           })
+
 (* Effectful op over pre-evaluated arguments; shared with the reference
    walker. *)
 let exec_op_v t loc ~desc ~kind ~target vargs =
-  let tkey = trace_key t ~opname:(op_kind_name kind) ~target vargs in
-  with_probe t loc ~is_lock:false ~tkey desc (fun () ->
-      match (kind, vargs) with
-      | Disk_write, [ p; data ] ->
-          let d = Runtime.disk t.res target in
-          let path = arg_str loc p and data = arg_bytes loc data in
-          (match t.mode with
-          | Main -> Wd_env.Disk.write d ~path data
-          | Checker ->
-              Wd_env.Disk.write ~as_path:path d ~path:(scratch t path) data);
-          VUnit
-      | Disk_append, [ p; data ] ->
-          let d = Runtime.disk t.res target in
-          let path = arg_str loc p and data = arg_bytes loc data in
-          (match t.mode with
-          | Main -> Wd_env.Disk.append d ~path data
-          | Checker ->
-              Wd_env.Disk.append ~as_path:path d ~path:(scratch t path) data);
-          VUnit
-      | Disk_read, [ p ] ->
-          let d = Runtime.disk t.res target in
-          let path = arg_str loc p in
-          (match t.mode with
-          | Main -> VBytes (Wd_env.Disk.read d ~path)
-          | Checker ->
-              (* Prefer the checker's own scratch copy; fall back to the
-                 real file, which a read cannot damage. Either way the
-                 fault site is the original path (fate sharing). *)
-              let phys =
-                if Wd_env.Disk.peek d ~path:(scratch t path) <> None then
-                  scratch t path
-                else path
-              in
-              VBytes (Wd_env.Disk.read ~as_path:path d ~path:phys))
-      | Disk_sync, [] ->
-          Wd_env.Disk.sync (Runtime.disk t.res target);
-          VUnit
-      | Disk_delete, [ p ] ->
-          let d = Runtime.disk t.res target in
-          let path = arg_str loc p in
-          (match t.mode with
-          | Main -> Wd_env.Disk.delete d ~path
-          | Checker -> Wd_env.Disk.delete ~as_path:path d ~path:(scratch t path));
-          VUnit
-      | Disk_exists, [ p ] ->
-          VBool (Wd_env.Disk.exists (Runtime.disk t.res target) ~path:(arg_str loc p))
-      | Disk_list, [ p ] ->
-          let files =
-            Wd_env.Disk.list (Runtime.disk t.res target) ~prefix:(arg_str loc p)
-          in
-          VList (List.map (fun f -> VStr f) files)
-      | Net_send, [ dst; payload ] ->
-          let n = Runtime.net t.res target in
-          let dst = arg_str loc dst in
-          (match t.mode with
-          | Main -> Wd_env.Net.send n ~src:t.node ~dst payload
-          | Checker ->
-              (* Same src/dst fault site (fate sharing) but delivery lands in
-                 the destination's shadow inbox, invisible to the main
-                 program. *)
-              let shadow = "__wd:" ^ dst in
-              Wd_env.Net.ensure_registered n shadow;
-              Wd_env.Net.send ~site_dst:dst n ~src:t.node ~dst:shadow payload);
-          VUnit
-      | Net_recv, [ timeout ] -> (
-          let n = Runtime.net t.res target in
-          let timeout = Wd_sim.Time.ms (arg_int loc timeout) in
-          match t.mode with
-          | Main -> (
-              match Wd_env.Net.recv_timeout n t.node ~timeout with
-              | Some env ->
-                  VMap
-                    [
-                      ("ok", VBool true);
-                      ("src", VStr env.Wd_env.Net.src);
-                      ("payload", env.Wd_env.Net.payload);
-                      ("corrupted", VBool env.Wd_env.Net.corrupted);
-                    ]
-              | None -> vmap_miss)
-          | Checker ->
-              (* Receiving is not mimicked against live traffic; a checker
-                 poll returns an empty mailbox marker. *)
-              vmap_miss)
-      | Queue_put, [ data ] ->
-          let q =
-            Runtime.queue t.res
-              (match t.mode with Main -> target | Checker -> "__wd:" ^ target)
-          in
-          Wd_sim.Channel.send q data;
-          VUnit
-      | Queue_get, [ timeout ] -> (
-          match t.mode with
-          | Main -> (
-              let q = Runtime.queue t.res target in
-              let timeout = Wd_sim.Time.ms (arg_int loc timeout) in
-              match Wd_sim.Channel.recv_timeout q ~timeout with
-              | Some v -> VMap [ ("ok", VBool true); ("payload", v) ]
-              | None -> vmap_miss)
-          | Checker -> vmap_miss)
-      | Mem_alloc, [ size ] ->
-          let m = Runtime.mem t.res target in
-          let size = arg_int loc size in
-          Wd_env.Memory.alloc m size;
-          (* A checker must experience allocation stalls without leaking. *)
-          (match t.mode with Checker -> Wd_env.Memory.free m size | Main -> ());
-          VUnit
-      | Mem_free, [ size ] ->
-          (match t.mode with
-          | Main -> Wd_env.Memory.free (Runtime.mem t.res target) (arg_int loc size)
-          | Checker -> ());
-          VUnit
-      | State_get, [] -> (
-          match t.mode with
-          | Main -> Runtime.global t.res target
-          | Checker -> (
-              match Hashtbl.find_opt t.shadow_globals target with
-              | Some v -> v
-              | None -> copy_value (Runtime.global t.res target)))
-      | State_set, [ v ] ->
-          (match t.mode with
-          | Main -> Runtime.set_global t.res target v
-          | Checker -> Hashtbl.replace t.shadow_globals target v);
-          VUnit
-      | Sleep_op, [ ms ] ->
-          Wd_sim.Sched.sleep (Wd_sim.Time.ms (arg_int loc ms));
-          VUnit
-      | Log_op, [ msg ] ->
-          Runtime.log t.res ~node:t.node (value_to_string msg);
-          VUnit
-      | _, _ ->
-          raise
-            (Violation
-               {
-                 loc;
-                 vkind = "arity";
-                 msg = Fmt.str "%s: bad arguments" (op_kind_name kind);
-               }))
+  let s = Wd_sim.Sched.get () in
+  let tkey = trace_key t s ~opname:(op_kind_name kind) ~target vargs in
+  let started = probe_enter t s loc ~tkey desc in
+  match op_body t loc ~kind ~target vargs with
+  | v ->
+      probe_exit t s loc ~is_lock:false ~tkey started;
+      v
+  | exception e ->
+      probe_fail t s loc ~tkey e;
+      raise e
+
+(* Checker-mode acquisition: poll [try_lock] every 50 ms until [deadline]. *)
+let rec try_lock_until s lock deadline =
+  if Wd_sim.Smutex.try_lock lock then true
+  else if Wd_sim.Sched.now s >= deadline then false
+  else begin
+    Wd_sim.Sched.sleep (Wd_sim.Time.ms 50);
+    try_lock_until s lock deadline
+  end
 
 (* Mode-specific lock protocol around a body thunk; shared with the
-   reference walker. *)
+   reference walker. Only the acquisition is inside the probe bracket. *)
 let exec_sync_v t loc ~lock:lockname ~desc body =
   let lock = Runtime.lock t.res lockname in
   match t.mode with
   | Main -> (
-      let tkey = trace_key t ~opname:"sync" ~target:lockname [] in
-      with_probe t loc ~is_lock:true ~tkey desc (fun () ->
-          Wd_sim.Smutex.lock lock);
-      let release () = Wd_sim.Smutex.unlock lock in
-      match body () with
-      | () -> release ()
+      let s = Wd_sim.Sched.get () in
+      let tkey = trace_key t s ~opname:"sync" ~target:lockname [] in
+      let started = probe_enter t s loc ~tkey desc in
+      (match Wd_sim.Smutex.lock lock with
+      | () -> probe_exit t s loc ~is_lock:true ~tkey started
       | exception e ->
-          release ();
+          probe_fail t s loc ~tkey e;
+          raise e);
+      match body () with
+      | () -> Wd_sim.Smutex.unlock lock
+      | exception e ->
+          Wd_sim.Smutex.unlock lock;
           raise e)
   | Checker ->
       (* Try-lock with timeout: hanging forever against a wedged main
@@ -545,19 +607,18 @@ let exec_sync_v t loc ~lock:lockname ~desc body =
          exclusion — and holding a real lock across a mimicked (possibly
          hanging) operation would let the watchdog wedge the main program,
          the §3.2 isolation failure. *)
+      let s = Wd_sim.Sched.get () in
+      let started = probe_enter t s loc ~tkey:no_tkey desc in
       let acquired =
-        with_probe t loc ~is_lock:true ~tkey:no_tkey desc (fun () ->
-            let s = Wd_sim.Sched.get () in
-            let deadline = Int64.add (Wd_sim.Sched.now s) t.lock_timeout in
-            let rec attempt () =
-              if Wd_sim.Smutex.try_lock lock then true
-              else if Wd_sim.Sched.now s >= deadline then false
-              else begin
-                Wd_sim.Sched.sleep (Wd_sim.Time.ms 50);
-                attempt ()
-              end
-            in
-            attempt ())
+        match
+          try_lock_until s lock (Int64.add (Wd_sim.Sched.now s) t.lock_timeout)
+        with
+        | acquired ->
+            probe_exit t s loc ~is_lock:true ~tkey:no_tkey started;
+            acquired
+        | exception e ->
+            probe_fail t s loc ~tkey:no_tkey e;
+            raise e
       in
       if not acquired then
         raise
@@ -572,28 +633,80 @@ let exec_sync_v t loc ~lock:lockname ~desc body =
       Wd_sim.Smutex.unlock lock;
       body ()
 
-(* Fire hook [id]; [lookup] reads a frame variable. Shared with the
-   reference walker. *)
-let exec_hook_v t id lookup =
+(* --- hooks ---
+
+   A hook is bound once per registration, not per fire: on its first fire
+   the sink is asked for the hook's deliverer, and the frame slot of each
+   captured name is looked up in the firing function's layout (re-done
+   only if the hook fires from a function with another layout). A fire
+   then reads slots into the hook's reusable buffer and makes one call.
+   Replication: a value holding a VBytes anywhere is copied, so the sink
+   never aliases a mutable buffer; every other value is persistent, and
+   sharing it is indistinguishable from a deep copy. *)
+
+let replicate v = Some (if value_immutable v then v else copy_value v)
+
+(* The hook of [id] if registered and delivered to, with its deliverer. *)
+let bound_hook t id =
+  if id < 0 || id >= Array.length t.hooks then None
+  else
+    match Array.unsafe_get t.hooks id with
+    | None -> None
+    | Some hk as found ->
+        if not hk.hk_bound then begin
+          hk.hk_deliver <-
+            (match t.hook_sink with
+            | None -> None
+            | Some sink -> sink id hk.hk_spec);
+          hk.hk_bound <- true
+        end;
+        if hk.hk_deliver == None then None else found
+
+let deliver hk =
+  match hk.hk_deliver with Some d -> d hk.hk_buf | None -> ()
+
+(* Fire hook [id] from a compiled frame laid out by [layout]. *)
+let exec_hook_v t id layout frame =
   match t.mode with
   | Checker -> ()
   | Main -> (
-      match (t.hook_sink, Hashtbl.find_opt t.hooks id) with
-      | Some sink, Some spec ->
-          let values =
-            List.filter_map
-              (fun x ->
-                match lookup x with
-                | Some v ->
-                    (* Replication: never alias a mutable buffer. Values
-                       with no VBytes anywhere are persistent, so sharing
-                       them is indistinguishable from a deep copy. *)
-                    Some (x, if value_immutable v then v else copy_value v)
-                | None -> None)
-              spec.hook_vars
-          in
-          sink id values
-      | _, _ -> ())
+      match bound_hook t id with
+      | None -> ()
+      | Some hk ->
+          if hk.hk_layout != layout then begin
+            hk.hk_slots <-
+              Array.map
+                (fun x -> Option.value (Hashtbl.find_opt layout x) ~default:(-1))
+                hk.hk_vars;
+            hk.hk_layout <- layout
+          end;
+          let slots = hk.hk_slots and buf = hk.hk_buf in
+          for j = 0 to Array.length slots - 1 do
+            let i = Array.unsafe_get slots j in
+            Array.unsafe_set buf j
+              (if i < 0 then None
+               else
+                 let v = Array.unsafe_get frame i in
+                 if v == Compile.unbound then None else replicate v)
+          done;
+          deliver hk)
+
+(* Fire hook [id] from a tree-walker frame. *)
+let exec_hook_ref t id frame =
+  match t.mode with
+  | Checker -> ()
+  | Main -> (
+      match bound_hook t id with
+      | None -> ()
+      | Some hk ->
+          Array.iteri
+            (fun j x ->
+              hk.hk_buf.(j) <-
+                (match Hashtbl.find_opt frame x with
+                | Some v -> replicate v
+                | None -> None))
+            hk.hk_vars;
+          deliver hk)
 
 (* --- statement execution (tree-walking reference engine) --- *)
 
@@ -648,7 +761,7 @@ and exec_stmt t frame depth st =
       if not (truthy loc (eval t frame loc e)) then
         raise (Violation { loc; vkind = "assert"; msg })
   | Compute { cost_ns; note = _ } -> charge t cost_ns
-  | Hook id -> exec_hook_v t id (fun x -> Hashtbl.find_opt frame x)
+  | Hook id -> exec_hook_ref t id frame
 
 and exec_call t depth fname vargs =
   if depth > t.ctx.Compile.cx_max_depth then
@@ -767,7 +880,7 @@ let create ?compiled ?(mode = Main) ?(scratch_prefix = "__wd/")
     node;
     mode;
     hook_sink = None;
-    hooks = Hashtbl.create 16;
+    hooks = [||];
     probe =
       {
         op_active = false;

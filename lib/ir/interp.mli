@@ -116,11 +116,20 @@ val ic_refills : unit -> int
     {!Compile.ic_refill_count}): every call site's first execution plus one
     refill per site per {!clear_compile_cache} epoch bump. *)
 
-val set_hook_sink : t -> (int -> (string * value) list -> unit) -> unit
-(** Receives (hook id, captured deep-copied values) from Main-mode hooks. *)
+val set_hook_sink :
+  t -> (int -> hook_spec -> (value option array -> unit) option) -> unit
+(** Install the receiver of Main-mode hooks. The sink is asked once per
+    registered hook, on the hook's first fire (and again after the next
+    [set_hook_sink] or re-registration), for that hook's deliverer; [None]
+    means the hook's fires are dropped. A fire then calls the deliverer
+    once with a buffer holding, at index [j], the value of the [j]-th of
+    the spec's [hook_vars], or [None] where that variable is unbound.
+    Values holding bytes are deep copies; the buffer is reused by the
+    hook's next fire, so a deliverer must not keep it. *)
 
 val register_hook : t -> id:int -> hook_spec -> unit
-val hook_spec : t -> id:int -> hook_spec option
+(** Register (or replace) the spec of hook [id]; [id] must be
+    non-negative. *)
 
 val call : t -> string -> value list -> value
 (** Run a function synchronously in the current task. Must be called from

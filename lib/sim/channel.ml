@@ -21,8 +21,8 @@ let create ?(capacity = max_int) name =
     name;
     capacity;
     items = Queue.create ();
-    not_empty = Cond.create ("chan " ^ name ^ " not_empty");
-    not_full = Cond.create ("chan " ^ name ^ " not_full");
+    not_empty = Cond.create ~prefix:"chan " name ~suffix:" not_empty";
+    not_full = Cond.create ~prefix:"chan " name ~suffix:" not_full";
     closed = false;
     sent = 0;
     received = 0;

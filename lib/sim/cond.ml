@@ -4,26 +4,35 @@
    spurious pop is harmless — waiters must re-check their predicate, exactly
    as with POSIX condition variables. *)
 
+(* The name is [prefix ^ base ^ suffix], kept in parts: a cond is often
+   created per request and never waited on, so the name and the two wait
+   reasons are only built when first needed, then cached ([""] = not yet;
+   a built reason is never empty). *)
 type t = {
-  name : string;
-  reason : string; (* precomputed: built per-wait this is a measurable cost *)
-  reason_timed : string;
+  prefix : string;
+  base : string;
+  suffix : string;
+  mutable reason : string;
+  mutable reason_timed : string;
   waiters : (unit -> unit) Queue.t;
 }
 
-let create name =
-  {
-    name;
-    reason = "cond " ^ name;
-    reason_timed = "cond " ^ name ^ " (timed)";
-    waiters = Queue.create ();
-  }
+let create ?(prefix = "") ?(suffix = "") base =
+  { prefix; base; suffix; reason = ""; reason_timed = ""; waiters = Queue.create () }
 
-let name c = c.name
+let name c = c.prefix ^ c.base ^ c.suffix
 let waiter_count c = Queue.length c.waiters
 
+let reason c =
+  if c.reason = "" then c.reason <- "cond " ^ name c;
+  c.reason
+
+let reason_timed c =
+  if c.reason_timed = "" then c.reason_timed <- "cond " ^ name c ^ " (timed)";
+  c.reason_timed
+
 let wait c =
-  Sched.suspend ~reason:c.reason
+  Sched.suspend ~reason:(reason c)
     ~register:(fun waker -> Queue.push waker c.waiters)
 
 let signal c = if not (Queue.is_empty c.waiters) then (Queue.pop c.waiters) ()
@@ -44,7 +53,7 @@ let await_timeout c pred ~timeout =
     if pred () then true
     else if Sched.now s >= deadline then false
     else begin
-      Sched.suspend ~reason:c.reason_timed
+      Sched.suspend ~reason:(reason_timed c)
         ~register:(fun waker ->
           Queue.push waker c.waiters;
           Sched.at s deadline waker);

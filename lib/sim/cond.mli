@@ -5,7 +5,12 @@
 
 type t
 
-val create : string -> t
+val create : ?prefix:string -> ?suffix:string -> string -> t
+(** [create ~prefix ~suffix base] names the cond [prefix ^ base ^ suffix]
+    (both default to [""]). The name and the wait reasons ["cond <name>"]
+    and ["cond <name> (timed)"] are built on first use, so a cond that is
+    never waited on formats no string. *)
+
 val name : t -> string
 val waiter_count : t -> int
 

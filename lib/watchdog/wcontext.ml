@@ -31,16 +31,23 @@ type unit_ctx = {
   mutable updates : int;
 }
 
-type hook_binding = { hb_unit : string; hb_rev : (string * string) list }
-(* hb_rev: (tmp variable captured in main program, context parameter) —
-   the reverse of the registered captures, precomputed at bind time so the
-   per-hook-fire sink does no list rebuilding. *)
+type hook_binding = {
+  hb_unit : string;
+  hb_captures : (string * string) list; (* (context param, tmp variable) *)
+}
 
 type t = {
   units : (string, unit_ctx) Hashtbl.t;
   hook_bindings : (int, hook_binding) Hashtbl.t;
   mutable total_updates : int;
 }
+
+(* A hook resolved against the table: the unit it feeds and, per captured
+   variable, the slot it writes ([no_slot] when the variable feeds none). *)
+type capture = { cp_t : t; cp_unit : unit_ctx; cp_slots : slot array }
+
+let no_slot =
+  { value = None; updated_at = 0L; version = 0; copy_version = -1; copy = VUnit }
 
 let create () =
   { units = Hashtbl.create 32; hook_bindings = Hashtbl.create 32; total_updates = 0 }
@@ -62,35 +69,52 @@ let register_unit t ~unit_id ~params =
 
 let bind_hook t ~hook_id ~unit_id ~captures =
   Hashtbl.replace t.hook_bindings hook_id
-    {
-      hb_unit = unit_id;
-      hb_rev = List.map (fun (param, tmp) -> (tmp, param)) captures;
-    }
+    { hb_unit = unit_id; hb_captures = captures }
 
 let find_unit t unit_id = Hashtbl.find_opt t.units unit_id
 
-(* The sink the main-program interpreter calls when a Hook fires. *)
-let sink t ~now hook_id values =
+(* Resolved once per hook: the first capture of a variable decides the
+   param it feeds. *)
+let capture t ~hook_id ~vars =
   match Hashtbl.find_opt t.hook_bindings hook_id with
-  | None -> ()
-  | Some { hb_unit; hb_rev } -> (
-      match Hashtbl.find_opt t.units hb_unit with
-      | None -> ()
+  | None -> None
+  | Some { hb_unit; hb_captures } -> (
+      match find_unit t hb_unit with
+      | None -> None
       | Some ctx ->
-          List.iter
-            (fun (tmp, v) ->
-              match List.assoc_opt tmp hb_rev with
-              | None -> ()
-              | Some param -> (
-                  match Hashtbl.find_opt ctx.slots param with
-                  | None -> ()
-                  | Some slot ->
-                      slot.value <- Some v;
-                      slot.updated_at <- now;
-                      slot.version <- slot.version + 1))
-            values;
-          ctx.updates <- ctx.updates + 1;
-          t.total_updates <- t.total_updates + 1)
+          let slot_of tmp =
+            match
+              List.find_map
+                (fun (param, tmp') -> if tmp' = tmp then Some param else None)
+                hb_captures
+            with
+            | None -> no_slot
+            | Some param ->
+                Option.value (Hashtbl.find_opt ctx.slots param) ~default:no_slot
+          in
+          Some
+            {
+              cp_t = t;
+              cp_unit = ctx;
+              cp_slots = Array.of_list (List.map slot_of vars);
+            })
+
+(* One hook fire: store each bound variable into its slot. *)
+let deliver c ~now vals =
+  let slots = c.cp_slots in
+  for j = 0 to Array.length slots - 1 do
+    match vals.(j) with
+    | None -> ()
+    | Some _ as v ->
+        let slot = slots.(j) in
+        if slot != no_slot then begin
+          slot.value <- v;
+          slot.updated_at <- now;
+          slot.version <- slot.version + 1
+        end
+  done;
+  c.cp_unit.updates <- c.cp_unit.updates + 1;
+  c.cp_t.total_updates <- c.cp_t.total_updates + 1
 
 let ready t unit_id =
   match find_unit t unit_id with
@@ -170,7 +194,7 @@ let updates t unit_id =
 
 (* The unit's monotone context version: bumped once per hook delivery, so
    an unchanged version means every slot holds exactly the bytes a previous
-   reader saw (writes only happen in [sink]). This is the dedup key the
+   reader saw (writes only happen in [deliver]). This is the dedup key the
    adaptive scheduler pairs with a checker id, and — because [slot_read]
    caches copies against slot versions — co-scheduled checkers reading the
    same unit at one version share one COW snapshot rather than re-copying. *)

@@ -20,9 +20,21 @@ val bind_hook :
   t -> hook_id:int -> unit_id:string -> captures:(string * string) list -> unit
 (** [captures] maps (context param, temporary variable captured in main). *)
 
-val sink : t -> now:int64 -> int -> (string * Wd_ir.Ast.value) list -> unit
-(** The hook sink: deliver (tmp var, value) pairs for a hook id. Unknown
-    hooks and variables are ignored. *)
+type capture
+(** A hook resolved against the table: the unit it feeds and the slot each
+    of its captured variables writes. *)
+
+val capture : t -> hook_id:int -> vars:string list -> capture option
+(** Resolve hook [hook_id], whose captured temporaries are [vars] in
+    order, once. [None] when the hook is not bound or its unit is not
+    registered. A variable that feeds no param of the unit is ignored on
+    delivery. Resolve after the unit and the binding are registered: the
+    capture holds the unit's slots as they are then. *)
+
+val deliver : capture -> now:int64 -> Wd_ir.Ast.value option array -> unit
+(** One hook fire: index [j] holds the value of the [j]-th variable, or
+    [None] when it was unbound. Each value is stored in its slot (stamped
+    [now], version bumped) and the unit's update count goes up by one. *)
 
 val ready : t -> string -> bool
 (** All parameters have been captured at least once. *)

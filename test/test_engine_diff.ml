@@ -286,6 +286,274 @@ let test_e22_load_identity () =
   Alcotest.(check string) "E22 load table byte-identical to the reference"
     compiled (reference run)
 
+(* --- E18/E19 fleets: byte-identical to the reference --- *)
+
+let test_fleets_identity () =
+  let module E = Wd_harness.Experiments in
+  Alcotest.(check string) "E18 failover byte-identical to the reference"
+    (E.e18_text ()) (reference E.e18_text);
+  Alcotest.(check string) "E19 9- and 15-node fleets byte-identical to the \
+     reference"
+    (E.e19_text ()) (reference E.e19_text)
+
+(* --- primitives: each one's compiled binding against [Prims.apply] ---
+
+   One program [f(a0, .., an-1) = return prim(a0, .., an-1)] per
+   (primitive, arity), compiled once; random argument tuples run through it
+   and through [Prims.apply]. Results, or error texts, must be
+   byte-identical. Half the tuples take the argument shapes the primitive
+   accepts (found by probing [apply] with one value per shape), so the
+   success paths are drawn as often as the error ones. *)
+
+let max_arity = 4
+let shapes = [ `Unit; `Bool; `Int; `Str; `Bytes; `List; `Pair; `Map ]
+
+let representative = function
+  | `Unit -> VUnit
+  | `Bool -> VBool true
+  | `Int -> VInt 1
+  | `Str -> VStr "a"
+  | `Bytes -> VBytes (Bytes.of_string "a")
+  | `List -> VList [ VInt 1 ]
+  | `Pair -> VPair (VInt 1, VInt 2)
+  | `Map -> VMap [ ("a", VInt 1) ]
+
+let gen_text =
+  QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '/'; '"'; '\n' ]) (0 -- 4))
+
+let rec gen_shaped depth shape =
+  let open QCheck.Gen in
+  let any = if depth = 0 then oneofl [ `Int; `Str ] else oneofl shapes in
+  let sub = any >>= gen_shaped (depth - 1) in
+  match shape with
+  | `Unit -> return VUnit
+  | `Bool -> map (fun b -> VBool b) bool
+  | `Int -> map (fun i -> VInt i) (int_range (-2) 12)
+  | `Str -> map (fun s -> VStr s) gen_text
+  | `Bytes -> map (fun s -> VBytes (Bytes.of_string s)) gen_text
+  | `List ->
+      map
+        (fun l -> VList l)
+        (oneof
+           [
+             list_size (0 -- 3) (gen_shaped 0 `Int);
+             list_size (0 -- 3) (gen_shaped 0 `Str);
+             list_size (0 -- 3) sub;
+           ])
+  | `Pair -> map2 (fun a b -> VPair (a, b)) sub sub
+  | `Map ->
+      map
+        (fun kvs -> VMap kvs)
+        (list_size (0 -- 3) (pair (oneofl [ "a"; "b"; "ab"; "" ]) sub))
+
+let rec tuples n =
+  if n = 0 then [ [] ]
+  else List.concat_map (fun t -> List.map (fun s -> s :: t) shapes) (tuples (n - 1))
+
+let accepted =
+  let memo = Hashtbl.create 64 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some l -> l
+    | None ->
+        let ok shape_tuple =
+          match Prims.apply name (List.map representative shape_tuple) with
+          | _ -> true
+          | exception Prims.Prim_error m ->
+              not (String.starts_with ~prefix:"unknown primitive" m)
+        in
+        let l =
+          List.concat_map
+            (fun n -> List.filter ok (tuples n))
+            (List.init max_arity (fun n -> n))
+        in
+        Hashtbl.add memo name l;
+        l
+
+let gen_prim_case =
+  let open QCheck.Gen in
+  oneofl ("no_such_prim" :: Prims.known) >>= fun name ->
+  let random =
+    int_range 0 max_arity >>= fun n ->
+    map (fun args -> (name, args)) (list_repeat n (oneofl shapes >>= gen_shaped 1))
+  in
+  match accepted name with
+  | [] -> random
+  | good ->
+      let well_typed =
+        oneofl good >>= fun shape_tuple ->
+        map (fun args -> (name, args)) (flatten_l (List.map (gen_shaped 1) shape_tuple))
+      in
+      oneof [ well_typed; random ]
+
+let no_rt : unit Compile.rt =
+  {
+    Compile.exec_op = (fun () _ ~desc:_ ~kind:_ ~target:_ _ -> assert false);
+    exec_sync = (fun () _ ~lock:_ ~desc:_ _ -> assert false);
+    exec_hook = (fun () _ _ _ -> assert false);
+  }
+
+let prim_program =
+  let memo = Hashtbl.create 64 in
+  fun name n ->
+    match Hashtbl.find_opt memo (name, n) with
+    | Some cp -> cp
+    | None ->
+        let params = List.init n (Fmt.str "a%d") in
+        let prog =
+          B.program "prim"
+            ~funcs:
+              [ B.func "f" ~params [ B.return (B.prim name (List.map B.v params)) ] ]
+            ~entries:[]
+        in
+        let cp = Compile.compile ~rt:no_rt prog in
+        Hashtbl.add memo (name, n) cp;
+        cp
+
+let value_bytes v = Marshal.to_string (v : value) [ Marshal.No_sharing ]
+
+let prim_compiled name args =
+  let ctx = Compile.make_ctx ~stmt_cost:0 ~quantum:max_int ~max_depth:8 in
+  match Compile.call (prim_program name (List.length args)) () ctx "f" args with
+  | v -> "value " ^ value_bytes v
+  | exception Compile.Violation { vkind; msg; _ } -> vkind ^ ": " ^ msg
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let prim_reference name args =
+  match Prims.apply name args with
+  | v -> "value " ^ value_bytes v
+  | exception Prims.Prim_error msg -> "prim: " ^ msg
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let prop_prims_compiled_equal_apply =
+  QCheck.Test.make ~name:"compiled primitives equal Prims.apply" ~count:4000
+    (QCheck.make
+       ~print:(fun (name, args) ->
+         Fmt.str "%s(%a)" name Fmt.(list ~sep:comma pp_value) args)
+       gen_prim_case)
+    (fun (name, args) ->
+      (* each side gets its own copy of any bytes *)
+      let c = prim_compiled name (List.map copy_value args) in
+      let r = prim_reference name (List.map copy_value args) in
+      if c <> r then QCheck.Test.fail_reportf "compiled %S@.reference %S" c r;
+      true)
+
+let test_prim_table_complete () =
+  List.iter
+    (fun name ->
+      if Prims.find name = None then
+        Alcotest.failf "%s is known but has no implementation" name)
+    Prims.known;
+  Alcotest.(check int) "no name is listed twice"
+    (List.length Prims.known)
+    (List.length (List.sort_uniq String.compare Prims.known));
+  (* the reverse: whatever has an implementation is known, by both views *)
+  List.iter
+    (fun name ->
+      let known = List.mem name Prims.known in
+      Alcotest.(check bool) (name ^ " implemented iff known") known
+        (Prims.find name <> None);
+      Alcotest.(check bool) (name ^ " is_known iff known") known
+        (Prims.is_known name))
+    ("no_such_prim" :: "list_empty" :: "" :: "Concat" :: Prims.known)
+
+(* --- hooks: the same deliveries and context state on both engines ---
+
+   Hook 0 fires from two functions (two frame layouts) and captures an
+   immutable int, a string, a map holding bytes, a bytes buffer and a
+   variable that is never bound; hook 1 captures a variable bound only on
+   a branch not taken; hook 2 has no context unit (the context ignores
+   it); hook 3 is never registered. *)
+
+let hook_prog =
+  let hook id = { node = Hook id; loc = Loc.dummy } in
+  B.program "hooks"
+    ~funcs:
+      [
+        B.func "g" ~params:[ "b" ]
+          [
+            B.let_ "m" (B.prim "map_put" [ B.prim "map_empty" []; B.s "k"; B.v "b" ]);
+            hook 0;
+            B.return_unit;
+          ];
+        B.func "f" ~params:[]
+          [
+            B.let_ "n" (B.i 1);
+            B.let_ "s" (B.s "x");
+            B.let_ "b" (B.prim "bytes_of_str" [ B.s "ab" ]);
+            hook 0;
+            B.if_ (B.bconst false) [ B.let_ "u" (B.i 9) ] [];
+            hook 1;
+            hook 3;
+            B.let_ "i" (B.i 0);
+            B.while_
+              B.(v "i" <: i 3)
+              [
+                B.assign "n" B.(v "n" +: v "i");
+                B.let_ "m"
+                  (B.prim "map_put" [ B.prim "map_empty" []; B.s "k"; B.v "b" ]);
+                hook 0;
+                B.compute_us 7;
+                B.call "g" [ B.prim "bytes_of_str" [ B.v "s" ] ];
+                hook 2;
+                B.assign "s" B.(v "s" ^: s "y");
+                B.assign "i" B.(v "i" +: i 1);
+              ];
+            B.sleep_ms 1;
+            hook 1;
+            B.return_unit;
+          ];
+      ]
+    ~entries:[]
+
+let run_hooks () =
+  let sched = Sched.create ~seed:5 () in
+  let reg = Wd_env.Faultreg.create () in
+  let res = Randgen.make_env ~reg ~seed:5 in
+  let main = Interp.create ~node:"n1" ~res hook_prog in
+  let spec vars = { Interp.hook_checker = "u"; hook_vars = vars } in
+  Interp.register_hook main ~id:0 (spec [ "n"; "u"; "b"; "s"; "m" ]);
+  Interp.register_hook main ~id:1 (spec [ "u"; "s"; "n" ]);
+  Interp.register_hook main ~id:2 (spec [ "b" ]);
+  let module W = Wd_watchdog.Wcontext in
+  let w = W.create () in
+  W.register_unit w ~unit_id:"u0" ~params:[ "p_n"; "p_b"; "p_s"; "p_m" ];
+  W.register_unit w ~unit_id:"u1" ~params:[ "q_s"; "q_n"; "q_u" ];
+  W.bind_hook w ~hook_id:0 ~unit_id:"u0"
+    ~captures:[ ("p_n", "n"); ("p_b", "b"); ("p_s", "s"); ("p_m", "m") ];
+  W.bind_hook w ~hook_id:1 ~unit_id:"u1"
+    ~captures:[ ("q_s", "s"); ("q_n", "n"); ("q_u", "u") ];
+  let log = ref [] in
+  let render = function None -> "-" | Some v -> value_to_string v in
+  Interp.set_hook_sink main (fun id spec ->
+      let cap = W.capture w ~hook_id:id ~vars:spec.Interp.hook_vars in
+      Some
+        (fun vals ->
+          log :=
+            Fmt.str "%d@%Ld [%s]" id (Sched.now sched)
+              (String.concat "; " (Array.to_list (Array.map render vals)))
+            :: !log;
+          Option.iter (fun c -> W.deliver c ~now:(Sched.now sched) vals) cap));
+  ignore (Sched.spawn ~name:"hooks" sched (fun () -> ignore (Interp.call main "f" [])));
+  ignore (Sched.run sched);
+  let now = Sched.now sched in
+  let unit_state u =
+    Fmt.str "%s: ready=%b updates=%d staleness=%a snapshot=[%s]" u (W.ready w u)
+      (W.updates w u)
+      Fmt.(option int64)
+      (W.staleness w ~now u)
+      (String.concat "; "
+         (List.map (fun (p, v) -> p ^ "=" ^ value_to_string v) (W.snapshot w u)))
+  in
+  List.rev !log @ [ unit_state "u0"; unit_state "u1"; string_of_int (W.total_updates w) ]
+
+let test_hooks_identity () =
+  let c = run_hooks () in
+  Alcotest.(check (list string)) "hook deliveries and context state"
+    (reference run_hooks) c;
+  (* twelve fires, then the two units' states and the update total *)
+  Alcotest.(check int) "every fire was delivered" 15 (List.length c)
+
 (* --- E2 catalog batch: whole-system results equal the reference ---
 
    The same batch the bench's jobs curve times: every catalog scenario but
@@ -339,5 +607,15 @@ let () =
             `Slow test_e2_batch_identity;
           Alcotest.test_case "E22 load table identical to the reference"
             `Slow test_e22_load_identity;
+          Alcotest.test_case "E18 and E19 fleets identical to the reference"
+            `Slow test_fleets_identity;
+          Alcotest.test_case "hook deliveries identical to the reference"
+            `Quick test_hooks_identity;
+        ] );
+      ( "prims",
+        [
+          QCheck_alcotest.to_alcotest prop_prims_compiled_equal_apply;
+          Alcotest.test_case "every known primitive implemented, and only \
+             those" `Quick test_prim_table_complete;
         ] );
     ]

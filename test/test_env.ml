@@ -105,6 +105,21 @@ let test_disk_list_delete () =
       Alcotest.(check (list string)) "after delete" [ "seg/2" ]
         (Disk.list d ~prefix:"seg/"))
 
+let test_disk_list_prefix_edges () =
+  in_sim (fun _s reg ->
+      let d = mkdisk reg in
+      List.iter
+        (fun p -> Disk.write d ~path:p (Bytes.of_string "x"))
+        [ "se"; "seg"; "seg/1"; "sex" ];
+      (* a path shorter than the prefix is never listed; one equal to it
+         is *)
+      Alcotest.(check (list string)) "shorter skipped, equal listed"
+        [ "seg"; "seg/1" ] (Disk.list d ~prefix:"seg");
+      Alcotest.(check (list string)) "only the exact path" [ "seg/1" ]
+        (Disk.list d ~prefix:"seg/1");
+      Alcotest.(check (list string)) "empty prefix lists all"
+        [ "se"; "seg"; "seg/1"; "sex" ] (Disk.list d ~prefix:""))
+
 let test_disk_read_missing () =
   in_sim (fun _s reg ->
       let d = mkdisk reg in
@@ -500,6 +515,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_disk_roundtrip;
           Alcotest.test_case "append" `Quick test_disk_append;
           Alcotest.test_case "list and delete" `Quick test_disk_list_delete;
+          Alcotest.test_case "list prefix edges" `Quick test_disk_list_prefix_edges;
           Alcotest.test_case "read missing" `Quick test_disk_read_missing;
           Alcotest.test_case "latency model" `Quick test_disk_latency_model;
           Alcotest.test_case "error fault" `Quick test_disk_error_fault;

@@ -789,11 +789,16 @@ let test_hook_captures_copies () =
   Interp.register_hook main ~id:0
     { Interp.hook_checker = "u"; hook_vars = [ "payload" ] };
   let seen = ref [] in
-  Interp.set_hook_sink main (fun id values -> seen := (id, values) :: !seen);
+  Interp.set_hook_sink main (fun id spec ->
+      Some
+        (fun vals ->
+          seen :=
+            (id, List.combine spec.Interp.hook_vars (Array.to_list vals))
+            :: !seen));
   ignore (Sched.spawn s (fun () -> ignore (Interp.call main "f" [])));
   ignore (Sched.run s);
   match !seen with
-  | [ (0, [ ("payload", VBytes b) ]) ] ->
+  | [ (0, [ ("payload", Some (VBytes b)) ]) ] ->
       check_str "captured value" "AB" (Bytes.to_string b)
   | _ -> Alcotest.fail "hook did not fire exactly once with the payload"
 

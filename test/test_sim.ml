@@ -899,6 +899,35 @@ let test_channel_try_ops_and_stats () =
          check_int "received" 1 received));
   ignore (Sched.run s)
 
+(* The suspend reasons of channel and cond waits: built on first wait, with
+   the same bytes they always had. *)
+let test_channel_wait_reasons () =
+  let s = Sched.create () in
+  let ch : int Channel.t = Channel.create "ch" in
+  let full = Channel.create ~capacity:1 "full" in
+  let c = Cond.create "c" in
+  let recv = Sched.spawn ~name:"recv" s (fun () -> ignore (Channel.recv ch)) in
+  let timed =
+    Sched.spawn ~name:"timed" s (fun () ->
+        ignore (Channel.recv_timeout ch ~timeout:(Time.sec 1)))
+  in
+  let send =
+    Sched.spawn ~name:"send" s (fun () ->
+        Channel.send full 1;
+        Channel.send full 2)
+  in
+  let wait = Sched.spawn ~name:"wait" s (fun () -> Cond.wait c) in
+  ignore (Sched.run ~until:(Time.ms 1) s);
+  Alcotest.(check (list string)) "blocked on"
+    [
+      "cond chan ch not_empty";
+      "cond chan ch not_empty (timed)";
+      "cond chan full not_full";
+      "cond c";
+    ]
+    (List.map Sched.task_blocked_on [ recv; timed; send; wait ]);
+  Alcotest.(check string) "cond name" "c" (Cond.name c)
+
 let test_cond_waiter_count () =
   let s = Sched.create () in
   let c = Cond.create "c" in
@@ -1067,5 +1096,6 @@ let () =
           Alcotest.test_case "recv timeout" `Quick test_channel_recv_timeout;
           Alcotest.test_case "try ops and stats" `Quick test_channel_try_ops_and_stats;
           Alcotest.test_case "close" `Quick test_channel_close;
+          Alcotest.test_case "wait reasons" `Quick test_channel_wait_reasons;
         ] );
     ]

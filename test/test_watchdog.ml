@@ -25,15 +25,24 @@ let test_report_pp () =
 
 (* --- context table --- *)
 
+(* One hook fire delivering (tmp variable, value) pairs, through a capture
+   resolved for exactly those variables. *)
+let sink w ~now hook_id pairs =
+  match Wcontext.capture w ~hook_id ~vars:(List.map fst pairs) with
+  | None -> ()
+  | Some c ->
+      Wcontext.deliver c ~now
+        (Array.of_list (List.map (fun (_, v) -> Some v) pairs))
+
 let test_wcontext_readiness () =
   let w = Wcontext.create () in
   Wcontext.register_unit w ~unit_id:"u" ~params:[ "a"; "b" ];
   Wcontext.bind_hook w ~hook_id:0 ~unit_id:"u" ~captures:[ ("a", "t_a") ];
   Wcontext.bind_hook w ~hook_id:1 ~unit_id:"u" ~captures:[ ("b", "t_b") ];
   check "not ready" false (Wcontext.ready w "u");
-  Wcontext.sink w ~now:1L 0 [ ("t_a", VInt 1) ];
+  sink w ~now:1L 0 [ ("t_a", VInt 1) ];
   check "half ready" false (Wcontext.ready w "u");
-  Wcontext.sink w ~now:2L 1 [ ("t_b", VInt 2) ];
+  sink w ~now:2L 1 [ ("t_b", VInt 2) ];
   check "ready" true (Wcontext.ready w "u");
   match Wcontext.args w "u" with
   | Some [ VInt 1; VInt 2 ] -> ()
@@ -50,7 +59,7 @@ let test_wcontext_replication () =
   Wcontext.register_unit w ~unit_id:"u" ~params:[ "a" ];
   Wcontext.bind_hook w ~hook_id:0 ~unit_id:"u" ~captures:[ ("a", "t") ];
   let stored = Bytes.of_string "XY" in
-  Wcontext.sink w ~now:1L 0 [ ("t", VBytes stored) ];
+  sink w ~now:1L 0 [ ("t", VBytes stored) ];
   (match Wcontext.args w "u" with
   | Some [ VBytes b ] ->
       check "fetched buffer never aliases the stored one" false (b == stored);
@@ -59,7 +68,7 @@ let test_wcontext_replication () =
       Alcotest.(check string) "stored context intact" "XY" (Bytes.to_string stored);
       (* a new capture invalidates the cached copy: the next fetch reflects
          the fresh capture, untouched by the earlier handout *)
-      Wcontext.sink w ~now:2L 0 [ ("t", VBytes (Bytes.of_string "XY")) ];
+      sink w ~now:2L 0 [ ("t", VBytes (Bytes.of_string "XY")) ];
       (match Wcontext.args w "u" with
       | Some [ VBytes b2 ] ->
           Alcotest.(check string) "fresh copy after rewrite" "XY"
@@ -72,15 +81,15 @@ let test_wcontext_staleness () =
   let w = Wcontext.create () in
   Wcontext.register_unit w ~unit_id:"u" ~params:[ "a" ];
   Wcontext.bind_hook w ~hook_id:0 ~unit_id:"u" ~captures:[ ("a", "t") ];
-  Wcontext.sink w ~now:(Time.sec 1) 0 [ ("t", VInt 1) ];
+  sink w ~now:(Time.sec 1) 0 [ ("t", VInt 1) ];
   check "age measured" true
     (Wcontext.staleness w ~now:(Time.sec 5) "u" = Some (Time.sec 4));
-  Wcontext.sink w ~now:(Time.sec 6) 0 [ ("t", VInt 2) ];
+  sink w ~now:(Time.sec 6) 0 [ ("t", VInt 2) ];
   check "refreshed" true (Wcontext.staleness w ~now:(Time.sec 6) "u" = Some 0L)
 
 let test_wcontext_unknown_hook_ignored () =
   let w = Wcontext.create () in
-  Wcontext.sink w ~now:0L 99 [ ("x", VInt 0) ];
+  sink w ~now:0L 99 [ ("x", VInt 0) ];
   check "no units" true (Wcontext.args w "nothing" = None)
 
 (* COW-vs-eager differential: drive the real table and an eager-copy
@@ -145,7 +154,7 @@ let prop_wcontext_cow_matches_eager =
               (* each table gets a private copy of the captured value, as
                  the interpreter's hook path provides *)
               let v_cow = copy_value v in
-              Wcontext.sink w ~now:!now 0 [ (tmp, v_cow) ];
+              sink w ~now:!now 0 [ (tmp, v_cow) ];
               Hashtbl.replace stored param v_cow;
               Hashtbl.replace eager param (copy_value v)
           | `Read -> (
