@@ -270,16 +270,17 @@ let scenario_cmd =
         let sched = Wd_sim.Sched.create ~seed:cfg.Wd_harness.Campaign.seed () in
         let tr = Wd_sim.Trace.create ~capacity:16384 () in
         Wd_sim.Sched.set_trace sched tr;
-        let reg = Wd_env.Faultreg.create () in
         let booted =
-          Wd_harness.Systems.boot ~sched ~reg
+          Wd_harness.Campaign.boot
+            ~schedule:cfg.Wd_harness.Campaign.schedule ~sched
             ~mode:cfg.Wd_harness.Campaign.mode
+            ~infer:cfg.Wd_harness.Campaign.infer
             ?special:scenario.Wd_faults.Catalog.special
             scenario.Wd_faults.Catalog.system
         in
         ignore (Wd_sim.Sched.run ~until:cfg.Wd_harness.Campaign.warmup sched);
         let inject_at = Wd_sim.Sched.now sched in
-        ignore (Wd_faults.Catalog.inject reg scenario ~at:inject_at);
+        Wd_harness.Campaign.inject booted scenario;
         (* stop shortly after the first report to keep the timeline tight *)
         let stop_at = ref Int64.max_int in
         Wd_watchdog.Driver.on_report booted.Wd_harness.Systems.b_driver

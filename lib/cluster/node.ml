@@ -57,6 +57,55 @@ let kind_of_checker_id id : Checker.kind =
   else if has_prefix "signal:" then Checker.Signal
   else Checker.Mimic
 
+(* What one target system contributes to the node skeleton in [boot]. *)
+type parts = {
+  p_target : target;
+  p_res : Wd_ir.Runtime.resources;
+  p_main : Wd_ir.Interp.t;
+  p_queue : string;  (* request queue the signal checker samples *)
+  p_period : int64;  (* client workload period *)
+  p_op : int -> [ `Ok of Wd_ir.Ast.value | `Err of string | `Timeout ];
+  p_start : unit -> Wd_sim.Sched.task list;
+  p_entries : string list;
+      (* recovery components: the first tasks of [start], in order *)
+}
+
+let zk_parts ~sched ~reg prog =
+  let module Z = Wd_targets.Zkmini in
+  let t = Z.boot ~sched ~reg ~prog () in
+  {
+    p_target = Zk t;
+    p_res = t.Z.res;
+    p_main = t.Z.leader;
+    p_queue = Z.request_queue;
+    p_period = Wd_sim.Time.ms 60;
+    p_op =
+      (fun i ->
+        let path = Fmt.str "/node%02d" (i mod 20) in
+        if i mod 3 = 0 then Z.get t ~path
+        else Z.create t ~path ~data:(Fmt.str "d%d" i));
+    p_start = (fun () -> Z.start t);
+    p_entries = Z.leader_entries;
+  }
+
+let cs_parts ~sched ~reg prog =
+  let module C = Wd_targets.Cstore in
+  let t = C.boot ~sched ~reg ~prog () in
+  {
+    p_target = Cs t;
+    p_res = t.C.res;
+    p_main = t.C.main;
+    p_queue = C.request_queue;
+    p_period = Wd_sim.Time.ms 50;
+    p_op =
+      (fun i ->
+        let key = Fmt.str "row%03d" (i mod 40) in
+        if i mod 3 = 2 then C.read t ~key
+        else C.write t ~key ~value:(Fmt.str "cell%d" i));
+    p_start = (fun () -> C.start t);
+    p_entries = C.entries;
+  }
+
 let boot ?schedule ~sched ~system ~index () =
   let id = Fabric.node_name index in
   let reg = Wd_env.Faultreg.create () in
@@ -66,95 +115,45 @@ let boot ?schedule ~sched ~system ~index () =
   let digests = ref [] in
   Driver.on_report driver (fun r ->
       digests := take digest_cap (digest_of r :: !digests));
-  match (system : Topology.system) with
-  | Topology.Zkmini ->
-      let prog = Wd_targets.Zkmini.program () in
-      let g = Generate.analyze_cached prog in
-      let t =
-        Wd_targets.Zkmini.boot ~sched ~reg
-          ~prog:g.Generate.red.Wd_analysis.Reduction.instrumented ()
-      in
-      ignore
-        (Generate.attach ~progress:(Wd_sim.Time.sec 20) g ~sched
-           ~main:t.Wd_targets.Zkmini.leader ~driver);
-      Driver.add_checker driver
-        (Wd_detectors.Signalmon.queue_depth ~id:"signal:reqq"
-           ~res:t.Wd_targets.Zkmini.res ~queue:Wd_targets.Zkmini.request_queue
-           ~max_depth:64);
-      let wl =
-        Wd_targets.Workload.spawn
-          ~name:(id ^ "-client")
-          ~sched ~period:(Wd_sim.Time.ms 60)
-          ~op:(fun i ->
-            let path = Fmt.str "/node%02d" (i mod 20) in
-            if i mod 3 = 0 then Wd_targets.Zkmini.get t ~path
-            else Wd_targets.Zkmini.create t ~path ~data:(Fmt.str "d%d" i))
-          wstats
-      in
-      let tasks = Wd_targets.Zkmini.start t in
-      (* leader entries come first in [start]'s task list *)
-      Generate.register_components recovery ~sched
-        ~main:t.Wd_targets.Zkmini.leader
-        ~entries:Wd_targets.Zkmini.leader_entries
-        ~tasks:(take (List.length Wd_targets.Zkmini.leader_entries) tasks);
-      Driver.start driver;
-      {
-        index;
-        id;
-        system = Topology.system_name system;
-        sched;
-        reg;
-        driver;
-        workload = wstats;
-        target = Zk t;
-        res = t.Wd_targets.Zkmini.res;
-        tasks = wl :: tasks;
-        recovery;
-        digests;
-      }
-  | Topology.Cstore ->
-      let prog = Wd_targets.Cstore.program () in
-      let g = Generate.analyze_cached prog in
-      let t =
-        Wd_targets.Cstore.boot ~sched ~reg
-          ~prog:g.Generate.red.Wd_analysis.Reduction.instrumented ()
-      in
-      ignore
-        (Generate.attach ~progress:(Wd_sim.Time.sec 20) g ~sched
-           ~main:t.Wd_targets.Cstore.main ~driver);
-      Driver.add_checker driver
-        (Wd_detectors.Signalmon.queue_depth ~id:"signal:reqq"
-           ~res:t.Wd_targets.Cstore.res ~queue:Wd_targets.Cstore.request_queue
-           ~max_depth:64);
-      let wl =
-        Wd_targets.Workload.spawn
-          ~name:(id ^ "-client")
-          ~sched ~period:(Wd_sim.Time.ms 50)
-          ~op:(fun i ->
-            let key = Fmt.str "row%03d" (i mod 40) in
-            if i mod 3 = 2 then Wd_targets.Cstore.read t ~key
-            else Wd_targets.Cstore.write t ~key ~value:(Fmt.str "cell%d" i))
-          wstats
-      in
-      let tasks = Wd_targets.Cstore.start t in
-      Generate.register_components recovery ~sched
-        ~main:t.Wd_targets.Cstore.main ~entries:Wd_targets.Cstore.entries
-        ~tasks;
-      Driver.start driver;
-      {
-        index;
-        id;
-        system = Topology.system_name system;
-        sched;
-        reg;
-        driver;
-        workload = wstats;
-        target = Cs t;
-        res = t.Wd_targets.Cstore.res;
-        tasks = wl :: tasks;
-        recovery;
-        digests;
-      }
+  let prog, parts =
+    match (system : Topology.system) with
+    | Topology.Zkmini -> (Wd_targets.Zkmini.program (), zk_parts)
+    | Topology.Cstore -> (Wd_targets.Cstore.program (), cs_parts)
+  in
+  let g = Generate.analyze_cached prog in
+  let p =
+    parts ~sched ~reg g.Generate.red.Wd_analysis.Reduction.instrumented
+  in
+  ignore
+    (Generate.attach ~progress:(Wd_sim.Time.sec 20) g ~sched ~main:p.p_main
+       ~driver);
+  Driver.add_checker driver
+    (Wd_detectors.Signalmon.queue_depth ~id:"signal:reqq" ~res:p.p_res
+       ~queue:p.p_queue ~max_depth:64);
+  let wl =
+    Wd_targets.Workload.spawn
+      ~name:(id ^ "-client")
+      ~sched ~period:p.p_period ~op:p.p_op wstats
+  in
+  let tasks = p.p_start () in
+  Generate.register_components recovery ~sched ~main:p.p_main
+    ~entries:p.p_entries
+    ~tasks:(take (List.length p.p_entries) tasks);
+  Driver.start driver;
+  {
+    index;
+    id;
+    system = Topology.system_name system;
+    sched;
+    reg;
+    driver;
+    workload = wstats;
+    target = p.p_target;
+    res = p.p_res;
+    tasks = wl :: tasks;
+    recovery;
+    digests;
+  }
 
 (* Bounded end-to-end client operation, run by the membership responder
    before acking a peer's probe: a limping node answers gossip (pure

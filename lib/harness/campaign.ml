@@ -117,28 +117,34 @@ let default_config =
     schedule = Wd_watchdog.Schedule.fixed;
   }
 
-let run_raw cfg ~system ~scenario () =
-  let sched = Wd_sim.Sched.create ~seed:cfg.seed () in
+(* Every single-node world boots here. The monitor must own the trace
+   before the system boots so startup ops (recovery reads, first writes)
+   are part of its ordering state, exactly as they were during mining. *)
+let boot ?schedule ~sched ~mode ~infer ?special system =
   let reg = Wd_env.Faultreg.create () in
-  let special = Option.bind scenario (fun s -> s.Catalog.special) in
-  (* The monitor must own the trace before the system boots so startup ops
-     (recovery reads, first writes) are part of its ordering state, exactly
-     as they were during mining. *)
-  let monitor =
-    Option.map (fun _ -> Wd_infer.Monitor.create sched) cfg.infer
-  in
-  (* Pre-register the boot work inside a bootstrap task? Boot functions only
-     create tasks; client/probe activity happens once the sim runs. *)
-  let booted =
-    Systems.boot ~schedule:cfg.schedule ~sched ~reg ~mode:cfg.mode ?special
-      system
-  in
-  (match (cfg.infer, monitor) with
-  | Some model, Some monitor ->
+  match infer with
+  | None -> Systems.boot ?schedule ~sched ~reg ~mode ?special system
+  | Some model ->
+      let monitor = Wd_infer.Monitor.create sched in
+      let booted = Systems.boot ?schedule ~sched ~reg ~mode ?special system in
       List.iter
         (Driver.add_checker booted.Systems.b_driver)
-        (Wd_infer.Checkers.compile ~model ~monitor ())
-  | _ -> ());
+        (Wd_infer.Checkers.compile ~model ~monitor ());
+      booted
+
+let inject (booted : Systems.booted) (s : Catalog.scenario) =
+  let at = Wd_sim.Sched.now booted.Systems.b_sched in
+  ignore (Catalog.inject booted.Systems.b_reg s ~at);
+  if s.Catalog.special = Some "crash" then
+    Wd_sim.Sched.at booted.Systems.b_sched at booted.Systems.b_crash
+
+let run_raw cfg ~system ~scenario () =
+  let sched = Wd_sim.Sched.create ~seed:cfg.seed () in
+  let booted =
+    boot ~schedule:cfg.schedule ~sched ~mode:cfg.mode ~infer:cfg.infer
+      ?special:(Option.bind scenario (fun s -> s.Catalog.special))
+      system
+  in
   (match Wd_sim.Sched.run ~until:cfg.warmup sched with
   | Wd_sim.Sched.Time_limit | Wd_sim.Sched.Quiescent -> ()
   | Wd_sim.Sched.Deadlock tasks ->
@@ -147,12 +153,7 @@ let run_raw cfg ~system ~scenario () =
            Fmt.(list ~sep:(any ", ") Wd_sim.Sched.pp_task)
            tasks));
   let inject_at = Wd_sim.Sched.now sched in
-  (match scenario with
-  | Some s ->
-      ignore (Catalog.inject reg s ~at:inject_at);
-      if s.Catalog.special = Some "crash" then
-        Wd_sim.Sched.at sched inject_at booted.Systems.b_crash
-  | None -> ());
+  Option.iter (inject booted) scenario;
   let until = Int64.add inject_at cfg.observe in
   (match Wd_sim.Sched.run ~until sched with
   | Wd_sim.Sched.Time_limit | Wd_sim.Sched.Quiescent -> ()

@@ -1805,68 +1805,51 @@ let e22_deploy_specs =
     ("inferred-on", Systems.Wd_none, true);
   ]
 
-let e22_boot ?schedule ~sched ~mode ~infer system =
-  let reg = Wd_env.Faultreg.create () in
-  (* monitor before boot: startup ops are part of its ordering state,
-     exactly as during mining (same rule as Campaign.run_raw) *)
-  let monitor = Option.map (fun _ -> Wd_infer.Monitor.create sched) infer in
-  let booted = Systems.boot ?schedule ~sched ~reg ~mode system in
-  (match (infer, monitor) with
-  | Some model, Some monitor ->
-      List.iter
-        (Driver.add_checker booted.Systems.b_driver)
-        (Wd_infer.Checkers.compile ~model ~monitor ())
-  | _ -> ());
-  (booted, reg)
+(* Spawn a workload's generator against a booted world and wire its
+   in-flight count into the driver's scheduler as the arrival-stream
+   pressure probe (a no-op under the default fixed policy). *)
+let e22_spawn ~label ~requests ~gen (booted : Systems.booted) =
+  let sched = booted.Systems.b_sched and op = booted.Systems.b_client in
+  let g =
+    match gen with
+    | `Closed ->
+        Loadgen.spawn_closed ~label ~sched ~clients:32
+          ~think:(Wd_sim.Time.us 50) ~requests ~op ()
+    | `Open rate ->
+        Loadgen.spawn_open ~label ~sched ~rate_rps:rate ~max_inflight:512
+          ~requests ~op ()
+  in
+  Wd_watchdog.Schedule.set_load_probe
+    (Driver.schedule booted.Systems.b_driver)
+    (fun () -> Loadgen.inflight g);
+  g
 
-(* One clean load run: boot, offer [requests], account every arrival. The
-   loadgen's in-flight count is wired into the driver's scheduler as its
-   arrival-stream pressure probe (a no-op under the default fixed policy).
+(* One clean load run: boot, offer [requests], account every arrival.
    [hooks_only] stops the driver right after boot: the instrumented program
    keeps feeding contexts but no checker ever runs — the baseline that
    splits watchdog overhead into context-sync vs checker-scheduling. *)
 let e22_perf ?schedule ?(hooks_only = false) ~requests ~gen ~mode ~infer
     system =
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-  let booted, _reg = e22_boot ?schedule ~sched ~mode ~infer system in
+  let booted = Campaign.boot ?schedule ~sched ~mode ~infer system in
   if hooks_only then Driver.stop booted.Systems.b_driver;
-  let g =
-    match gen with
-    | `Closed ->
-        Loadgen.spawn_closed ~label:system ~sched ~clients:32
-          ~think:(Wd_sim.Time.us 50) ~requests
-          ~op:booted.Systems.b_client ()
-    | `Open rate ->
-        Loadgen.spawn_open ~label:system ~sched ~rate_rps:rate
-          ~max_inflight:512 ~requests ~op:booted.Systems.b_client ()
-  in
-  Wd_watchdog.Schedule.set_load_probe
-    (Driver.schedule booted.Systems.b_driver)
-    (fun () -> Loadgen.inflight g);
-  let r = Loadgen.drive g in
+  let r = Loadgen.drive (e22_spawn ~label:system ~requests ~gen booted) in
   let _, _, events = Wd_sim.Sched.stats sched in
-  (r, events, Wd_watchdog.Schedule.stats (Driver.schedule booted.Systems.b_driver))
+  let driver = booted.Systems.b_driver in
+  let runs =
+    List.fold_left
+      (fun n c -> n + c.Driver.cs_executions)
+      0 (Driver.stats driver)
+  in
+  (r, events, (runs, Wd_watchdog.Schedule.stats (Driver.schedule driver)))
 
 (* Detection latency under load: same boot, same generator, but a catalog
    fault lands after a 2s ramp while clients keep hammering; latency is the
    first driver report at or after the injection instant. *)
 let e22_detect ?schedule ~requests ~gen ~mode ~infer ~sid system =
-  let scenario = Catalog.find sid in
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-  let booted, reg = e22_boot ?schedule ~sched ~mode ~infer system in
-  let g =
-    match gen with
-    | `Closed ->
-        Loadgen.spawn_closed ~label:(system ^ "+fault") ~sched ~clients:32
-          ~think:(Wd_sim.Time.us 50) ~requests
-          ~op:booted.Systems.b_client ()
-    | `Open rate ->
-        Loadgen.spawn_open ~label:(system ^ "+fault") ~sched ~rate_rps:rate
-          ~max_inflight:512 ~requests ~op:booted.Systems.b_client ()
-  in
-  Wd_watchdog.Schedule.set_load_probe
-    (Driver.schedule booted.Systems.b_driver)
-    (fun () -> Loadgen.inflight g);
+  let booted = Campaign.boot ?schedule ~sched ~mode ~infer system in
+  let g = e22_spawn ~label:(system ^ "+fault") ~requests ~gen booted in
   let step u =
     match Wd_sim.Sched.run ~until:u sched with
     | Wd_sim.Sched.Time_limit | Wd_sim.Sched.Quiescent
@@ -1875,9 +1858,7 @@ let e22_detect ?schedule ~requests ~gen ~mode ~infer ~sid system =
   in
   step (Wd_sim.Time.sec 2);
   let inject_at = Wd_sim.Sched.now sched in
-  ignore (Catalog.inject reg scenario ~at:inject_at);
-  if scenario.Catalog.special = Some "crash" then
-    Wd_sim.Sched.at sched inject_at booted.Systems.b_crash;
+  Campaign.inject booted (Catalog.find sid);
   let detected = ref None in
   let deadline = Int64.add inject_at (Wd_sim.Time.sec 30) in
   let t = ref inject_at in
@@ -2012,12 +1993,8 @@ let e22_alloc ?(requests = 20_000) () =
       if with_infer then None
       else
         let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-        let booted, _reg = e22_boot ~sched ~mode ~infer:None "zkmini" in
-        let g =
-          Loadgen.spawn_closed ~label:"zkmini" ~sched ~clients:32
-            ~think:(Wd_sim.Time.us 50) ~requests
-            ~op:booted.Systems.b_client ()
-        in
+        let booted = Campaign.boot ~sched ~mode ~infer:None "zkmini" in
+        let g = e22_spawn ~label:"zkmini" ~requests ~gen:`Closed booted in
         let w0 = Gc.minor_words () in
         let r = Loadgen.drive g in
         let dw = Gc.minor_words () -. w0 in
@@ -2296,8 +2273,8 @@ let e23_run ?(requests = e22_default_requests) () =
         in
         let sstats =
           List.fold_left
-            (fun (runs, dedups, shared, peak) (_, _, st) ->
-              ( runs + st.Schedule.st_runs,
+            (fun (runs, dedups, shared, peak) (_, _, (n, st)) ->
+              ( runs + n,
                 dedups + st.Schedule.st_dedup_skips,
                 shared + st.Schedule.st_shared_syncs,
                 Float.max peak st.Schedule.st_throttle_peak ))

@@ -39,11 +39,8 @@ let default_cfg =
 (* One mining run: boot [system] fault-free with a recorder attached. *)
 let mine_run ~warmup ~observe ~seed system =
   let sched = Wd_sim.Sched.create ~seed () in
-  let reg = Wd_env.Faultreg.create () in
   let recorder = Mine.attach sched in
-  let _booted =
-    Systems.boot ~sched ~reg ~mode:Systems.Wd_generated system
-  in
+  ignore (Campaign.boot ~sched ~mode:Systems.Wd_generated ~infer:None system);
   (match Wd_sim.Sched.run ~until:(Int64.add warmup observe) sched with
   | Wd_sim.Sched.Time_limit | Wd_sim.Sched.Quiescent -> ()
   | Wd_sim.Sched.Deadlock tasks ->

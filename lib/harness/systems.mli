@@ -35,8 +35,10 @@ val boot :
   ?special:string ->
   string ->
   booted
-(** Boot "kvs", "zkmini", "dfsmini" or "cstore". [special] selects boot
-    variants: "leak_bug", "in_memory", "burst" (kvs only); [schedule] the
+(** Boot "kvs", "zkmini", "dfsmini", "cstore" or "mqbroker" through the
+    one skeleton every target shares. [special] selects boot variants:
+    "leak_bug", "deadlock_bug", "in_memory", "burst" (kvs) and "spin_bug"
+    (cstore); other values boot the plain system. [schedule] is the
     checker scheduling policy (default {!Wd_watchdog.Schedule.fixed}). *)
 
 val all_systems : string list

@@ -27,7 +27,10 @@ type entry = {
   mutable timeouts : int;
   mutable dedups : int; (* adaptive-schedule dedup skips; never ran *)
   mutable consecutive : int;
-  mutable last_key : string;
+  (* the last delivered finding, the dedup key: every report of an entry
+     carries the entry's own checker id, so kind and site identify it *)
+  mutable last_fkind : string;
+  mutable last_loc : Wd_ir.Loc.t option;
   mutable last_report_at : int64;
   mutable lat_baseline : float; (* EWMA of fault-free run duration, ns *)
   mutable lat_samples : int;
@@ -39,9 +42,6 @@ type t = {
   sched : Wd_sim.Sched.t;
   policy : Policy.t;
   schedule : Schedule.t;
-  (* dedup keys, memoised per (checker, failure kind, loc uid): a report
-     storm from one site re-delivers the same key without re-formatting *)
-  keys : (string * string * int, string) Hashtbl.t;
   mutable entries : entry list;
   mutable reports : Report.t list;
   mutable suppressed : Report.t list;
@@ -56,7 +56,6 @@ let create ?(policy = Policy.default) ?(schedule = Schedule.fixed) sched =
     sched;
     policy;
     schedule = Schedule.create schedule sched;
-    keys = Hashtbl.create 64;
     entries = [];
     reports = [];
     suppressed = [];
@@ -70,36 +69,24 @@ let schedule t = t.schedule
 
 let on_report t action = t.actions <- action :: t.actions
 
-let report_key t r =
-  let fkind = Report.fkind_name r.Report.fkind in
-  let uid =
-    match r.Report.loc with Some l -> Wd_ir.Loc.uid l | None -> min_int
-  in
-  let k = (r.Report.checker_id, fkind, uid) in
-  match Hashtbl.find_opt t.keys k with
-  | Some key -> key
-  | None ->
-      let key =
-        r.Report.checker_id ^ "/" ^ fkind ^ "/"
-        ^ (if uid = min_int then "-" else string_of_int uid)
-      in
-      Hashtbl.add t.keys k key;
-      key
+let same_site a b = Wd_ir.Loc.uid a = Wd_ir.Loc.uid b
 
 let deliver t entry (r : Report.t) =
   entry.consecutive <- entry.consecutive + 1;
   entry.failures <- entry.failures + 1;
   if entry.consecutive < t.policy.confirmations then ()
   else begin
-    let key = report_key t r in
+    let fkind = Report.fkind_name r.Report.fkind in
     let now = Wd_sim.Sched.now t.sched in
     let duplicate =
-      String.equal key entry.last_key
+      String.equal fkind entry.last_fkind
+      && Option.equal same_site r.Report.loc entry.last_loc
       && Int64.sub now entry.last_report_at < t.policy.dedup_window
     in
     if duplicate then ()
     else begin
-      entry.last_key <- key;
+      entry.last_fkind <- fkind;
+      entry.last_loc <- r.Report.loc;
       entry.last_report_at <- now;
       (match (t.policy.validate, entry.checker.Checker.kind) with
       | Some validate, Checker.Mimic -> r.validated <- Some (validate r)
@@ -259,7 +246,8 @@ let add_checker t checker =
       timeouts = 0;
       dedups = 0;
       consecutive = 0;
-      last_key = "";
+      last_fkind = "";
+      last_loc = None;
       last_report_at = -1_000_000_000_000_000L; (* overflow-safe "never" *)
       lat_baseline = 0.0;
       lat_samples = 0;

@@ -73,7 +73,6 @@ type slot = {
 type stats = {
   st_policy : string;
   st_batches : int;
-  st_runs : int;
   st_dedup_skips : int;
   st_shared_syncs : int;
   st_windows : int;
@@ -90,7 +89,6 @@ type t = {
   mutable window_events0 : int; (* sched events fired at window start *)
   mutable window_checker_events : int; (* events charged to checker runs *)
   mutable batches : int;
-  mutable runs : int;
   mutable dedup_skips : int;
   mutable shared_syncs : int;
   mutable windows : int;
@@ -108,7 +106,6 @@ let create policy sched =
     window_events0 = (let _, _, ev = Wd_sim.Sched.stats sched in ev);
     window_checker_events = 0;
     batches = 0;
-    runs = 0;
     dedup_skips = 0;
     shared_syncs = 0;
     windows = 0;
@@ -246,7 +243,6 @@ let decide t sl =
    one effective period after completion (mirroring the fixed loop, which
    sleeps the period after the run returns). *)
 let note_run t sl ~started ~events_cost =
-  t.runs <- t.runs + 1;
   t.window_checker_events <- t.window_checker_events + events_cost;
   sl.sl_last_run <- started;
   sl.sl_last_version <- sl.sl_batch_version;
@@ -258,7 +254,6 @@ let stats t =
   {
     st_policy = policy_name t.policy;
     st_batches = t.batches;
-    st_runs = t.runs;
     st_dedup_skips = t.dedup_skips;
     st_shared_syncs = t.shared_syncs;
     st_windows = t.windows;

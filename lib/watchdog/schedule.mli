@@ -89,7 +89,6 @@ val throttle : t -> float
 type stats = {
   st_policy : string;
   st_batches : int;  (** dispatch rounds with at least one due checker *)
-  st_runs : int;  (** checker executions dispatched *)
   st_dedup_skips : int;  (** runs skipped on unchanged context version *)
   st_shared_syncs : int;
       (** co-scheduled runs beyond the first of their batch — runs that

@@ -174,6 +174,133 @@ let test_loadgen_open_sheds () =
     (r.Loadgen.lr_requests + r.Loadgen.lr_shed = 5_000);
   check "overload sheds" true (r.Loadgen.lr_shed > 0)
 
+(* A crash scenario kills the whole process, watchdog included: once
+   [Campaign.inject] has landed kvs-crash, no checker starts another run. *)
+let test_crash_injection_stops_watchdog () =
+  let sched = Wd_sim.Sched.create ~seed:42 () in
+  let b = Campaign.boot ~sched ~mode:Systems.Wd_generated ~infer:None "kvs" in
+  let executions () =
+    List.fold_left
+      (fun n st -> n + st.Wd_watchdog.Driver.cs_executions)
+      0
+      (Wd_watchdog.Driver.stats b.Systems.b_driver)
+  in
+  ignore (Wd_sim.Sched.run ~until:(Time.sec 8) sched);
+  check "watchdog ran before the crash" true (executions () > 0);
+  Campaign.inject b (Wd_faults.Catalog.find "kvs-crash");
+  ignore (Wd_sim.Sched.run ~until:(Time.ms 8001) sched);
+  let at_crash = executions () in
+  ignore (Wd_sim.Sched.run ~until:(Time.sec 30) sched);
+  check_int "no checker runs after the crash" at_crash (executions ())
+
+(* Pinned boot fingerprints: every system under every watchdog mode, fault
+   free and with every boot variant the catalog names for it, run for 10
+   virtual seconds. The digest covers the scheduler's counters, the
+   driver's checker ids in registration order, the booted tasks' ids and
+   names, and the background workload's counters, so a boot that spawns,
+   registers or orders anything differently moves it. *)
+let boot_fingerprint ~mode ?special system =
+  let sched = Wd_sim.Sched.create ~seed:42 () in
+  let reg = Wd_env.Faultreg.create () in
+  let b = Systems.boot ~sched ~reg ~mode ?special system in
+  ignore (Wd_sim.Sched.run ~until:(Time.sec 10) sched);
+  let spawned, switches, events = Wd_sim.Sched.stats sched in
+  let ids =
+    List.map
+      (fun st -> st.Wd_watchdog.Driver.cs_id)
+      (Wd_watchdog.Driver.stats b.Systems.b_driver)
+  in
+  let tasks =
+    List.map
+      (fun t ->
+        Fmt.str "%d:%s" (Wd_sim.Sched.task_id t) (Wd_sim.Sched.task_name t))
+      b.Systems.b_tasks
+  in
+  let w = b.Systems.b_workload in
+  Digest.to_hex
+    (Digest.string
+       (Fmt.str "%d/%d/%d/%s/%s/%d/%d/%Ld" spawned switches events
+          (String.concat "," ids) (String.concat "," tasks)
+          w.Wd_targets.Workload.issued w.Wd_targets.Workload.ok
+          w.Wd_targets.Workload.total_latency))
+
+let pinned_boots =
+  [
+    ("kvs", "generated", None, "32c616e612da234f0df51d7a7a993d0a");
+    ("kvs", "generated", Some "crash", "32c616e612da234f0df51d7a7a993d0a");
+    ("kvs", "generated", Some "deadlock_bug", "d1b7cf057ac4a4505ddd3e6e6f557ff4");
+    ("kvs", "generated", Some "leak_bug", "b1e203b103a5672e2a49ec58dfe418e4");
+    ("kvs", "no-context", None, "aa4cbc220771b53959405cd51f02cd12");
+    ("kvs", "no-context", Some "crash", "aa4cbc220771b53959405cd51f02cd12");
+    ("kvs", "no-context", Some "deadlock_bug", "a5408669a39b5ce57e7bb2eb85b426db");
+    ("kvs", "no-context", Some "leak_bug", "a43e8a017023d88ab0e5cc2195a24af2");
+    ("kvs", "none", None, "693d10d68222ab6a106ba8c05fcedf38");
+    ("kvs", "none", Some "crash", "693d10d68222ab6a106ba8c05fcedf38");
+    ("kvs", "none", Some "deadlock_bug", "1b1e9815984fc683a01b2b291c7ad95b");
+    ("kvs", "none", Some "leak_bug", "68f4fe3951ad54d6fc26be47cb75a8d4");
+    ("zkmini", "generated", None, "1300e572017bb23ec93193b81586ee0d");
+    ("zkmini", "no-context", None, "8d7d1ad8a3ed8770ea6f020dff9becd4");
+    ("zkmini", "none", None, "93613087e8192f029876e33455d5d839");
+    ("dfsmini", "generated", None, "d92e52f5b57e4cf6f0fc7067d7588713");
+    ("dfsmini", "no-context", None, "b5ca9179699633ca026e08477705f25e");
+    ("dfsmini", "none", None, "a2bac5289b20512fabf1039b13a4ef99");
+    ("cstore", "generated", None, "524a59a608e13e523a02c83397cc85ed");
+    ("cstore", "generated", Some "spin_bug", "69c74fa4dd7c1e4f326937b76ee30791");
+    ("cstore", "no-context", None, "45243ab66208c9356b7dabc807724fc6");
+    ("cstore", "no-context", Some "spin_bug", "1a06330ec4072f4bee04bb3c66f8ecc9");
+    ("cstore", "none", None, "216e574779b33cafe3c82f060eca125f");
+    ("cstore", "none", Some "spin_bug", "6f3896208641c41544db125acbaf059a");
+    ("mqbroker", "generated", None, "e2b9e98121464663e8cb78e0678d3221");
+    ("mqbroker", "no-context", None, "55441432efb8081f0aa0f3c3bbf6a506");
+    ("mqbroker", "none", None, "29d6c751b69f4ce2a1ec651bb0dd56b3");
+  ]
+
+let test_boot_fingerprints () =
+  let modes =
+    [
+      ("generated", Systems.Wd_generated);
+      ("no-context", Systems.Wd_no_context);
+      ("none", Systems.Wd_none);
+    ]
+  in
+  let cases =
+    List.concat_map
+      (fun system ->
+        let specials =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun s ->
+                 if s.Wd_faults.Catalog.system = system then
+                   s.Wd_faults.Catalog.special
+                 else None)
+               Wd_faults.Catalog.all)
+        in
+        List.concat_map
+          (fun (mname, _) ->
+            List.map
+              (fun special -> (system, mname, special))
+              (None :: List.map Option.some specials))
+          modes)
+      Systems.all_systems
+  in
+  check_int "every case pinned" (List.length cases) (List.length pinned_boots);
+  List.iter
+    (fun (system, mname, special) ->
+      let name =
+        Fmt.str "%s/%s/%s" system mname (Option.value special ~default:"-")
+      in
+      match
+        List.find_opt
+          (fun (s, m, sp, _) -> s = system && m = mname && sp = special)
+          pinned_boots
+      with
+      | None -> Alcotest.failf "%s not pinned" name
+      | Some (_, _, _, want) ->
+          Alcotest.(check string)
+            name want
+            (boot_fingerprint ~mode:(List.assoc mname modes) ?special system))
+    cases
+
 let test_tables_render () =
   let text =
     Tables.render ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "333"; "4" ] ]
@@ -213,5 +340,9 @@ let () =
             test_loadgen_deterministic;
           Alcotest.test_case "loadgen open-loop sheds overload" `Quick
             test_loadgen_open_sheds;
+          Alcotest.test_case "crash injection stops the watchdog" `Quick
+            test_crash_injection_stops_watchdog;
+          Alcotest.test_case "boot fingerprints pinned" `Quick
+            test_boot_fingerprints;
         ] );
     ]

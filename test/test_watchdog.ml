@@ -215,6 +215,52 @@ let test_driver_reports_failures () =
       (* dedup window suppresses repeats of the same finding *)
       check_int "one deduped report" 1 (List.length (Driver.reports driver)))
 
+(* The dedup key is the finding's kind plus its site: a loc-less report
+   and a located one of the same kind are different findings, and so are
+   two sites of the same kind; only a repeat of the last finding within
+   the window is dropped. *)
+let test_driver_dedup_by_site () =
+  with_driver (fun s driver ->
+      let site uid = Wd_ir.Loc.make ~func:"f" ~path:[] ~uid in
+      let script =
+        [|
+          (None, Report.Hang);
+          (None, Report.Hang);
+          (Some (site 1), Report.Hang);
+          (Some (site 1), Report.Hang);
+          (None, Report.Hang);
+          (Some (site 2), Report.Hang);
+          (Some (site 2), Report.Slow);
+          (Some (site 2), Report.Slow);
+        |]
+      in
+      let n = ref 0 in
+      Driver.add_checker driver
+        (const_checker ~id:"sites" (fun () ->
+             let loc, fkind = script.(min !n (Array.length script - 1)) in
+             incr n;
+             Checker.Fail
+               (Report.make ~at:(Sched.now s) ~checker_id:"sites" ~fkind ?loc ())));
+      Driver.start driver;
+      (* eight runs, one a second, all inside the 30 s dedup window *)
+      ignore (Sched.run ~until:(Time.ms 8500) s);
+      let delivered =
+        List.map
+          (fun (r : Report.t) ->
+            ( Option.map Wd_ir.Loc.uid r.Report.loc,
+              Report.fkind_name r.Report.fkind ))
+          (Driver.reports driver)
+      in
+      check "repeats dropped, sites and kinds kept" true
+        (delivered
+        = [
+            (None, "hang");
+            (Some 1, "hang");
+            (None, "hang");
+            (Some 2, "hang");
+            (Some 2, "slow");
+          ]))
+
 let test_driver_timeout_becomes_hang_report () =
   with_driver (fun s driver ->
       Driver.add_checker driver
@@ -624,6 +670,8 @@ let () =
             test_driver_schedules_periodically;
           Alcotest.test_case "failure reports + dedup" `Quick
             test_driver_reports_failures;
+          Alcotest.test_case "dedup by kind and site" `Quick
+            test_driver_dedup_by_site;
           Alcotest.test_case "timeout -> hang report" `Quick
             test_driver_timeout_becomes_hang_report;
           Alcotest.test_case "survives checker crash" `Quick
