@@ -2,12 +2,13 @@
 
      repro list                    list experiments and failure scenarios
      repro table1 | table2 | ...   run one experiment and print its table
-     repro cluster | failover      fleet plane (E17) / leader failover (E18)
+                                   (one command per Experiments.all entry)
      repro all                     run every experiment
      repro check                   evaluate every hard gate; exit 1 on a failure
      repro scenario <sid>          run one catalog scenario in detail *)
 
 open Cmdliner
+module Experiments = Wd_harness.Experiments
 
 (* Domain-pool width for the parallel campaign engine: a positive integer,
    by the same rule as [WD_JOBS]. A bad flag or a bad [WD_JOBS] is a usage
@@ -38,7 +39,7 @@ let jobs_arg =
   Term.(ret (const with_env $ flag))
 
 let apply_jobs = function
-  | Some n -> Wd_harness.Experiments.set_jobs n
+  | Some n -> Experiments.set_jobs n
   | None -> ()
 
 (* Base seed for experiments that fan out over seed lists (default 42).
@@ -48,27 +49,48 @@ let seed_arg =
   Arg.(value & opt (some int) None & info [ "seed"; "s" ] ~docv:"S" ~doc)
 
 let apply_seed = function
-  | Some s -> Wd_harness.Experiments.set_seed s
+  | Some s -> Experiments.set_seed s
   | None -> ()
 
-let run_experiment name jobs seed =
-  apply_jobs jobs;
-  apply_seed seed;
-  match List.assoc_opt name (Wd_harness.Experiments.all_texts ()) with
-  | Some f ->
-      print_string (f ());
-      0
-  | None ->
-      Fmt.epr "unknown experiment %s@." name;
-      1
+(* The size flag of an experiment that has one; unsized experiments get
+   no flag and their renderer ignores the value. *)
+let size_arg (e : Experiments.t) =
+  match e.Experiments.size with
+  | None -> Term.const 0
+  | Some (s : Experiments.size) ->
+      let doc = s.Experiments.about ^ "." in
+      Arg.(
+        value
+        & opt int s.Experiments.default
+        & info [ s.Experiments.flag ] ~docv:"N" ~doc)
+
+let default_size (e : Experiments.t) =
+  match e.Experiments.size with Some s -> s.Experiments.default | None -> 0
+
+let experiment_cmd (e : Experiments.t) =
+  let run n jobs seed =
+    apply_jobs jobs;
+    apply_seed seed;
+    match e.Experiments.size with
+    | Some s when n < s.Experiments.least ->
+        Fmt.epr "--%s must be >= %d@." s.Experiments.flag s.Experiments.least;
+        1
+    | _ ->
+        print_string (e.Experiments.render n);
+        0
+  in
+  Cmd.v
+    (Cmd.info e.Experiments.name ~doc:e.Experiments.doc)
+    Term.(const run $ size_arg e $ jobs_arg $ seed_arg)
 
 let list_cmd =
   let doc = "List experiments and failure scenarios." in
   let run () =
     print_endline "experiments:";
     List.iter
-      (fun (name, _) -> Printf.printf "  repro %s\n" name)
-      (Wd_harness.Experiments.all_texts ());
+      (fun (e : Experiments.t) ->
+        Printf.printf "  repro %s\n" e.Experiments.name)
+      Experiments.all;
     print_endline "\nfailure scenarios (repro scenario <sid>):";
     List.iter
       (fun s -> Fmt.pr "  %a@." Wd_faults.Catalog.pp_scenario s)
@@ -77,120 +99,18 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-let experiment_cmds =
-  List.filter_map
-    (fun (ename, _) ->
-      if ename = "faultspace" || ename = "load" || ename = "frontier" then
-        None (* dedicated commands below: --worlds / --requests *)
-      else
-        let doc = Printf.sprintf "Run experiment %s." ename in
-        let term =
-          Term.(const run_experiment $ const ename $ jobs_arg $ seed_arg)
-        in
-        Some (Cmd.v (Cmd.info ename ~doc) term))
-    (Wd_harness.Experiments.all_texts ())
-
-let faultspace_cmd =
-  let doc =
-    "Run experiment faultspace (E20): a randomized fault-space sweep of \
-     generated worlds graded against per-world oracles."
-  in
-  let worlds_arg =
-    Arg.(
-      value
-      & opt int Wd_harness.Experiments.e20_default_worlds
-      & info [ "worlds" ] ~docv:"N"
-          ~doc:"Number of worlds in the sweep grid (default $(docv)=1000).")
-  in
-  let run worlds jobs seed =
-    apply_jobs jobs;
-    apply_seed seed;
-    if worlds < 0 then begin
-      Fmt.epr "--worlds must be non-negative@.";
-      1
-    end
-    else begin
-      print_string (Wd_harness.Experiments.e20_text ~worlds ());
-      0
-    end
-  in
-  Cmd.v
-    (Cmd.info "faultspace" ~doc)
-    Term.(const run $ worlds_arg $ jobs_arg $ seed_arg)
-
-let load_cmd =
-  let doc =
-    "Run experiment load (E22): open/closed-loop heavy-traffic load against \
-     single nodes and a fleet, watchdog-on vs -off vs inferred-on, with \
-     detection latency under load."
-  in
-  let requests_arg =
-    Arg.(
-      value
-      & opt int Wd_harness.Experiments.e22_default_requests
-      & info [ "requests" ] ~docv:"N"
-          ~doc:
-            "Request budget per deployment row of each workload (default \
-             $(docv)=60000).")
-  in
-  let run requests jobs seed =
-    apply_jobs jobs;
-    apply_seed seed;
-    if requests <= 0 then begin
-      Fmt.epr "--requests must be positive@.";
-      1
-    end
-    else begin
-      print_string (Wd_harness.Experiments.e22_text ~requests ());
-      0
-    end
-  in
-  Cmd.v
-    (Cmd.info "load" ~doc)
-    Term.(const run $ requests_arg $ jobs_arg $ seed_arg)
-
-let frontier_cmd =
-  let doc =
-    "Run experiment frontier (E23): sweep checker-scheduling modes (fixed \
-     vs adaptive) across the full fault catalog and the E22 load plane, \
-     emitting an overhead-vs-detection-latency frontier table."
-  in
-  let requests_arg =
-    Arg.(
-      value
-      & opt int Wd_harness.Experiments.e22_default_requests
-      & info [ "requests" ] ~docv:"N"
-          ~doc:
-            "Request budget per load-plane run of each scheduling mode \
-             (default $(docv)=60000).")
-  in
-  let run requests jobs seed =
-    apply_jobs jobs;
-    apply_seed seed;
-    if requests <= 0 then begin
-      Fmt.epr "--requests must be positive@.";
-      1
-    end
-    else begin
-      print_string (Wd_harness.Experiments.e23_text ~requests ());
-      0
-    end
-  in
-  Cmd.v
-    (Cmd.info "frontier" ~doc)
-    Term.(const run $ requests_arg $ jobs_arg $ seed_arg)
-
 let all_cmd =
   let doc = "Run every experiment." in
   let run jobs seed =
     apply_jobs jobs;
     apply_seed seed;
-    List.fold_left
-      (fun acc (name, _) ->
-        Printf.printf "\n================ repro %s ================\n\n" name;
-        max acc (run_experiment name None None))
-      0
-      (Wd_harness.Experiments.all_texts ())
+    List.iter
+      (fun (e : Experiments.t) ->
+        Printf.printf "\n================ repro %s ================\n\n"
+          e.Experiments.name;
+        print_string (e.Experiments.render (default_size e)))
+      Experiments.all;
+    0
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ jobs_arg $ seed_arg)
 
@@ -206,7 +126,7 @@ let check_cmd =
     let module Check = Wd_harness.Check in
     let gates =
       Check.evaluate
-        (Check.families ~jobs:(Wd_harness.Experiments.jobs ()))
+        (Check.families ~jobs:(Experiments.jobs ()))
         (fun g -> print_endline (Check.render g))
     in
     let failed = List.filter (fun g -> not g.Check.pass) gates in
@@ -227,20 +147,11 @@ let checkers_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SYSTEM")
   in
   let run system =
-    let prog =
-      match system with
-      | "kvs" -> Some (Wd_targets.Kvs.program ())
-      | "zkmini" -> Some (Wd_targets.Zkmini.program ())
-      | "dfsmini" -> Some (Wd_targets.Dfsmini.program ())
-      | "cstore" -> Some (Wd_targets.Cstore.program ())
-      | "mqbroker" -> Some (Wd_targets.Mqbroker.program ())
-      | _ -> None
-    in
-    match prog with
-    | None ->
+    match Wd_harness.Inference.program_of system with
+    | exception Invalid_argument _ ->
         Fmt.epr "unknown system %s@." system;
         1
-    | Some prog ->
+    | prog ->
         let g = Wd_autowatchdog.Generate.analyze prog in
         Fmt.pr "%a@." Wd_autowatchdog.Generate.pp_summary g;
         List.iter
@@ -338,4 +249,4 @@ let () =
     (Cmd.eval'
        (Cmd.group ~default info
           (list_cmd :: all_cmd :: check_cmd :: scenario_cmd :: checkers_cmd
-           :: faultspace_cmd :: load_cmd :: frontier_cmd :: experiment_cmds)))
+           :: List.map experiment_cmd Experiments.all)))

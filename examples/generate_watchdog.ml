@@ -5,4 +5,7 @@
 
      dune exec examples/generate_watchdog.exe *)
 
-let () = print_string (Wd_harness.Experiments.e4_text ())
+module E = Wd_harness.Experiments
+
+let () =
+  print_string ((List.find (fun e -> e.E.name = "reduce") E.all).E.render 0)

@@ -28,7 +28,7 @@ type run = {
   r_sid : string;
   r_system : string;
   r_outcomes : (string * outcome) list;
-      (* "mimic", "probe", "signal", "heartbeat", "observer" *)
+      (* keyed and ordered like [families] *)
   r_pre_inject_reports : int;
   r_workload_ok_ratio : float;
   r_workload_issued : int;
@@ -44,6 +44,16 @@ let classify_checker id =
   else if has_prefix "signal:" then `Signal
   else if has_prefix Wd_infer.Checkers.id_prefix then `Inferred
   else `Mimic
+
+let intrinsic_families = [ "mimic"; "probe"; "signal"; "inferred" ]
+let families = intrinsic_families @ [ "heartbeat"; "observer" ]
+
+let family_of_checker id =
+  match classify_checker id with
+  | `Mimic -> "mimic"
+  | `Probe -> "probe"
+  | `Signal -> "signal"
+  | `Inferred -> "inferred"
 
 let outcome_of_report ~near ~inject_at ~truth_func (r : Report.t) =
   let latency =
@@ -83,20 +93,21 @@ let outcome_of_suspicion ~inject_at at =
         o_first_report = None;
       }
 
-(* First post-injection report of each checker class. *)
+(* First post-injection report of each intrinsic family. *)
 let class_outcomes ~near ~inject_at ~truth_func reports =
-  let first cls =
-    List.find_opt
-      (fun (r : Report.t) ->
-        classify_checker r.Report.checker_id = cls && r.Report.at >= inject_at)
-      reports
-  in
-  let out cls =
-    match first cls with
-    | Some r -> outcome_of_report ~near ~inject_at ~truth_func r
-    | None -> no_detection
-  in
-  (out `Mimic, out `Probe, out `Signal, out `Inferred)
+  List.map
+    (fun fam ->
+      ( fam,
+        match
+          List.find_opt
+            (fun (r : Report.t) ->
+              family_of_checker r.Report.checker_id = fam
+              && r.Report.at >= inject_at)
+            reports
+        with
+        | Some r -> outcome_of_report ~near ~inject_at ~truth_func r
+        | None -> no_detection ))
+    intrinsic_families
 
 type config = {
   seed : int;
@@ -188,9 +199,6 @@ let run_scenario ?(cfg = default_config) sid =
           && (List.mem_assoc truth (Wd_analysis.Callgraph.callees cg f)
              || List.mem_assoc f (Wd_analysis.Callgraph.callees cg truth))
   in
-  let mimic, probe, signal, inferred =
-    class_outcomes ~near ~inject_at ~truth_func reports
-  in
   let heartbeat =
     outcome_of_suspicion ~inject_at
       (Wd_detectors.Heartbeat.suspected_at booted.Systems.b_heartbeat)
@@ -204,14 +212,8 @@ let run_scenario ?(cfg = default_config) sid =
     r_sid = sid;
     r_system = scenario.Catalog.system;
     r_outcomes =
-      [
-        ("mimic", mimic);
-        ("probe", probe);
-        ("signal", signal);
-        ("inferred", inferred);
-        ("heartbeat", heartbeat);
-        ("observer", observer);
-      ];
+      class_outcomes ~near ~inject_at ~truth_func reports
+      @ [ ("heartbeat", heartbeat); ("observer", observer) ];
     r_pre_inject_reports = pre_inject;
     r_workload_ok_ratio =
       Wd_targets.Workload.success_ratio booted.Systems.b_workload;
@@ -237,12 +239,7 @@ let run_batch ?jobs cells =
 (* Fault-free accuracy run: any report or suspicion is a false alarm. *)
 type fault_free = {
   ff_system : string;
-  ff_mimic_fp : int;
-  ff_probe_fp : int;
-  ff_signal_fp : int;
-  ff_inferred_fp : int;
-  ff_heartbeat_fp : int;
-  ff_observer_fp : int;
+  ff_fp : (string * int) list; (* false alarms, keyed like [r_outcomes] *)
   ff_workload_ok_ratio : float;
   ff_sim_events : int;
   ff_checker_count : int;
@@ -266,23 +263,21 @@ let run_fault_free ?(cfg = default_config) ?special system =
   in
   let booted, _inject_at = run_raw cfg ~system ~scenario () in
   let reports = Driver.reports booted.Systems.b_driver in
-  let count cls =
+  let count fam =
     List.length
       (List.filter
-         (fun (r : Report.t) -> classify_checker r.Report.checker_id = cls)
+         (fun (r : Report.t) -> family_of_checker r.Report.checker_id = fam)
          reports)
   in
+  let suspected b = if b then 1 else 0 in
+  let heartbeat = Wd_detectors.Heartbeat.suspected booted.Systems.b_heartbeat in
+  let observer = Wd_detectors.Observer.suspected booted.Systems.b_observer in
   let _, _, events = Wd_sim.Sched.stats booted.Systems.b_sched in
   {
     ff_system = system;
-    ff_mimic_fp = count `Mimic;
-    ff_probe_fp = count `Probe;
-    ff_signal_fp = count `Signal;
-    ff_inferred_fp = count `Inferred;
-    ff_heartbeat_fp =
-      (if Wd_detectors.Heartbeat.suspected booted.Systems.b_heartbeat then 1 else 0);
-    ff_observer_fp =
-      (if Wd_detectors.Observer.suspected booted.Systems.b_observer then 1 else 0);
+    ff_fp =
+      List.map (fun fam -> (fam, count fam)) intrinsic_families
+      @ [ ("heartbeat", suspected heartbeat); ("observer", suspected observer) ];
     ff_workload_ok_ratio =
       Wd_targets.Workload.success_ratio booted.Systems.b_workload;
     ff_sim_events = events;

@@ -22,8 +22,7 @@ type run = {
   r_sid : string;
   r_system : string;
   r_outcomes : (string * outcome) list;
-      (** keyed "mimic", "probe", "signal", "inferred", "heartbeat",
-          "observer" *)
+      (** keyed and ordered like {!families} *)
   r_pre_inject_reports : int;
   r_workload_ok_ratio : float;
   r_workload_issued : int;
@@ -34,6 +33,17 @@ type run = {
 val classify_checker : string -> [ `Mimic | `Probe | `Signal | `Inferred ]
 (** By id prefix: ["probe:"], ["signal:"], ["inferred:"]; anything else is
     mimic. *)
+
+val intrinsic_families : string list
+(** The checker families that run inside the watched process:
+    [mimic; probe; signal; inferred]. *)
+
+val families : string list
+(** Every detector family a run grades: {!intrinsic_families}, then the
+    extrinsic [heartbeat; observer]. *)
+
+val family_of_checker : string -> string
+(** {!classify_checker} as a family name. *)
 
 type config = {
   seed : int;
@@ -97,12 +107,8 @@ val run_batch : ?jobs:int -> cell list -> run list
 
 type fault_free = {
   ff_system : string;
-  ff_mimic_fp : int;
-  ff_probe_fp : int;
-  ff_signal_fp : int;
-  ff_inferred_fp : int;
-  ff_heartbeat_fp : int;
-  ff_observer_fp : int;
+  ff_fp : (string * int) list;
+      (** false alarms per family, keyed and ordered like {!families} *)
   ff_workload_ok_ratio : float;
   ff_sim_events : int;
       (** deterministic cost proxy: scheduler events fired; comparing

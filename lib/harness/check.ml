@@ -171,8 +171,8 @@ let alloc rows =
           ])
     [ "wd-off"; "wd-on" ]
 
-let frontier r =
-  let row mode = find mode (fun x -> x.e23f_mode) r.e23_rows in
+let frontier rows =
+  let row mode = find mode (fun x -> x.e23f_mode) rows in
   let modes = [ "fixed"; "adaptive"; "adaptive-relaxed" ] in
   let present = List.filter (fun m -> row m <> None) modes in
   let rows =

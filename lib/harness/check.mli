@@ -51,7 +51,7 @@ val alloc : Experiments.e22_alloc_row list -> gate list
 (** wd-off and wd-on rows each drive requests and allocate at most
     30,000 B per request. *)
 
-val frontier : Experiments.e23_result -> gate list
+val frontier : Experiments.e23_row list -> gate list
 (** E23: fixed, adaptive and adaptive-relaxed rows are present; adaptive
     cuts scheduling events by >= 30%, detects at least as many scenarios
     as fixed, has a worst-case detection latency within 2x fixed (both

@@ -1,7 +1,10 @@
 (* The paper's tables, figures and preliminary results as runnable
-   experiments. Each [eN_*] function runs the necessary simulations and
-   returns rendered text (plus structured data where tests need it). The
-   experiment index lives in DESIGN.md; measured-vs-paper records go to
+   experiments. Each experiment is a renderer that runs its simulations and
+   returns its table; [all] at the bottom registers every renderer once,
+   with its name, help line and optional size flag, and the repro command
+   line and the tests reach them only through it. The [eN_run] functions
+   the gates and tests consume return structured results. The experiment
+   index lives in DESIGN.md; measured-vs-paper records go to
    EXPERIMENTS.md. *)
 
 module Catalog = Wd_faults.Catalog
@@ -49,17 +52,13 @@ let pinpoint_cell = function
 let outcome_cells (o : Campaign.outcome) =
   if o.Campaign.o_detected then Tables.latency_cell o.Campaign.o_latency else "."
 
+(* [d] as a percentage of [base], e.g. sim events a deployment adds over
+   its baseline run *)
+let pct d ~base = 100. *. float_of_int d /. float_of_int (max 1 base)
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Table 1: crash FD vs error handler vs watchdog, empirically.   *)
 (* ------------------------------------------------------------------ *)
-
-type e1_row = {
-  e1_scenario : string;
-  e1_class : string;
-  e1_crash_fd : bool;
-  e1_error_handler : bool;
-  e1_watchdog : bool;
-}
 
 let handler_counter booted =
   (* Error-handler activity: counters bumped inside IR catch blocks. *)
@@ -71,47 +70,38 @@ let e1_scenarios =
   [ "kvs-crash"; "zk-2201"; "cs-compaction-stuck"; "dfs-scan-transient";
     "dfs-limplock"; "kvs-seg-corrupt"; "kvs-deadlock" ]
 
-let e1_run () =
-  par_map
-    (fun sid ->
-      let scenario = Catalog.find sid in
-      let cfg = Campaign.default_config in
-      let booted, inject_at =
-        Campaign.run_raw cfg ~system:scenario.Catalog.system
-          ~scenario:(Some scenario) ()
-      in
-      let reports = Driver.reports booted.Systems.b_driver in
-      let mimic_detected =
-        List.exists
-          (fun (r : Report.t) ->
-            Campaign.classify_checker r.Report.checker_id = `Mimic
-            && r.Report.at >= inject_at)
-          reports
-      in
-      {
-        e1_scenario = sid;
-        e1_class = Catalog.fclass_name scenario.Catalog.fclass;
-        e1_crash_fd = Wd_detectors.Heartbeat.suspected booted.Systems.b_heartbeat;
-        e1_error_handler = handler_counter booted > 0;
-        e1_watchdog = mimic_detected;
-      })
-    e1_scenarios
-
 let e1_text () =
-  let rows = e1_run () in
+  let rows =
+    par_map
+      (fun sid ->
+        let scenario = Catalog.find sid in
+        let cfg = Campaign.default_config in
+        let booted, inject_at =
+          Campaign.run_raw cfg ~system:scenario.Catalog.system
+            ~scenario:(Some scenario) ()
+        in
+        let reports = Driver.reports booted.Systems.b_driver in
+        let mimic_detected =
+          List.exists
+            (fun (r : Report.t) ->
+              Campaign.classify_checker r.Report.checker_id = `Mimic
+              && r.Report.at >= inject_at)
+            reports
+        in
+        [
+          sid;
+          Catalog.fclass_name scenario.Catalog.fclass;
+          Tables.mark_cell
+            (Wd_detectors.Heartbeat.suspected booted.Systems.b_heartbeat);
+          Tables.mark_cell (handler_counter booted > 0);
+          Tables.mark_cell mimic_detected;
+        ])
+      e1_scenarios
+  in
   "E1 / Table 1 — which abstraction detects which failure (empirical)\n"
   ^ Tables.render
       ~header:[ "scenario"; "failure class"; "crash FD"; "error handler"; "watchdog" ]
-      (List.map
-         (fun r ->
-           [
-             r.e1_scenario;
-             r.e1_class;
-             Tables.mark_cell r.e1_crash_fd;
-             Tables.mark_cell r.e1_error_handler;
-             Tables.mark_cell r.e1_watchdog;
-           ])
-         rows)
+      rows
   ^ "\nCrash FD: heartbeat silence only (fail-stop). Error handler: in-place\n\
      catch blocks (known, localized errors). Watchdog: generated mimic\n\
      checkers (gray failures, with localization). The watchdog dies with the\n\
@@ -140,7 +130,7 @@ let e2_run () =
       (List.map (fun s -> Campaign.cell s.Catalog.sid) (e2_scenarios ()))
   in
   let ffs = par_map (fun sys -> Campaign.run_fault_free sys) Systems.all_systems in
-  let agg kind fp_of =
+  let agg kind =
     let outcomes =
       List.map (fun (r : Campaign.run) -> List.assoc kind r.Campaign.r_outcomes) runs
     in
@@ -163,20 +153,16 @@ let e2_run () =
       e2_kind = kind;
       e2_detected = List.length detected;
       e2_total = List.length outcomes;
-      e2_false_alarms = List.fold_left (fun n ff -> n + fp_of ff) 0 ffs;
+      e2_false_alarms =
+        List.fold_left
+          (fun n ff -> n + List.assoc kind ff.Campaign.ff_fp)
+          0 ffs;
       e2_exact = exact;
       e2_near = near;
       e2_detections_with_loc = with_loc;
     }
   in
-  let aggs =
-    [
-      agg "probe" (fun ff -> ff.Campaign.ff_probe_fp);
-      agg "signal" (fun ff -> ff.Campaign.ff_signal_fp);
-      agg "mimic" (fun ff -> ff.Campaign.ff_mimic_fp);
-    ]
-  in
-  (runs, aggs)
+  (runs, List.map agg [ "probe"; "signal"; "mimic" ])
 
 (* Compare a run against the catalog's paper-informed prediction. The
    prediction is a lower bound on mimic/heartbeat and exact on the others:
@@ -284,18 +270,7 @@ let e4_text () =
 (* E5 — §4.2: the ZOOKEEPER-2201 reproduction.                         *)
 (* ------------------------------------------------------------------ *)
 
-type e5_result = {
-  e5_mimic_latency : int64 option;
-  e5_mimic_loc : string option;
-  e5_heartbeat_detected : bool;
-  e5_ruok_detected : bool;
-  e5_rw_probe_latency : int64 option;
-  e5_write_ok_before : bool;
-  e5_write_ok_after : bool;
-  e5_payload : (string * Wd_ir.Ast.value) list;
-}
-
-let e5_run () =
+let e5_text () =
   let scenario = Catalog.find "zk-2201" in
   let cfg = Campaign.default_config in
   let booted, inject_at =
@@ -309,54 +284,38 @@ let e5_run () =
   in
   let ruok = first_matching (fun r -> r.Report.checker_id = "probe:zk-ruok") in
   let rw = first_matching (fun r -> r.Report.checker_id = "probe:zk-rw") in
-  let lat (r : Report.t) = Int64.sub r.Report.at inject_at in
-  {
-    e5_mimic_latency = Option.map lat mimic;
-    e5_mimic_loc =
-      Option.bind mimic (fun r -> Option.map Wd_ir.Loc.to_string r.Report.loc);
-    e5_heartbeat_detected =
-      Wd_detectors.Heartbeat.suspected booted.Systems.b_heartbeat;
-    e5_ruok_detected = ruok <> None;
-    e5_rw_probe_latency = Option.map lat rw;
-    e5_write_ok_before = booted.Systems.b_workload.Wd_targets.Workload.ok > 0;
-    e5_write_ok_after =
-      (* did any write succeed in the last 10 simulated seconds? crude: the
-         workload is mostly writes, so a high overall ratio implies yes *)
-      Wd_targets.Workload.success_ratio booted.Systems.b_workload > 0.95;
-    e5_payload =
-      (match mimic with Some r -> r.Report.payload | None -> []);
-  }
-
-let e5_text () =
-  let r = e5_run () in
+  let lat (r : Report.t) =
+    Wd_sim.Time.to_string (Int64.sub r.Report.at inject_at)
+  in
   "E5 / §4.2 — ZOOKEEPER-2201 reproduction (network fault blocks remote\n\
    sync inside the commit critical section)\n\n"
   ^ Tables.render ~header:[ "detector"; "verdict"; "detail" ]
       [
         [
           "heartbeat protocol";
-          (if r.e5_heartbeat_detected then "SUSPECTED" else "healthy (blind)");
+          (if Wd_detectors.Heartbeat.suspected booted.Systems.b_heartbeat then
+             "SUSPECTED"
+           else "healthy (blind)");
           "leader keeps answering pings";
         ];
         [
           "admin command (ruok)";
-          (if r.e5_ruok_detected then "DETECTED" else "imok (blind)");
+          (if ruok <> None then "DETECTED" else "imok (blind)");
           "admin thread untouched by the wedged pipeline";
         ];
         [
           "client write probe";
-          (match r.e5_rw_probe_latency with
-          | Some l -> "failed after " ^ Wd_sim.Time.to_string l
-          | None -> "ok");
+          (match rw with Some r -> "failed after " ^ lat r | None -> "ok");
           "end-to-end writes hang (the gray failure is client-visible)";
         ];
         [
           "generated mimic watchdog";
-          (match r.e5_mimic_latency with
-          | Some l -> "DETECTED in " ^ Wd_sim.Time.to_string l
+          (match mimic with
+          | Some r -> "DETECTED in " ^ lat r
           | None -> "missed");
-          (match r.e5_mimic_loc with
-          | Some l -> "pinpointed blocked critical section at " ^ l
+          (match Option.bind mimic (fun r -> r.Report.loc) with
+          | Some l ->
+              "pinpointed blocked critical section at " ^ Wd_ir.Loc.to_string l
           | None -> "-");
         ];
       ]
@@ -364,22 +323,14 @@ let e5_text () =
       "\npaper: watchdog detected in ~7 s and pinpointed the blocked function\n\
        call with a concrete context; heartbeats and the admin command showed\n\
        the leader healthy throughout. measured mimic latency here: %s.\n"
-      (match r.e5_mimic_latency with
-      | Some l -> Wd_sim.Time.to_string l
-      | None -> "n/a")
+      (match mimic with Some r -> lat r | None -> "n/a")
 
 (* ------------------------------------------------------------------ *)
 (* E6 — §4.2: generation statistics ("tens of checkers").              *)
 (* ------------------------------------------------------------------ *)
 
 let target_programs () =
-  [
-    ("kvs", Wd_targets.Kvs.program ());
-    ("zkmini", Wd_targets.Zkmini.program ());
-    ("dfsmini", Wd_targets.Dfsmini.program ());
-    ("cstore", Wd_targets.Cstore.program ());
-    ("mqbroker", Wd_targets.Mqbroker.program ());
-  ]
+  List.map (fun sys -> (sys, Inference.program_of sys)) Systems.all_systems
 
 let e6_run () =
   par_map
@@ -421,14 +372,6 @@ let e6_text () =
 (* ------------------------------------------------------------------ *)
 (* E7 — §3.1: concurrent watchdog vs in-place checking overhead.       *)
 (* ------------------------------------------------------------------ *)
-
-type e7_row = {
-  e7_mode : string;
-  e7_ops : int;
-  e7_ok_ratio : float;
-  e7_mean_latency : int64;
-  e7_p99_latency : int64;
-}
 
 (* In-place emulation: the hook sink synchronously executes the unit body in
    the main task before the operation proceeds — checking as part of the
@@ -494,7 +437,8 @@ let attach_inplace g ~main =
                     try ignore (I.call ci u.Reduction.ufunc.Wd_ir.Ast.fname args)
                     with _ -> ())))
 
-let e7_run_one mode_name () =
+(* One table row: the mode and its client-side measurements. *)
+let e7_row mode_name =
   let sched = Wd_sim.Sched.create ~seed:11 () in
   let reg = Wd_env.Faultreg.create () in
   let prog = Wd_targets.Kvs.program () in
@@ -521,35 +465,23 @@ let e7_run_one mode_name () =
   ignore (Wd_targets.Kvs.start t);
   Driver.start driver;
   ignore (Wd_sim.Sched.run ~until:(Wd_sim.Time.sec 30) sched);
-  {
-    e7_mode = mode_name;
-    e7_ops = wstats.Wd_targets.Workload.issued;
-    e7_ok_ratio = Wd_targets.Workload.success_ratio wstats;
-    e7_mean_latency = Wd_targets.Workload.mean_latency wstats;
-    e7_p99_latency = Wd_targets.Workload.percentile wstats 0.99;
-  }
-
-let e7_run () =
-  par_map
-    (fun m -> e7_run_one m ())
-    [ "no checking"; "concurrent watchdog"; "in-place checks" ]
+  [
+    mode_name;
+    string_of_int wstats.Wd_targets.Workload.issued;
+    fp "%.3f" (Wd_targets.Workload.success_ratio wstats);
+    Wd_sim.Time.to_string (Wd_targets.Workload.mean_latency wstats);
+    Wd_sim.Time.to_string (Wd_targets.Workload.percentile wstats 0.99);
+  ]
 
 let e7_text () =
-  let rows = e7_run () in
+  let rows =
+    par_map e7_row [ "no checking"; "concurrent watchdog"; "in-place checks" ]
+  in
   "E7 / §3.1 — checking overhead on the fault-free main program (kvs,\n\
    30 simulated seconds, closed-loop client)\n"
   ^ Tables.render
       ~header:[ "mode"; "client ops"; "ok ratio"; "mean latency"; "p99 latency" ]
-      (List.map
-         (fun r ->
-           [
-             r.e7_mode;
-             string_of_int r.e7_ops;
-             fp "%.3f" r.e7_ok_ratio;
-             Wd_sim.Time.to_string r.e7_mean_latency;
-             Wd_sim.Time.to_string r.e7_p99_latency;
-           ])
-         rows)
+      rows
   ^ "\nConcurrent checkers decouple checking from the request path; in-place\n\
      checking re-executes the reduced operations inside the serving thread\n\
      and inflates client latency — the motivation for concurrent execution.\n"
@@ -590,7 +522,11 @@ let e8_run () =
           0
           (Driver.stats booted.Systems.b_driver)
       in
-      { e8_mode = label; e8_false_alarms = ff.Campaign.ff_mimic_fp; e8_skips = skips })
+      {
+        e8_mode = label;
+        e8_false_alarms = List.assoc "mimic" ff.Campaign.ff_fp;
+        e8_skips = skips;
+      })
     [
       ("context-synchronised (generated)", Systems.Wd_generated);
       ("no context sync (naive mimic)", Systems.Wd_no_context);
@@ -724,15 +660,9 @@ let e10_text () =
 (* E11 — §5.2: cheap recovery by microreboot.                          *)
 (* ------------------------------------------------------------------ *)
 
-type e11_row = {
-  e11_mode : string;
-  e11_ok_during : int;
-  e11_ok_after : int;
-  e11_restored_after : int64 option; (* first success after the fault lifts *)
-  e11_reboots : int;
-}
-
-let e11_run_one ~with_recovery =
+(* One table row: writes during and after the fault, when service came
+   back (first success after the fault lifts) and the microreboot count. *)
+let e11_row ~with_recovery =
   let sched = Wd_sim.Sched.create ~seed:31 () in
   let reg = Wd_env.Faultreg.create () in
   let prog = Wd_targets.Kvs.program () in
@@ -793,19 +723,20 @@ let e11_run_one ~with_recovery =
     List.find_opt (fun at -> at >= fault_stop) oks
     |> Option.map (fun at -> Int64.sub at fault_stop)
   in
-  {
-    e11_mode = (if with_recovery then "watchdog + microreboot" else "no recovery");
-    e11_ok_during = count_in fault_start fault_stop;
-    e11_ok_after = count_in fault_stop (Wd_sim.Time.sec 40);
-    e11_restored_after = restored;
-    e11_reboots = List.length (Wd_watchdog.Recovery.events recovery);
-  }
-
-let e11_run () =
-  par_map (fun with_recovery -> e11_run_one ~with_recovery) [ false; true ]
+  [
+    (if with_recovery then "watchdog + microreboot" else "no recovery");
+    string_of_int (count_in fault_start fault_stop);
+    string_of_int (count_in fault_stop (Wd_sim.Time.sec 40));
+    (match restored with
+    | Some d -> Wd_sim.Time.to_string d ^ " after fault end"
+    | None -> "never");
+    string_of_int (List.length (Wd_watchdog.Recovery.events recovery));
+  ]
 
 let e11_text () =
-  let rows = e11_run () in
+  let rows =
+    par_map (fun with_recovery -> e11_row ~with_recovery) [ false; true ]
+  in
   "E11 / §5.2 — cheap recovery: a transient WAL fault (10 s of EIO) kills
    the kvs listener thread; microreboot driven by watchdog localisation
    restores service once the fault lifts
@@ -814,18 +745,7 @@ let e11_text () =
       ~header:
         [ "mode"; "writes ok during fault"; "writes ok after fault";
           "service restored"; "microreboots" ]
-      (List.map
-         (fun r ->
-           [
-             r.e11_mode;
-             string_of_int r.e11_ok_during;
-             string_of_int r.e11_ok_after;
-             (match r.e11_restored_after with
-             | Some d -> Wd_sim.Time.to_string d ^ " after fault end"
-             | None -> "never");
-             string_of_int r.e11_reboots;
-           ])
-         rows)
+      rows
   ^ "
 Without recovery the dead listener leaves the store unavailable
      forever; with localised microreboots the service returns seconds after
@@ -836,13 +756,7 @@ Without recovery the dead listener leaves the store unavailable
 (* E12 — §5.2: failure reproduction from the captured context.         *)
 (* ------------------------------------------------------------------ *)
 
-type e12_result = {
-  e12_report : string;
-  e12_clean : Wd_autowatchdog.Reproduce.outcome;
-  e12_with_fault : Wd_autowatchdog.Reproduce.outcome;
-}
-
-let e12_run () =
+let e12_text () =
   let scenario = Catalog.find "kvs-seg-corrupt" in
   let cfg = Campaign.default_config in
   let booted, inject_at =
@@ -867,27 +781,22 @@ let e12_run () =
       once = false;
     }
   in
-  {
-    e12_report = Fmt.str "%a" Report.pp report;
-    e12_clean = Wd_autowatchdog.Reproduce.run g ~report;
-    e12_with_fault = Wd_autowatchdog.Reproduce.run ~fault g ~report;
-  }
-
-let e12_text () =
-  let r = e12_run () in
   let o = Fmt.str "%a" Wd_autowatchdog.Reproduce.pp_outcome in
   "E12 / §5.2 — failure reproduction: replay the checker and its captured
    payload in a fresh, sealed simulation
 
 "
   ^ "production report:
-  " ^ r.e12_report ^ "
+  " ^ Fmt.str "%a" Report.pp report ^ "
 
 "
   ^ Tables.render ~header:[ "replay environment"; "outcome" ]
       [
-        [ "clean (no fault)"; o r.e12_clean ];
-        [ "with the disk-corruption fault re-injected"; o r.e12_with_fault ];
+        [ "clean (no fault)"; o (Wd_autowatchdog.Reproduce.run g ~report) ];
+        [
+          "with the disk-corruption fault re-injected";
+          o (Wd_autowatchdog.Reproduce.run ~fault g ~report);
+        ];
       ]
   ^ "
 The clean replay passing isolates the cause to the environment; the
@@ -899,37 +808,19 @@ The clean replay passing isolates the cause to the environment; the
 (* E13 — Table 2's accuracy column, stressed: overload without fault.  *)
 (* ------------------------------------------------------------------ *)
 
-type e13_result = {
-  e13_mimic_alarms : int;
-  e13_probe_alarms : int;
-  e13_signal_alarms : int;
-  e13_issued : int;
-}
-
-let e13_run () =
+let e13_text () =
   let ff =
     Campaign.run_fault_free
       ~cfg:{ Campaign.default_config with Campaign.observe = Wd_sim.Time.sec 30 }
       ~special:"burst" "kvs"
   in
-  {
-    e13_mimic_alarms = ff.Campaign.ff_mimic_fp;
-    e13_probe_alarms = ff.Campaign.ff_probe_fp;
-    e13_signal_alarms = ff.Campaign.ff_signal_fp;
-    e13_issued = 0;
-  }
-
-let e13_text () =
-  let r = e13_run () in
   "E13 / Table 2 accuracy under stress — kvs saturated by a legitimate
    burst workload, no fault injected; every alarm is a false positive
 "
   ^ Tables.render ~header:[ "checker type"; "false alarms under overload" ]
-      [
-        [ "mimic"; string_of_int r.e13_mimic_alarms ];
-        [ "probe"; string_of_int r.e13_probe_alarms ];
-        [ "signal"; string_of_int r.e13_signal_alarms ];
-      ]
+      (List.map
+         (fun fam -> [ fam; string_of_int (List.assoc fam ff.Campaign.ff_fp) ])
+         [ "mimic"; "probe"; "signal" ])
   ^ "\nThe paper's example: when the checker finds kvs's request queue full,\n\
      kvs might in fact be processing a continuous stream of requests\n\
      without error — signal checkers bark at load, mimic checkers measure\n\
@@ -996,14 +887,9 @@ let e14_text () =
 (* latency on the ZK-2201 hang.                                        *)
 (* ------------------------------------------------------------------ *)
 
-type e15_point = {
-  e15_period : int64;
-  e15_lock_timeout : int64;
-  e15_latency : int64 option;
-  e15_ff_false_alarms : int;
-}
-
-let e15_run_point ~period ~lock_timeout =
+(* One table row: a (period, lock budget) point, its detection latency on
+   the fault and its false alarms on a fault-free twin. *)
+let e15_row (period, lock_timeout) =
   let config =
     {
       Wd_autowatchdog.Config.default with
@@ -1058,10 +944,14 @@ let e15_run_point ~period ~lock_timeout =
   in
   let latency, _ = run_one ~with_fault:true in
   let _, false_alarms = run_one ~with_fault:false in
-  { e15_period = period; e15_lock_timeout = lock_timeout; e15_latency = latency;
-    e15_ff_false_alarms = false_alarms }
+  [
+    Wd_sim.Time.to_string period;
+    Wd_sim.Time.to_string lock_timeout;
+    Tables.latency_cell latency;
+    string_of_int false_alarms;
+  ]
 
-let e15_run () =
+let e15_text () =
   let grid =
     List.concat_map
       (fun period ->
@@ -1070,10 +960,7 @@ let e15_run () =
           [ Wd_sim.Time.sec 1; Wd_sim.Time.sec 2; Wd_sim.Time.sec 4 ])
       [ Wd_sim.Time.ms 500; Wd_sim.Time.sec 1; Wd_sim.Time.sec 2; Wd_sim.Time.sec 5 ]
   in
-  par_map (fun (period, lock_timeout) -> e15_run_point ~period ~lock_timeout) grid
-
-let e15_text () =
-  let rows = e15_run () in
+  let rows = par_map e15_row grid in
   "E15 — detection-budget sweep on the ZK-2201 hang: mimic detection\n\
    latency as a function of checker period and lock-acquisition budget\n\
    (fault-free false alarms verify that tighter budgets stay accurate)\n"
@@ -1081,15 +968,7 @@ let e15_text () =
       ~header:
         [ "checker period"; "lock budget"; "detection latency";
           "fault-free false alarms" ]
-      (List.map
-         (fun p ->
-           [
-             Wd_sim.Time.to_string p.e15_period;
-             Wd_sim.Time.to_string p.e15_lock_timeout;
-             Tables.latency_cell p.e15_latency;
-             string_of_int p.e15_ff_false_alarms;
-           ])
-         rows)
+      rows
   ^ "\nDetection latency is dominated by the lock budget (plus the driver's\n\
      confinement timeout): a checker run is already in flight when the\n\
      fault lands, so the polling period is subdominant whenever it is\n\
@@ -1191,9 +1070,26 @@ let e17_verdict_cell (r : Wd_cluster.Sim.result) =
 let e17_leader_cell (r : Wd_cluster.Sim.result) =
   match r.Wd_cluster.Sim.cr_events with [] -> "-" | (owner, _) :: _ -> owner
 
+(* The graded summary under a fleet table (E17, E19): the three row
+   labels say which cells count as faulty, node and quiet. *)
+let fleet_footer ~faulty ~node ~quiet rows =
+  let s = Metrics.fleet_summary rows in
+  fp
+    "\n\
+     indictment accuracy:  %d/%d %s\n\
+     component accuracy:   %d/%d %s\n\
+     false indictments:    %d/%d %s\n\
+     detection latency:    %a\n\
+     fleet MTTR:           %a\n\
+     evidence by family:   %a\n"
+    s.Metrics.fs_right s.Metrics.fs_faulty faulty s.Metrics.fs_component_right
+    s.Metrics.fs_node_cells node s.Metrics.fs_false_indict s.Metrics.fs_quiet
+    quiet Metrics.pp_latency_stats s.Metrics.fs_latency
+    Metrics.pp_latency_stats s.Metrics.fs_mttr Metrics.pp_family_stats
+    s.Metrics.fs_families
+
 let e17_text () =
   let rows = e17_run () in
-  let s = Metrics.fleet_summary rows in
   fp
     "E17 — fleet-level watchdogs, decentralized: %d-node clusters, each\n\
      node running its own generated watchdog plus a leader-elected fleet\n\
@@ -1219,18 +1115,9 @@ let e17_text () =
              Tables.mark_cell r.Wd_cluster.Sim.cr_as_expected;
            ])
          rows)
-  ^ fp
-      "\n\
-       indictment accuracy:  %d/%d faulty cells indict the right target\n\
-       component accuracy:   %d/%d node indictments name a true component\n\
-       false indictments:    %d/%d quiet cells (overload, fault-free, flap)\n\
-       detection latency:    %a\n\
-       fleet MTTR:           %a\n\
-       evidence by family:   %a\n"
-      s.Metrics.fs_right s.Metrics.fs_faulty s.Metrics.fs_component_right
-      s.Metrics.fs_node_cells s.Metrics.fs_false_indict s.Metrics.fs_quiet
-      Metrics.pp_latency_stats s.Metrics.fs_latency Metrics.pp_latency_stats
-      s.Metrics.fs_mttr Metrics.pp_family_stats s.Metrics.fs_families
+  ^ fleet_footer ~faulty:"faulty cells indict the right target"
+      ~node:"node indictments name a true component"
+      ~quiet:"quiet cells (overload, fault-free, flap)" rows
   ^ "\n\
      Limplock indicts the limping node and its component, and the leader's\n\
      Recover command microreboots it (MTTR above); the asymmetric cut\n\
@@ -1274,12 +1161,7 @@ let e18_repro_fault =
 let e18_repro_timeout = Wd_sim.Time.ms 100
 
 let e18_repro ~system wire =
-  let prog =
-    match system with
-    | "zkmini" -> Wd_targets.Zkmini.program ()
-    | _ -> Wd_targets.Cstore.program ()
-  in
-  let g = Generate.analyze_cached prog in
+  let g = Generate.analyze_cached (Inference.program_of system) in
   Wd_autowatchdog.Reproduce.run_wire ~fault:e18_repro_fault
     ~timeout:e18_repro_timeout g ~wire
 
@@ -1432,7 +1314,6 @@ let e19_victim_cell (r : Wd_cluster.Sim.result) =
 
 let e19_text () =
   let rows = e19_run () in
-  let s = Metrics.fleet_summary rows in
   fp
     "E19 — heterogeneous fleets over an asymmetric fabric: 9- and 15-node\n\
      mixed zkmini/cstore topologies, remote rack behind 4 ms crossings and\n\
@@ -1460,18 +1341,9 @@ let e19_text () =
              Tables.mark_cell r.Wd_cluster.Sim.cr_as_expected;
            ])
          rows)
-  ^ fp
-      "\n\
-       indictment accuracy:  %d/%d correlated cells indict the limping node\n\
-       component accuracy:   %d/%d indictments name a true component\n\
-       false indictments:    %d/%d quiet cells on the asymmetric fabric\n\
-       detection latency:    %a\n\
-       fleet MTTR:           %a\n\
-       evidence by family:   %a\n"
-      s.Metrics.fs_right s.Metrics.fs_faulty s.Metrics.fs_component_right
-      s.Metrics.fs_node_cells s.Metrics.fs_false_indict s.Metrics.fs_quiet
-      Metrics.pp_latency_stats s.Metrics.fs_latency Metrics.pp_latency_stats
-      s.Metrics.fs_mttr Metrics.pp_family_stats s.Metrics.fs_families
+  ^ fleet_footer ~faulty:"correlated cells indict the limping node"
+      ~node:"indictments name a true component"
+      ~quiet:"quiet cells on the asymmetric fabric" rows
   ^ "\n\
      A partial partition or a limping link never shifts blame off the gray\n\
      node: mimic evidence outranks link signals in the rule order, and the\n\
@@ -1485,13 +1357,10 @@ let e19_text () =
    [Sweep]; this wrapper threads the harness-wide jobs/seed overrides and
    renders the aggregate. *)
 
-let e20_default_worlds = 1000
-
-let e20_run ?(worlds = e20_default_worlds) () =
-  Sweep.run ~jobs:(jobs ()) ~seed:(base_seed ()) ~worlds ()
-
-let e20_text ?(worlds = e20_default_worlds) () =
-  let summary, outcomes = e20_run ~worlds () in
+let e20_text worlds =
+  let summary, outcomes =
+    Sweep.run ~jobs:(jobs ()) ~seed:(base_seed ()) ~worlds ()
+  in
   let misses =
     List.filter (fun (o : Sweep.outcome) -> not o.Sweep.o_ok) outcomes
   in
@@ -1541,7 +1410,6 @@ type e21_deploy = {
   e21d_families : e21_family list;
   e21d_fp : int;  (** all families, all fault-free runs *)
   e21d_checkers : int;  (** checker count summed over fault-free runs *)
-  e21d_sim_events : int;  (** fault-free sim events, summed over systems *)
   e21d_overhead_pct : float;  (** vs the bare baseline on the same worlds *)
 }
 
@@ -1552,19 +1420,6 @@ type e21_result = {
   e21_invariants : (string * int) list;  (** per system *)
   e21_deploys : e21_deploy list;
 }
-
-let e21_families =
-  [ "mimic"; "probe"; "signal"; "inferred"; "heartbeat"; "observer" ]
-
-let e21_family_fp fam (ff : Campaign.fault_free) =
-  match fam with
-  | "mimic" -> ff.Campaign.ff_mimic_fp
-  | "probe" -> ff.Campaign.ff_probe_fp
-  | "signal" -> ff.Campaign.ff_signal_fp
-  | "inferred" -> ff.Campaign.ff_inferred_fp
-  | "heartbeat" -> ff.Campaign.ff_heartbeat_fp
-  | "observer" -> ff.Campaign.ff_observer_fp
-  | _ -> 0
 
 let e21_mine () = Inference.mine_and_synth ~jobs:(jobs ()) ()
 
@@ -1643,9 +1498,12 @@ let e21_run () =
                 e21f_latency =
                   Metrics.latency_stats_of lats ~total:(List.length outs);
                 e21f_fp =
-                  List.fold_left (fun n ff -> n + e21_family_fp fam ff) 0 ffs;
+                  List.fold_left
+                    (fun n (ff : Campaign.fault_free) ->
+                      n + List.assoc fam ff.Campaign.ff_fp)
+                    0 ffs;
               })
-            e21_families
+            Campaign.families
         in
         let any =
           List.length
@@ -1675,11 +1533,7 @@ let e21_run () =
               (fun n (ff : Campaign.fault_free) ->
                 n + ff.Campaign.ff_checker_count)
               0 ffs;
-          e21d_sim_events = sim_events;
-          e21d_overhead_pct =
-            100.
-            *. float_of_int (sim_events - base_events)
-            /. float_of_int (max 1 base_events);
+          e21d_overhead_pct = pct (sim_events - base_events) ~base:base_events;
         })
       e21_deploy_specs
   in
@@ -1921,16 +1775,12 @@ let e22_single ~requests ~mined (label, gen) =
           e22r_deploy = d;
           e22r_load = load;
           e22r_sim_events = events;
-          e22r_overhead_pct =
-            100.
-            *. float_of_int (events - base_events)
-            /. float_of_int (max 1 base_events);
+          e22r_overhead_pct = pct (events - base_events) ~base:base_events;
           e22r_p50_x = ratio load.Loadgen.lr_p50 base_load.Loadgen.lr_p50;
           e22r_p99_x = ratio load.Loadgen.lr_p99 base_load.Loadgen.lr_p99;
           e22r_detect = detect_of d;
         })
-      (List.map (fun (d, _, _) -> (d, (), ())) e22_deploy_specs)
-      perfs
+      e22_deploy_specs perfs
   in
   {
     e22w_label = label;
@@ -1987,7 +1837,8 @@ let e22_fleet ~requests =
    is deterministic for a fixed seed, so the figure is reproducible enough
    to gate in CI. The inferred-on deployment is skipped: it needs a mining
    pass whose own allocation would dwarf the load plane's. *)
-let e22_alloc ?(requests = 20_000) () =
+let e22_alloc () =
+  let requests = 20_000 in
   List.filter_map
     (fun (deploy, mode, with_infer) ->
       if with_infer then None
@@ -2010,17 +1861,13 @@ let e22_alloc ?(requests = 20_000) () =
 
 let e22_default_requests = 60_000
 
-let e22_run ?(requests = e22_default_requests) ?fleet_requests () =
-  let fleet_requests =
-    match fleet_requests with Some n -> n | None -> requests
-  in
+(* The single-node load plane E22 and E23 drive: system and generator. *)
+let load_plane = [ ("zkmini", `Closed); ("cstore", `Open 8_000) ]
+
+let e22_run ?(requests = e22_default_requests) () =
   let mined = e21_mine () in
-  let singles =
-    List.map
-      (e22_single ~requests ~mined)
-      [ ("zkmini", `Closed); ("cstore", `Open 8_000) ]
-  in
-  let fleet = e22_fleet ~requests:fleet_requests in
+  let singles = List.map (e22_single ~requests ~mined) load_plane in
+  let fleet = e22_fleet ~requests in
   let workloads = singles @ [ fleet ] in
   {
     e22_workloads = workloads;
@@ -2028,8 +1875,8 @@ let e22_run ?(requests = e22_default_requests) ?fleet_requests () =
       List.fold_left (fun n w -> n + w.e22w_requests) 0 workloads;
   }
 
-let e22_text ?requests ?fleet_requests () =
-  let r = e22_run ?requests ?fleet_requests () in
+let e22_text requests =
+  let r = e22_run ~requests () in
   let tbl =
     Tables.render
       ~header:
@@ -2130,12 +1977,6 @@ type e23_row = {
   e23f_throttle_peak : float;
 }
 
-type e23_result = {
-  e23_rows : e23_row list;
-  e23_scenarios : int;
-  e23_requests : int;
-}
-
 let e23_modes () =
   [
     ("fixed", Schedule.fixed);
@@ -2144,8 +1985,6 @@ let e23_modes () =
       Schedule.adaptive ~target_overhead:0.0001
         ~latency_bound:(Wd_sim.Time.sec 6) () );
   ]
-
-let e23_workloads = [ ("zkmini", `Closed); ("cstore", `Open 8_000) ]
 
 (* Catalog detection latency: first intrinsic-class report after
    injection. *)
@@ -2158,8 +1997,7 @@ let e23_intrinsic_latency (r : Campaign.run) =
           match acc with
           | Some best when best <= l -> acc
           | Some _ | None -> Some l))
-    None
-    [ "mimic"; "probe"; "signal"; "inferred" ]
+    None Campaign.intrinsic_families
 
 let e23_run ?(requests = e22_default_requests) () =
   let modes = e23_modes () in
@@ -2169,14 +2007,14 @@ let e23_run ?(requests = e22_default_requests) () =
     par_map
       (fun (system, gen) ->
         e22_perf ~requests ~gen ~mode:Systems.Wd_none ~infer:None system)
-      e23_workloads
+      load_plane
   in
   let hooks =
     par_map
       (fun (system, gen) ->
         e22_perf ~hooks_only:true ~requests ~gen ~mode:Systems.Wd_generated
           ~infer:None system)
-      e23_workloads
+      load_plane
   in
   (* Catalog campaigns: every (mode, scenario) cell is an independent
      world, so the whole cross product fans out as one batch. *)
@@ -2216,7 +2054,7 @@ let e23_run ?(requests = e22_default_requests) () =
             (fun (system, gen) ->
               e22_perf ~schedule:policy ~requests ~gen
                 ~mode:Systems.Wd_generated ~infer:None system)
-            e23_workloads
+            load_plane
         in
         let detects =
           par_map
@@ -2224,7 +2062,7 @@ let e23_run ?(requests = e22_default_requests) () =
               e22_detect ~schedule:policy ~requests:(max 1 (requests / 4))
                 ~gen ~mode:Systems.Wd_generated ~infer:None
                 ~sid:(e22_sid_of system) system)
-            e23_workloads
+            load_plane
         in
         (name, policy, perfs, detects))
       modes
@@ -2240,102 +2078,91 @@ let e23_run ?(requests = e22_default_requests) () =
     | (_, _, perfs, _) :: _ -> sched_events_of perfs
     | [] -> 0
   in
-  let rows =
-    List.mapi
-      (fun i (name, policy, perfs, detects) ->
-        let overheads =
-          List.map2
-            (fun (_, base_events, _) (_, events, _) ->
-              100.
-              *. float_of_int (events - base_events)
-              /. float_of_int (max 1 base_events))
-            bases perfs
-        in
-        let p99_x =
-          List.fold_left2
-            (fun acc (base_load, _, _) (load, _, _) ->
-              Float.max acc
-                (Int64.to_float load.Loadgen.lr_p99
-                /. Float.max 1. (Int64.to_float base_load.Loadgen.lr_p99)))
-            0. bases perfs
-        in
-        let overhead_pct =
-          List.fold_left ( +. ) 0. overheads
-          /. float_of_int (List.length overheads)
-        in
-        let load_detect =
-          List.fold_left
-            (fun acc (lat, _) ->
-              match (acc, lat) with
-              | None, l | l, None -> l
-              | Some a, Some b -> Some (Int64.max a b))
-            None detects
-        in
-        let sstats =
-          List.fold_left
-            (fun (runs, dedups, shared, peak) (_, _, (n, st)) ->
-              ( runs + n,
-                dedups + st.Schedule.st_dedup_skips,
-                shared + st.Schedule.st_shared_syncs,
-                Float.max peak st.Schedule.st_throttle_peak ))
-            (0, 0, 0, 1.) perfs
-        in
-        let runs, dedups, shared, peak = sstats in
-        let lats = latencies_of_mode i in
-        let detected =
-          List.length (List.filter (fun (_, l) -> l <> None) lats)
-        in
-        let common =
-          List.filter_map
-            (fun (sid, l) -> if List.mem sid fixed_detected then l else None)
-            lats
-        in
-        let worst =
-          List.fold_left
-            (fun acc l ->
-              match acc with Some a when a >= l -> acc | _ -> Some l)
-            None common
-        in
-        let mean =
-          match common with
-          | [] -> None
-          | _ ->
-              Some
-                (Int64.div
-                   (List.fold_left Int64.add 0L common)
-                   (Int64.of_int (List.length common)))
-        in
-        let sched_events = sched_events_of perfs in
-        {
-          e23f_mode = name;
-          e23f_policy = fp "%a" Schedule.pp_policy policy;
-          e23f_overhead_pct = overhead_pct;
-          e23f_sched_events = sched_events;
-          e23f_sched_cut_pct =
-            100.
-            *. float_of_int (fixed_sched - sched_events)
-            /. float_of_int (max 1 fixed_sched);
-          e23f_p99_x = p99_x;
-          e23f_load_detect = load_detect;
-          e23f_detected = detected;
-          e23f_catalog = List.length sids;
-          e23f_worst_detect = worst;
-          e23f_mean_detect = mean;
-          e23f_runs = runs;
-          e23f_dedup_skips = dedups;
-          e23f_shared_syncs = shared;
-          e23f_throttle_peak = peak;
-        })
-      measures
-  in
-  {
-    e23_rows = rows;
-    e23_scenarios = List.length sids;
-    e23_requests = requests;
-  }
+  List.mapi
+    (fun i (name, policy, perfs, detects) ->
+      let overheads =
+        List.map2
+          (fun (_, base_events, _) (_, events, _) ->
+            pct (events - base_events) ~base:base_events)
+          bases perfs
+      in
+      let p99_x =
+        List.fold_left2
+          (fun acc (base_load, _, _) (load, _, _) ->
+            Float.max acc
+              (Int64.to_float load.Loadgen.lr_p99
+              /. Float.max 1. (Int64.to_float base_load.Loadgen.lr_p99)))
+          0. bases perfs
+      in
+      let overhead_pct =
+        List.fold_left ( +. ) 0. overheads
+        /. float_of_int (List.length overheads)
+      in
+      let load_detect =
+        List.fold_left
+          (fun acc (lat, _) ->
+            match (acc, lat) with
+            | None, l | l, None -> l
+            | Some a, Some b -> Some (Int64.max a b))
+          None detects
+      in
+      let sstats =
+        List.fold_left
+          (fun (runs, dedups, shared, peak) (_, _, (n, st)) ->
+            ( runs + n,
+              dedups + st.Schedule.st_dedup_skips,
+              shared + st.Schedule.st_shared_syncs,
+              Float.max peak st.Schedule.st_throttle_peak ))
+          (0, 0, 0, 1.) perfs
+      in
+      let runs, dedups, shared, peak = sstats in
+      let lats = latencies_of_mode i in
+      let detected =
+        List.length (List.filter (fun (_, l) -> l <> None) lats)
+      in
+      let common =
+        List.filter_map
+          (fun (sid, l) -> if List.mem sid fixed_detected then l else None)
+          lats
+      in
+      let worst =
+        List.fold_left
+          (fun acc l ->
+            match acc with Some a when a >= l -> acc | _ -> Some l)
+          None common
+      in
+      let mean =
+        match common with
+        | [] -> None
+        | _ ->
+            Some
+              (Int64.div
+                 (List.fold_left Int64.add 0L common)
+                 (Int64.of_int (List.length common)))
+      in
+      let sched_events = sched_events_of perfs in
+      {
+        e23f_mode = name;
+        e23f_policy = fp "%a" Schedule.pp_policy policy;
+        e23f_overhead_pct = overhead_pct;
+        e23f_sched_events = sched_events;
+        e23f_sched_cut_pct =
+          pct (fixed_sched - sched_events) ~base:fixed_sched;
+        e23f_p99_x = p99_x;
+        e23f_load_detect = load_detect;
+        e23f_detected = detected;
+        e23f_catalog = List.length sids;
+        e23f_worst_detect = worst;
+        e23f_mean_detect = mean;
+        e23f_runs = runs;
+        e23f_dedup_skips = dedups;
+        e23f_shared_syncs = shared;
+        e23f_throttle_peak = peak;
+      })
+    measures
 
-let e23_text ?requests () =
-  let r = e23_run ?requests () in
+let e23_text requests =
+  let rows = e23_run ~requests () in
   let time_opt = function
     | Some t -> Wd_sim.Time.to_string t
     | None -> "-"
@@ -2366,7 +2193,7 @@ let e23_text ?requests () =
              string_of_int row.e23f_shared_syncs;
              fp "%.0fx" row.e23f_throttle_peak;
            ])
-         r.e23_rows)
+         rows)
   in
   fp
     "E23 — scheduling frontier: overhead vs detection latency\n\
@@ -2382,7 +2209,7 @@ let e23_text ?requests () =
      skipped on unchanged context version / co-scheduled runs sharing\n\
      one context snapshot.\n\n"
     (String.concat ", "
-       (List.map (fun row -> row.e23f_mode ^ " = " ^ row.e23f_policy) r.e23_rows))
+       (List.map (fun row -> row.e23f_mode ^ " = " ^ row.e23f_policy) rows))
   ^ tbl
   ^ "\nThe adaptive points sit below the fixed point on scheduling\n\
      overhead at a bounded detection-latency cost: throttling and\n\
@@ -2390,28 +2217,67 @@ let e23_text ?requests () =
      bound forces a real run before the detection budget is spent — the\n\
      two adaptive rows differ exactly in that bound.\n"
 
-let all_texts () =
+(* --- the registry --- *)
+
+type size = { flag : string; about : string; default : int; least : int }
+
+type t = {
+  name : string;
+  doc : string;
+  size : size option;
+  render : int -> string;
+}
+
+let plain name doc f = { name; doc; size = None; render = (fun _ -> f ()) }
+let sized name doc size render = { name; doc; size = Some size; render }
+
+let requests about =
+  { flag = "requests"; about; default = e22_default_requests; least = 1 }
+
+let all =
   [
-    ("table1", e1_text);
-    ("table2", e2_text);
-    ("reduce", e4_text);
-    ("zk2201", e5_text);
-    ("genstats", e6_text);
-    ("overhead", e7_text);
-    ("context", e8_text);
-    ("memsignal", e9_text);
-    ("isolation", e10_text);
-    ("recovery", e11_text);
-    ("reproduce", e12_text);
-    ("overload", e13_text);
-    ("ablation", e14_text);
-    ("sweep", e15_text);
-    ("multiseed", e16_text);
-    ("cluster", e17_text);
-    ("failover", e18_text);
-    ("hetero", e19_text);
-    ("faultspace", fun () -> e20_text ());
-    ("infer", e21_text);
-    ("load", fun () -> e22_text ());
-    ("frontier", fun () -> e23_text ());
+    plain "table1" "E1: Table 1 — crash FD vs error handler vs watchdog."
+      e1_text;
+    plain "table2" "E2: Table 2 — probe / signal / mimic quality." e2_text;
+    plain "reduce" "E4: Figures 2-3 — serializeSnapshot reduction." e4_text;
+    plain "zk2201" "E5: §4.2 — the ZOOKEEPER-2201 reproduction." e5_text;
+    plain "genstats" "E6: §4.2 — \"tens of checkers\" per target." e6_text;
+    plain "overhead" "E7: §3.1 — concurrent vs in-place checking." e7_text;
+    plain "context" "E8: §3.1 — state synchronisation vs spurious alarms."
+      e8_text;
+    plain "memsignal" "E9: §3.3 — memory-pressure fate-sharing." e9_text;
+    plain "isolation" "E10: §3.2/§5 — watchdog isolation." e10_text;
+    plain "recovery" "E11: §5.2 — cheap recovery via microreboot." e11_text;
+    plain "reproduce" "E12: §5.2 — failure reproduction from context."
+      e12_text;
+    plain "overload" "E13: Table 2 accuracy under legitimate overload."
+      e13_text;
+    plain "ablation" "E14: §4.1 — dedup / global-reduction ablations."
+      e14_text;
+    plain "sweep" "E15: detection-budget parameter sweep." e15_text;
+    plain "multiseed" "E16: robustness across event interleavings." e16_text;
+    plain "cluster" "E17: fleet-level aggregation over 5-node clusters."
+      e17_text;
+    plain "failover" "E18: leader failover + verdict-driven recovery."
+      e18_text;
+    plain "hetero" "E19: heterogeneous fleets over an asymmetric fabric."
+      e19_text;
+    sized "faultspace"
+      "E20: randomized fault-space sweep, each generated world graded \
+       against its own oracle."
+      { flag = "worlds"; about = "Number of worlds in the sweep grid";
+        default = 1000; least = 0 }
+      e20_text;
+    plain "infer" "E21: trace-inferred checkers raced against the mimics."
+      e21_text;
+    sized "load"
+      "E22: watchdog overhead under heavy traffic, watchdog-on vs -off vs \
+       inferred-on."
+      (requests "Request budget per deployment row of each workload")
+      e22_text;
+    sized "frontier"
+      "E23: fixed vs adaptive checker scheduling, overhead vs detection \
+       latency."
+      (requests "Request budget per load-plane run of each scheduling mode")
+      e23_text;
   ]

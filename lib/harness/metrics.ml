@@ -76,16 +76,9 @@ type fleet_summary = {
          the decentralized plane's verdict-driven repair loop end to end *)
   fs_families : family_stats list;
       (* evidence-backed verdicts attributed to the checker family that
-         produced the shipped report, in [checker_families] order *)
+         produced the shipped report, in [Campaign.intrinsic_families]
+         order *)
 }
-
-let checker_families = [ "mimic"; "probe"; "signal"; "inferred" ]
-
-let family_name = function
-  | `Mimic -> "mimic"
-  | `Probe -> "probe"
-  | `Signal -> "signal"
-  | `Inferred -> "inferred"
 
 (* Which checker family stands behind each evidence-backed fleet verdict:
    the verdict's evidence travels as report wire bytes, so decoding it
@@ -99,9 +92,8 @@ let evidence_families (r : Wd_cluster.Sim.result) =
           match Wd_watchdog.Report.of_wire wire with
           | Error _ -> None
           | Ok rep ->
-              Some
-                (family_name
-                   (Campaign.classify_checker rep.Wd_watchdog.Report.checker_id))))
+              let id = rep.Wd_watchdog.Report.checker_id in
+              Some (Campaign.family_of_checker id)))
     r.Wd_cluster.Sim.cr_events
 
 let fleet_summary (rs : Wd_cluster.Sim.result list) =
@@ -169,7 +161,7 @@ let fleet_summary (rs : Wd_cluster.Sim.result list) =
              fam_indictments = count faulty fam;
              fam_false_positives = count quiet fam;
            })
-         checker_families);
+         Campaign.intrinsic_families);
   }
 
 let pp_family_stats ppf fams =

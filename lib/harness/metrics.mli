@@ -42,12 +42,9 @@ type fleet_summary = {
       (** injection -> first fleet-commanded microreboot, over node cells *)
   fs_families : family_stats list;
       (** evidence-backed verdicts attributed to the checker family whose
-          report the verdict shipped, in [checker_families] order *)
+          report the verdict shipped, in {!Campaign.intrinsic_families}
+          order *)
 }
-
-val checker_families : string list
-(** The checker families evidence is attributed to:
-    [mimic; probe; signal; inferred]. *)
 
 val fleet_summary : Wd_cluster.Sim.result list -> fleet_summary
 (** Grade a batch of cluster cells (E17): indictment accuracy over faulty

@@ -277,9 +277,7 @@ let run_world w =
       in
       let ff = Campaign.run_fault_free ~cfg ffw.ff_system in
       let false_alarms =
-        ff.Campaign.ff_mimic_fp + ff.Campaign.ff_probe_fp
-        + ff.Campaign.ff_signal_fp + ff.Campaign.ff_heartbeat_fp
-        + ff.Campaign.ff_observer_fp
+        List.fold_left (fun n (_, c) -> n + c) 0 ff.Campaign.ff_fp
       in
       {
         o_world = world_id w;

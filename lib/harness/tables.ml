@@ -37,8 +37,6 @@ let render ~header rows =
   rule ();
   Buffer.contents buf
 
-let print ~header rows = print_string (render ~header rows)
-
 let latency_cell = function
   | None -> "-"
   | Some ns -> Wd_sim.Time.to_string ns

@@ -177,7 +177,8 @@ let dec_i64 c = dec_num c ~stop:';' ~of_string:canonical_i64 ~what:"int64"
 
 let dec_str c =
   let n = dec_num c ~stop:':' ~of_string:canonical_int ~what:"length" in
-  if n < 0 || c.pos + n > String.length c.s then fail "bad string length";
+  (* against the bytes left: [c.pos + n] overflows for [n] near [max_int] *)
+  if n < 0 || n > String.length c.s - c.pos then fail "bad string length";
   let s = String.sub c.s c.pos n in
   c.pos <- c.pos + n;
   s

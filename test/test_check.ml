@@ -56,7 +56,7 @@ let race ?(digest = "d") ~detected ~fp () =
     e21_deploys =
       [ { E.e21d_label = "inferred-only"; e21d_any = detected; e21d_total = 20;
           e21d_families = [ family ]; e21d_fp = fp; e21d_checkers = 1;
-          e21d_sim_events = 0; e21d_overhead_pct = 0. } ] }
+          e21d_overhead_pct = 0. } ] }
 
 let test_race () =
   all_pass "half detected, no fp"
@@ -140,11 +140,8 @@ let frontier_row ?(cut = 0.) ?(detected = 20) ?(worst = Some (Time.sec 1))
 
 let frontier ?(cut = 30.) ?(detected = 20) ?(worst = Some (Time.sec 2))
     ?(dedup = 1) ?(relaxed = true) () =
-  { E.e23_rows =
-      [ frontier_row "fixed";
-        frontier_row ~cut ~detected ~worst ~dedup "adaptive" ]
-      @ (if relaxed then [ frontier_row "adaptive-relaxed" ] else []);
-    e23_scenarios = 23; e23_requests = 60_000 }
+  [ frontier_row "fixed"; frontier_row ~cut ~detected ~worst ~dedup "adaptive" ]
+  @ if relaxed then [ frontier_row "adaptive-relaxed" ] else []
 
 let test_frontier () =
   all_pass "on every bound" (Check.frontier (frontier ()));

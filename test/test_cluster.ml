@@ -200,7 +200,7 @@ let test_e17_oracle_at_jobs_1_and_n () =
   (* the evidence behind those verdicts decodes and attributes to the
      mimic family — and the quiet cells contribute no family evidence *)
   Alcotest.(check (list string))
-    "family order" M.checker_families
+    "family order" Wd_harness.Campaign.intrinsic_families
     (List.map (fun f -> f.M.fam_family) s.M.fs_families);
   let fam name =
     List.find (fun f -> f.M.fam_family = name) s.M.fs_families

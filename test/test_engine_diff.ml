@@ -263,12 +263,18 @@ let test_deep_recursion_parity () =
 (* --- E17 fleet summaries: byte-identical to the reference and across
    widths --- *)
 
+(* An experiment's renderer, reached through the registry by its repro
+   command name. *)
+let render name size =
+  let module E = Wd_harness.Experiments in
+  (List.find (fun e -> e.E.name = name) E.all).E.render size
+
 let test_e17_engine_identity () =
   let module E = Wd_harness.Experiments in
   E.set_jobs 4;
-  let compiled = E.e17_text () in
+  let compiled = render "cluster" 0 in
   E.set_jobs 1;
-  let walked = reference E.e17_text in
+  let walked = reference (fun () -> render "cluster" 0) in
   Alcotest.(check string)
     "E17 fleet summary byte-identical to the reference and across --jobs \
      widths"
@@ -280,8 +286,7 @@ let test_e17_engine_identity () =
    rendered table must match byte for byte. *)
 
 let test_e22_load_identity () =
-  let module E = Wd_harness.Experiments in
-  let run () = E.e22_text ~requests:2_000 () in
+  let run () = render "load" 2_000 in
   let compiled = run () in
   Alcotest.(check string) "E22 load table byte-identical to the reference"
     compiled (reference run)
@@ -289,12 +294,12 @@ let test_e22_load_identity () =
 (* --- E18/E19 fleets: byte-identical to the reference --- *)
 
 let test_fleets_identity () =
-  let module E = Wd_harness.Experiments in
+  let fleet name = render name 0 in
   Alcotest.(check string) "E18 failover byte-identical to the reference"
-    (E.e18_text ()) (reference E.e18_text);
+    (fleet "failover") (reference (fun () -> fleet "failover"));
   Alcotest.(check string) "E19 9- and 15-node fleets byte-identical to the \
      reference"
-    (E.e19_text ()) (reference E.e19_text)
+    (fleet "hetero") (reference (fun () -> fleet "hetero"))
 
 (* --- primitives: each one's compiled binding against [Prims.apply] ---
 

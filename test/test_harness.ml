@@ -54,9 +54,10 @@ let test_fault_free_accuracy () =
       (* full default window: long enough for progress-checker staleness
          thresholds, which a shortened window would never exercise *)
       let ff = Campaign.run_fault_free sys in
-      check_int (sys ^ " mimic clean") 0 ff.Campaign.ff_mimic_fp;
-      check_int (sys ^ " probe clean") 0 ff.Campaign.ff_probe_fp;
-      check_int (sys ^ " hb clean") 0 ff.Campaign.ff_heartbeat_fp;
+      let fp fam = List.assoc fam ff.Campaign.ff_fp in
+      check_int (sys ^ " mimic clean") 0 (fp "mimic");
+      check_int (sys ^ " probe clean") 0 (fp "probe");
+      check_int (sys ^ " hb clean") 0 (fp "heartbeat");
       check (sys ^ " workload healthy") true (ff.Campaign.ff_workload_ok_ratio > 0.95))
     Systems.all_systems
 

@@ -628,7 +628,7 @@ let test_inferred_fault_free_clean () =
   in
   let ff = Campaign.run_fault_free ~cfg "zkmini" in
   Alcotest.(check int) "0 inferred FPs on an unseen seed" 0
-    ff.Campaign.ff_inferred_fp
+    (List.assoc "inferred" ff.Campaign.ff_fp)
 
 (* The 1000-world E20 sweep's single honest miss, pinned: the kvs-deadlock
    world at seed 15233 under 8s/15s windows. Diagnosis: the AB/BA collision

@@ -636,6 +636,51 @@ let test_wire_canonical_numbers () =
   in
   List.iter reject [ "0x10;"; "0o20;"; "0b10000;"; "1_6;"; "+16;"; "016;" ]
 
+(* A string length near [max_int]: a bounds check written as [pos + n]
+   overflows and lets [String.sub] raise. Every consumer of shipped wires
+   must see an ordinary decode error instead. *)
+let hostile_wire = "WDR1|1;4611686018427387900:t"
+
+let test_wire_hostile_length () =
+  check "of_wire returns Error" true
+    (match Report.of_wire hostile_wire with Ok _ -> false | Error _ -> true)
+
+let test_fleet_rejects_hostile_wire () =
+  let sched = Sched.create ~seed:1 () in
+  let fleet =
+    Wd_cluster.Fleet.create ~sched ~me:"n0" ~node_ids:[ "n0"; "n1" ] ()
+  in
+  Wd_cluster.Fleet.ingest_wire fleet ~from_:"n1" ~wire:hostile_wire;
+  check_int "counted as rejected" 1 (Wd_cluster.Fleet.rejected fleet)
+
+(* A fleet Recover command whose evidence does not decode still reboots
+   the named component, under the plain reason. *)
+let test_recover_hostile_wire () =
+  let module C = Wd_cluster in
+  let w =
+    C.Sim.boot ~seed:42
+      ~topology:(C.Topology.uniform ~nodes:3 C.Topology.Zkmini)
+      ()
+  in
+  let sched = C.Sim.world_sched w in
+  ignore (Sched.run ~until:(Time.sec 2) sched);
+  let entry =
+    List.find
+      (fun e -> e.entry_name = List.hd Wd_targets.Zkmini.leader_entries)
+      (Wd_targets.Zkmini.program ()).entries
+  in
+  ignore
+    (Sched.spawn ~name:"hostile-recover" sched (fun () ->
+         C.Fabric.send (C.Sim.world_fabric w) ~src:"n1" ~dst:"n0"
+           (C.Fabric.Recover
+              { from_ = "n1"; func = entry.entry_func; wire = hostile_wire })));
+  ignore (Sched.run ~until:(Time.sec 4) sched);
+  Alcotest.(check (list string))
+    "rebooted under the plain reason" [ "fleet indictment" ]
+    (List.map
+       (fun e -> e.Recovery.ev_reason)
+       (C.Node.recovery_events (List.hd (C.Sim.world_nodes w))))
+
 let () =
   Alcotest.run "wd_watchdog"
     [
@@ -650,6 +695,12 @@ let () =
             test_wire_validated_and_errors;
           Alcotest.test_case "canonical decimals only" `Quick
             test_wire_canonical_numbers;
+          Alcotest.test_case "hostile string length" `Quick
+            test_wire_hostile_length;
+          Alcotest.test_case "fleet rejects hostile wire" `Quick
+            test_fleet_rejects_hostile_wire;
+          Alcotest.test_case "recover on hostile wire" `Quick
+            test_recover_hostile_wire;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_wire_mutation;
           QCheck_alcotest.to_alcotest prop_wire_truncation;
