@@ -66,6 +66,8 @@ let queue r name =
       Hashtbl.replace r.queues name q;
       q
 
+let find_queue r name = Hashtbl.find_opt r.queues name
+
 (* Reclaim a queue that will never be used again (e.g. a per-request reply
    queue): load runs mint millions of them and the table must not grow
    without bound. A later [queue] call on the same name just re-creates it. *)

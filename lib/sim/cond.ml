@@ -45,19 +45,23 @@ let broadcast c =
 (* Wait until [pred ()] holds, re-checking after every wake-up. *)
 let rec await c pred = if not (pred ()) then begin wait c; await c pred end
 
-(* Wait for the predicate with a deadline; [false] means timed out. *)
+(* Wait for the predicate with a deadline; [false] means timed out. The
+   first wait starts at the instant [deadline] was taken, so its timer is a
+   fixed-delay [Sched.after]; a re-wait after a spurious wake-up arms the
+   remaining time at the absolute deadline. *)
 let await_timeout c pred ~timeout =
   let s = Sched.get () in
   let deadline = Int64.add (Sched.now s) timeout in
-  let rec loop () =
+  let rec loop first =
     if pred () then true
     else if Sched.now s >= deadline then false
     else begin
       Sched.suspend ~reason:(reason_timed c)
         ~register:(fun waker ->
           Queue.push waker c.waiters;
-          Sched.at s deadline waker);
-      loop ()
+          if first then Sched.after s timeout waker
+          else Sched.at s deadline waker);
+      loop false
     end
   in
-  loop ()
+  loop true

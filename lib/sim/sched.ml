@@ -27,6 +27,15 @@ type task = {
   mutable blocked_since : int64;
   mutable gen : int;
   mutable kont : (unit, unit) Effect.Deep.continuation option;
+  (* the payload of the [Suspend] being handled, parked here by the effect
+     handler for the task's prebuilt suspend closure *)
+  mutable pending_reason : string;
+  mutable pending_register : (unit -> unit) -> unit;
+  mutable body : unit -> unit; (* the task's function, until it starts *)
+  job : unit -> unit;
+      (* the run-queue job, built at spawn: its first run starts [body],
+         every later one resumes [kont] *)
+  as_current : task option; (* [Some] of this task, for [current] *)
   mutable exit_hooks : (exit_status -> unit) list;
   mutable cancel_requested : bool;
   daemon : bool;
@@ -200,27 +209,35 @@ let finish s t status =
           m "task %s failed: %s" t.name (Printexc.to_string e))
   | Exited | Failed _ | Killed -> ()
 
-(* Re-queue a blocked task. [gen] guards against stale wakers. *)
+(* Re-queue a blocked task. [gen] guards against stale wakers. The
+   continuation stays in [kont] until the task's job resumes it. *)
 let wake s t gen =
   if t.gen = gen && t.state = Blocked then begin
-    match t.kont with
-    | None -> assert false
-    | Some k ->
-        t.kont <- None;
-        t.state <- Ready;
-        Queue.push
-          (fun () ->
-            t.state <- Running;
-            s.current <- Some t;
-            s.switches <- s.switches + 1;
-            emit_resumed s t;
-            if t.cancel_requested then
-              Effect.Deep.discontinue k Cancelled
-            else Effect.Deep.continue k ())
-          s.runq
+    t.state <- Ready;
+    Queue.push t.job s.runq
   end
 
+let no_register (_ : unit -> unit) = ()
+
+(* Built once per task, when it starts: the handler and the closure it
+   hands every [Suspend]. The effect's payload reaches that closure
+   through the task record, so a suspend allocates only its waker. *)
 let handler s t =
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let reason = t.pending_reason and register = t.pending_register in
+        t.pending_register <- no_register;
+        emit_blocked s t reason;
+        t.state <- Blocked;
+        t.blocked_on <- reason;
+        t.blocked_since <- s.now;
+        t.gen <- t.gen + 1;
+        t.kont <- Some k;
+        let gen = t.gen in
+        register (fun () -> wake s t gen);
+        s.current <- None)
+  in
   {
     Effect.Deep.retc = (fun () -> finish s t Exited);
     exnc =
@@ -229,25 +246,39 @@ let handler s t =
         | Cancelled -> finish s t Killed
         | e -> finish s t (Failed e));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
         | Suspend { reason; register } ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                emit_blocked s t reason;
-                t.state <- Blocked;
-                t.blocked_on <- reason;
-                t.blocked_since <- s.now;
-                t.gen <- t.gen + 1;
-                t.kont <- Some k;
-                let gen = t.gen in
-                register (fun () -> wake s t gen);
-                s.current <- None)
+            t.pending_reason <- reason;
+            t.pending_register <- register;
+            on_suspend
         | _ -> None);
   }
 
+let run_job s t =
+  match t.kont with
+  | Some k ->
+      t.kont <- None;
+      t.state <- Running;
+      s.current <- t.as_current;
+      s.switches <- s.switches + 1;
+      emit_resumed s t;
+      if t.cancel_requested then Effect.Deep.discontinue k Cancelled
+      else Effect.Deep.continue k ()
+  | None ->
+      if t.cancel_requested then finish s t Killed
+      else begin
+        let f = t.body in
+        t.body <- ignore;
+        t.state <- Running;
+        s.current <- t.as_current;
+        s.switches <- s.switches + 1;
+        Effect.Deep.match_with f () (handler s t)
+      end
+
 let spawn ?(name = "task") ?(daemon = false) s f =
-  let t =
+  let rec t =
     {
       id = s.next_id;
       name;
@@ -257,6 +288,11 @@ let spawn ?(name = "task") ?(daemon = false) s f =
       blocked_since = s.now;
       gen = 0;
       kont = None;
+      pending_reason = "";
+      pending_register = no_register;
+      body = f;
+      job = (fun () -> run_job s t);
+      as_current = Some t;
       exit_hooks = [];
       cancel_requested = false;
       daemon;
@@ -267,16 +303,7 @@ let spawn ?(name = "task") ?(daemon = false) s f =
   s.spawned <- s.spawned + 1;
   if not daemon then Hashtbl.replace s.live t.id t;
   emit_spawned s t;
-  Queue.push
-    (fun () ->
-      if t.cancel_requested then finish s t Killed
-      else begin
-        t.state <- Running;
-        s.current <- Some t;
-        s.switches <- s.switches + 1;
-        Effect.Deep.match_with f () (handler s t)
-      end)
-    s.runq;
+  Queue.push t.job s.runq;
   t
 
 let suspend ~reason ~register =
@@ -286,7 +313,13 @@ let at s time f =
   let time = if time < s.now then s.now else time in
   Heap.push s.timers ~time f
 
-let after s delay f = at s (Int64.add s.now delay) f
+(* A fixed-delay deadline: its own lane of the timer queue, fired at the
+   same instant and in the same (time, seq) order as [at]. *)
+let after s delay f =
+  let time = Int64.add s.now delay in
+  Heap.push_lane s.timers ~lane:delay
+    ~time:(if time < s.now then s.now else time)
+    f
 
 module Reference = struct
   let active = Atomic.make false
@@ -360,7 +393,7 @@ let kill s t =
           Queue.push
             (fun () ->
               t.state <- Running;
-              s.current <- Some t;
+              s.current <- t.as_current;
               Effect.Deep.discontinue k Cancelled)
             s.runq)
 

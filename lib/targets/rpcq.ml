@@ -3,7 +3,8 @@
    Clients enqueue request maps carrying a fresh reply id; the target's IR
    pushes replies (tagged with that id) onto a well-known replies queue; a
    dispatcher task routes each reply to the per-request queue the client
-   blocks on. This models a request/response API surface — exactly the
+   blocks on, and discards a reply whose request already gave up on it.
+   This models a request/response API surface — exactly the
    interface probe checkers exercise. *)
 
 open Wd_ir
@@ -29,8 +30,10 @@ let spawn_dispatcher t =
         match Wd_sim.Channel.recv replies with
         | Ast.VMap kvs -> (
             match (List.assoc_opt "id" kvs, List.assoc_opt "data" kvs) with
-            | Some (Ast.VStr id), Some data ->
-                ignore (Wd_sim.Channel.try_send (Runtime.queue t.res id) data)
+            | Some (Ast.VStr id), Some data -> (
+                match Runtime.find_queue t.res id with
+                | Some q -> ignore (Wd_sim.Channel.try_send q data)
+                | None -> (* its request timed out and dropped the queue *) ())
             | _, _ -> ())
         | _ -> ()
       done)
@@ -54,7 +57,6 @@ let request ?(timeout = Wd_sim.Time.sec 2) t fields =
     in
     (* One queue per request: reclaim it or load runs grow the resource
        table (and its channels) without bound. A reply that arrives after
-       a timeout re-creates the queue through the dispatcher's
-       [Runtime.queue] — a rare, bounded leak. *)
+       a timeout finds no queue and the dispatcher drops it. *)
     Runtime.drop_queue t.res reply_name;
     r

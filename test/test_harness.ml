@@ -302,6 +302,38 @@ let test_boot_fingerprints () =
             (boot_fingerprint ~mode:(List.assoc mname modes) ?special system))
     cases
 
+(* Pinned load-world fingerprint: an 8,192-request zkmini closed loop (32
+   clients, 50 us think: the E22 shape) under the generated watchdog. The
+   test drives the clock in 1 ms ticks and samples the armed-timer count
+   after each. It pins the scheduler's counters, the final clock and the
+   peak timer count. The idle boot fingerprints above never arm a request
+   deadline; this world arms hundreds of thousands, most of them stale. *)
+let test_load_fingerprint () =
+  let requests = 8_192 in
+  let sched = Wd_sim.Sched.create ~seed:42 () in
+  let b = Campaign.boot ~sched ~mode:Systems.Wd_generated ~infer:None "zkmini" in
+  let g =
+    Loadgen.spawn_closed ~sched ~clients:32 ~think:(Time.us 50) ~requests
+      ~op:b.Systems.b_client ()
+  in
+  let peak = ref 0 in
+  while
+    Loadgen.completed g < requests && Wd_sim.Sched.now sched < Time.sec 600
+  do
+    ignore
+      (Wd_sim.Sched.run
+         ~until:(Int64.add (Wd_sim.Sched.now sched) (Time.ms 1))
+         sched);
+    peak := max !peak (Wd_sim.Sched.timer_count sched)
+  done;
+  let spawned, switches, events = Wd_sim.Sched.stats sched in
+  check_int "every request completed" requests (Loadgen.completed g);
+  Alcotest.(check string)
+    "spawned/switches/events/now/peak timers"
+    "65/87375/163358/1149000000/19641"
+    (Fmt.str "%d/%d/%d/%Ld/%d" spawned switches events
+       (Wd_sim.Sched.now sched) !peak)
+
 let test_tables_render () =
   let text =
     Tables.render ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "333"; "4" ] ]
@@ -345,5 +377,7 @@ let () =
             test_crash_injection_stops_watchdog;
           Alcotest.test_case "boot fingerprints pinned" `Quick
             test_boot_fingerprints;
+          Alcotest.test_case "load world fingerprint pinned" `Quick
+            test_load_fingerprint;
         ] );
     ]

@@ -108,6 +108,123 @@ let prop_heap_sorted =
               (fun (ok, prev) (t, _) -> (ok && t >= prev, t))
               (true, Int64.min_int) drained))
 
+(* Deadline lanes share the heap's order: a lane push costs O(1) but pops
+   exactly where [push] would have put it. *)
+let test_lane_no_alloc () =
+  let n = 10_000 in
+  let delays = [| 500L; 2_000L; 100L |] in
+  (* per delay, deadlines at a rising clock: each lane sees sorted times *)
+  let times =
+    Array.init (2 * n) (fun i -> Int64.add (Int64.of_int i) delays.(i mod 3))
+  in
+  let h = Heap.create ~dummy_payload:0 in
+  for i = 0 to n - 1 do
+    Heap.push_lane h ~lane:delays.(i mod 3) ~time:times.(i) i
+  done;
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = n to (2 * n) - 1 do
+    Heap.push_lane h
+      ~lane:(Array.unsafe_get delays (i mod 3))
+      ~time:(Array.unsafe_get times i) i;
+    sink := !sink + Heap.pop_min h
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "size unchanged" n (Heap.size h);
+  Alcotest.(check (float 0.)) "push_lane/pop_min allocate 0 words" 0. words;
+  ignore (Sys.opaque_identity !sink)
+
+(* The laned queue against a sorted-list model. Operations: heap pushes,
+   lane pushes of a fixed delay at a rising clock (ten distinct delays,
+   more than there are lanes), lane pushes at an arbitrary time (earlier
+   than the lane's tail, so they must take the heap), clock ticks of 0-2
+   (many equal times across lanes and the heap), and pops. Long runs of
+   pushes grow the rings past their initial capacity. After every step
+   [size], [is_empty] and [min_time] must match the model, and every pop
+   must return the model's least (time, insertion order) entry. *)
+type qop =
+  | Q_push of int
+  | Q_lane of int
+  | Q_lane_at of int * int
+  | Q_tick of int
+  | Q_pop
+
+let lane_delays = [| 0; 1; 3; 5; 8; 13; 21; 34; 55; 89 |]
+
+let gen_qops =
+  QCheck.Gen.(
+    list_size (int_range 0 400)
+      (frequency
+         [
+           (2, map (fun d -> Q_push d) (int_bound 100));
+           (6, map (fun i -> Q_lane i) (int_bound 9));
+           (1, map2 (fun i t -> Q_lane_at (i, t)) (int_bound 9) (int_bound 120));
+           (2, map (fun d -> Q_tick d) (int_bound 2));
+           (4, return Q_pop);
+         ]))
+
+let print_qop = function
+  | Q_push d -> Fmt.str "push +%d" d
+  | Q_lane i -> Fmt.str "lane %d" lane_delays.(i)
+  | Q_lane_at (i, t) -> Fmt.str "lane %d @%d" lane_delays.(i) t
+  | Q_tick d -> Fmt.str "tick %d" d
+  | Q_pop -> "pop"
+
+let lanes_match_model ops =
+  let h = Heap.create ~dummy_payload:(-1) in
+  (* the model: (time, payload) in (time, insertion) order *)
+  let model = ref [] and clock = ref 0 in
+  let insert time p =
+    let rec go = function
+      | (t, _) as e :: rest when t <= time -> e :: go rest
+      | l -> (time, p) :: l
+    in
+    model := go !model
+  in
+  let agrees () =
+    Heap.size h = List.length !model
+    && Heap.is_empty h = (!model = [])
+    &&
+    match !model with
+    | [] -> true
+    | (t, _) :: _ -> Heap.min_time h = Int64.of_int t
+  in
+  let step i op =
+    (match op with
+    | Q_push d ->
+        Heap.push h ~time:(Int64.of_int (!clock + d)) i;
+        insert (!clock + d) i
+    | Q_lane k ->
+        let d = lane_delays.(k) in
+        Heap.push_lane h ~lane:(Int64.of_int d)
+          ~time:(Int64.of_int (!clock + d)) i;
+        insert (!clock + d) i
+    | Q_lane_at (k, t) ->
+        Heap.push_lane h ~lane:(Int64.of_int lane_delays.(k))
+          ~time:(Int64.of_int t) i;
+        insert t i
+    | Q_tick d -> clock := !clock + d
+    | Q_pop -> (
+        match !model with
+        | [] -> ()
+        | (t, p) :: rest ->
+            model := rest;
+            let t' = Heap.min_time h in
+            let p' = Heap.pop_min h in
+            if t' <> Int64.of_int t || p' <> p then
+              QCheck.Test.fail_reportf "pop %d: got (%Ld, %d), want (%d, %d)" i
+                t' p' t p));
+    agrees ()
+  in
+  List.for_all Fun.id (List.mapi step ops)
+
+let prop_lanes_match_model =
+  QCheck.Test.make ~name:"laned queue matches a sorted-list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_qop ops))
+       gen_qops)
+    lanes_match_model
+
 (* --- rng --- *)
 
 let test_rng_deterministic () =
@@ -1015,6 +1132,9 @@ let () =
           Alcotest.test_case "push/pop_min allocate nothing" `Quick
             test_heap_no_alloc;
           QCheck_alcotest.to_alcotest prop_heap_sorted;
+          Alcotest.test_case "push_lane/pop_min allocate nothing" `Quick
+            test_lane_no_alloc;
+          QCheck_alcotest.to_alcotest prop_lanes_match_model;
         ] );
       ( "rng",
         [

@@ -146,6 +146,34 @@ let test_zk_ruok () =
       | `Ok v -> check_str "imok" "imok" (vstr v)
       | _ -> Alcotest.fail "ruok")
 
+(* A reply that lands after its request timed out (the commit path's txn
+   log append is delayed past the client's deadline) is discarded: it
+   must not re-create the per-request reply queue the request dropped. *)
+let test_zk_late_reply_no_queue () =
+  let sched, reg, t = boot_zk () in
+  let queues () = Hashtbl.length t.Wd_targets.Zkmini.res.Wd_ir.Runtime.queues in
+  let before = ref 0 and timed_out = ref false in
+  client sched (fun () ->
+      ignore (Wd_targets.Zkmini.create t ~path:"/warm" ~data:"d");
+      before := queues ();
+      Wd_env.Faultreg.inject reg
+        {
+          Wd_env.Faultreg.id = "slow-commit";
+          site_pattern = "disk:zk.disk:*";
+          behaviour = Wd_env.Faultreg.Delay (Time.ms 300);
+          start_at = Sched.now sched;
+          stop_at = Time.never;
+          once = true;
+        };
+      timed_out :=
+        Wd_targets.Zkmini.create ~timeout:(Time.ms 50) t ~path:"/late"
+          ~data:"d"
+        = `Timeout;
+      Sched.sleep (Time.sec 2));
+  check "request timed out" true !timed_out;
+  check_int "txn committed after the deadline" 2 (Wd_targets.Zkmini.txncount t);
+  check_int "no reply queue left behind" !before (queues ())
+
 let test_zk_snapshot_after_snapcount () =
   let sched, _reg, t = boot_zk () in
   client sched (fun () ->
@@ -354,6 +382,8 @@ let () =
           Alcotest.test_case "create/get" `Quick test_zk_create_get;
           Alcotest.test_case "zxid monotonic" `Quick test_zk_zxid_monotonic;
           Alcotest.test_case "ruok" `Quick test_zk_ruok;
+          Alcotest.test_case "late reply leaks no queue" `Quick
+            test_zk_late_reply_no_queue;
           Alcotest.test_case "snapshots" `Quick test_zk_snapshot_after_snapcount;
           Alcotest.test_case "followers replicate" `Quick test_zk_followers_replicate;
         ] );
