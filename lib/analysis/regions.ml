@@ -77,7 +77,3 @@ let find prog =
       end)
     prog.funcs;
   List.rev !regions
-
-let pp ppf r =
-  Fmt.pf ppf "region %s (root %s, %d reachable funcs)" r.region_id r.root_func
-    (List.length r.reachable)

@@ -14,4 +14,3 @@ type t = {
 }
 
 val find : Wd_ir.Ast.program -> t list
-val pp : Format.formatter -> t -> unit

@@ -30,10 +30,6 @@ type vop = {
   enclosing_sync : string option;
 }
 
-val prefix_of_expr : (string, string) Hashtbl.t -> expr -> string option
-(** Statically-known prefix of an operand under the given binding
-    environment (one level of constant propagation through [Let]s). *)
-
 val track_binding : (string, string) Hashtbl.t -> string -> expr -> unit
 val op_key :
   (string, string) Hashtbl.t -> kind:op_kind -> target:string -> args:expr list -> string

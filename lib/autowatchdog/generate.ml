@@ -177,72 +177,38 @@ let checker_of_unit g ~sched ~wctx ~res ~node (u : Reduction.unit_) =
     ~ctx_version:(fun () -> Wcontext.version wctx unit_id)
     ~id:unit_id run
 
-(* Region ids whose root function is reachable from any of the given entry
-   functions — used to attach a node only the checkers that watch its own
-   daemons (a watchdog is intrinsic to one node, §3.1). *)
-let regions_for_entry_funcs g ~entry_funcs =
-  let prog = g.red.Reduction.original in
-  let cg = g.callgraph in
-  let reachable =
-    List.sort_uniq String.compare
-      (List.concat_map (fun f -> Wd_analysis.Callgraph.reachable cg f) entry_funcs)
-  in
-  List.filter_map
-    (fun r ->
-      if List.mem r.Wd_analysis.Regions.root_func reachable then
-        Some r.Wd_analysis.Regions.region_id
-      else None)
-    (Wd_analysis.Regions.find prog)
-
 (* Wire a generated watchdog into a running node. The main interpreter must
    have been created over [g.red.instrumented] (not the original program),
    otherwise no hooks fire and every context stays NOT_READY.
 
-   [only_regions] restricts the attachment to checkers whose region belongs
-   to this node (see [regions_for_entry_funcs]); by default every unit is
-   attached — units whose hooks never fire on this node simply stay
-   NOT_READY and skip.
+   Every unit is attached — units whose hooks never fire on this node
+   simply stay NOT_READY and skip.
 
    [progress] additionally arms one staleness checker per context-fed unit:
    once a hook has fired, the main program is expected to keep passing it;
    a context older than the threshold means the surrounding region stopped
    making progress *without* failing any mimicked operation — the
    infinite-loop/stall class that operation mimicry alone cannot see. *)
-let attach ?only_regions ?progress g ~sched ~main ~driver =
+let attach ?progress g ~sched ~main ~driver =
   let res = Interp.resources main in
   let node = Interp.node main in
-  let selected =
-    match only_regions with
-    | None -> g.units
-    | Some regions ->
-        List.filter
-          (fun (u : Reduction.unit_) -> List.mem u.Reduction.region_id regions)
-          g.units
-  in
-  let selected_ids =
-    List.map (fun (u : Reduction.unit_) -> u.Reduction.unit_id) selected
-  in
   let wctx = Wcontext.create () in
   List.iter
     (fun (u : Reduction.unit_) ->
       Wcontext.register_unit wctx ~unit_id:u.Reduction.unit_id
         ~params:(List.map fst u.Reduction.params))
-    selected;
+    g.units;
   List.iter
     (fun (h : Reduction.hook_insertion) ->
-      if List.mem h.Reduction.hi_unit selected_ids then begin
-        let captures =
-          List.map (fun (p, tmp, _) -> (tmp, p)) h.Reduction.hi_captures
-        in
-        Wcontext.bind_hook wctx ~hook_id:h.Reduction.hi_hook_id
-          ~unit_id:h.Reduction.hi_unit
-          ~captures:(List.map (fun (tmp, p) -> (p, tmp)) captures);
-        Interp.register_hook main ~id:h.Reduction.hi_hook_id
-          {
-            Interp.hook_checker = h.Reduction.hi_unit;
-            hook_vars = List.map (fun (_, tmp, _) -> tmp) h.Reduction.hi_captures;
-          }
-      end)
+      (* every hook belongs to a unit of [g.units] *)
+      Wcontext.bind_hook wctx ~hook_id:h.Reduction.hi_hook_id
+        ~unit_id:h.Reduction.hi_unit
+        ~captures:(List.map (fun (p, tmp, _) -> (p, tmp)) h.Reduction.hi_captures);
+      Interp.register_hook main ~id:h.Reduction.hi_hook_id
+        {
+          Interp.hook_checker = h.Reduction.hi_unit;
+          hook_vars = List.map (fun (_, tmp, _) -> tmp) h.Reduction.hi_captures;
+        })
     g.red.Reduction.hooks;
   Interp.set_hook_sink main (fun hook_id spec ->
       Option.map
@@ -252,7 +218,7 @@ let attach ?only_regions ?progress g ~sched ~main ~driver =
     (fun u ->
       Wd_watchdog.Driver.add_checker driver
         (checker_of_unit g ~sched ~wctx ~res ~node u))
-    selected;
+    g.units;
   (match progress with
   | None -> ()
   | Some threshold ->
@@ -279,7 +245,7 @@ let attach ?only_regions ?progress g ~sched ~main ~driver =
                                  Wd_sim.Time.pp age)
                             ~payload:(Wcontext.snapshot wctx unit_id) ())
                    | Some _ -> Checker.Pass)))
-        selected);
+        g.units);
   wctx
 
 (* Cheap-recovery wiring (§5.2): register each of the node's entry tasks as

@@ -35,13 +35,7 @@ val clear_cache : unit -> unit
 (** Invalidate every domain's cache (epoch bump, applied lazily on each
     domain's next lookup) and reset the stats. *)
 
-val regions_for_entry_funcs :
-  generated -> entry_funcs:string list -> string list
-(** Region ids rooted in functions reachable from the given entry functions;
-    a node passes its own entries to attach only its own checkers. *)
-
 val attach :
-  ?only_regions:string list ->
   ?progress:int64 ->
   generated ->
   sched:Wd_sim.Sched.t ->
@@ -54,9 +48,8 @@ val attach :
 
     [main] must have been created over [generated.red.instrumented]; on the
     original program no hooks fire and every context stays NOT_READY.
-    [only_regions] restricts attachment to this node's own regions (see
-    {!regions_for_entry_funcs}); unfiltered, foreign units stay NOT_READY
-    and skip harmlessly. [progress] arms one staleness checker per
+    Every unit is attached; units whose hooks never fire on this node stay
+    NOT_READY and skip harmlessly. [progress] arms one staleness checker per
     context-fed unit: a context older than the threshold means the region
     stopped making progress without failing any mimicked operation — the
     infinite-loop/stall class operation mimicry cannot see. *)
@@ -72,15 +65,6 @@ val register_components :
     every function reachable from its entry point. [entries] and [tasks]
     must correspond pairwise (program-entry order, as {!Wd_ir.Interp.start}
     returns them). *)
-
-val checker_of_unit :
-  generated ->
-  sched:Wd_sim.Sched.t ->
-  wctx:Wd_watchdog.Wcontext.t ->
-  res:Wd_ir.Runtime.resources ->
-  node:string ->
-  Wd_analysis.Reduction.unit_ ->
-  Wd_watchdog.Checker.t
 
 val render_checker_source : Wd_analysis.Reduction.unit_ -> string
 (** Figure-3-style pseudo-Java rendering of a generated checker. *)

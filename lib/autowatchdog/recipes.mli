@@ -10,6 +10,4 @@
     Inserted statements reuse the anchor operation's location so failures
     pinpoint the original program statement. *)
 
-val enhance_block : Wd_ir.Ast.block -> Wd_ir.Ast.block
-
 val enhance_unit : Wd_analysis.Reduction.unit_ -> Wd_analysis.Reduction.unit_

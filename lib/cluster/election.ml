@@ -42,9 +42,6 @@ type t = {
   fleet : Fleet.t;
   sched : Wd_sim.Sched.t;
   node_ids : string list; (* priority order: head outranks all *)
-  check_period : int64;
-  answer_timeout : int64; (* Elect -> Elect_ok wait *)
-  coord_timeout : int64; (* Elect_ok -> Coordinator wait *)
   mutable leader : string; (* who this node believes leads *)
   mutable round : int;
   mutable electing : bool;
@@ -53,17 +50,20 @@ type t = {
   mutable retained : (int64 * string) list; (* shipped wires, newest first *)
   mutable leader_history : (int64 * string) list; (* newest first *)
   mutable elections_started : int;
-  mutable coordinator_broadcasts : int;
-  mutable recover_sent : int;
 }
 
 let retain_cap = 32
+
+(* how often the leadership watchdog checks the current leader's health *)
+let check_period = Wd_sim.Time.ms 500
+
+let answer_timeout = Wd_sim.Time.sec 1 (* Elect -> Elect_ok wait *)
+let coord_timeout = Wd_sim.Time.sec 2 (* Elect_ok -> Coordinator wait *)
+
 let me t = Node.id t.node
 let rank t id = Option.value ~default:max_int (List.find_index (( = ) id) t.node_ids)
 
-let create ?(check_period = Wd_sim.Time.ms 500)
-    ?(answer_timeout = Wd_sim.Time.sec 1) ?(coord_timeout = Wd_sim.Time.sec 2)
-    ~sched ~fabric ~node ~membership ~fleet () =
+let create ~sched ~fabric ~node ~membership ~fleet =
   let node_ids = Node.id node :: Fabric.peers fabric (Node.id node) in
   let node_ids = List.sort compare node_ids in
   let leader = List.hd node_ids in
@@ -74,9 +74,6 @@ let create ?(check_period = Wd_sim.Time.ms 500)
     fleet;
     sched;
     node_ids;
-    check_period;
-    answer_timeout;
-    coord_timeout;
     leader;
     round = 0;
     electing = false;
@@ -85,8 +82,6 @@ let create ?(check_period = Wd_sim.Time.ms 500)
     retained = [];
     leader_history = [ (0L, leader) ];
     elections_started = 0;
-    coordinator_broadcasts = 0;
-    recover_sent = 0;
   }
 
 (* a peer is a credible leader candidate only if this node's own evidence
@@ -122,7 +117,6 @@ let adopt t ~leader =
   end
 
 let become_leader t =
-  t.coordinator_broadcasts <- t.coordinator_broadcasts + 1;
   let round = t.round in
   List.iter
     (fun dst ->
@@ -139,7 +133,7 @@ let start_election t =
   | [] -> become_leader t
   | sup ->
       let now = Wd_sim.Sched.now t.sched in
-      t.elect_deadline <- Some (Int64.add now t.answer_timeout);
+      t.elect_deadline <- Some (Int64.add now answer_timeout);
       t.coord_deadline <- None;
       List.iter
         (fun dst ->
@@ -167,7 +161,7 @@ let handle_elect_ok t ~round =
     (* a superior lives; stop waiting for answers, wait for its crown *)
     t.elect_deadline <- None;
     let now = Wd_sim.Sched.now t.sched in
-    t.coord_deadline <- Some (Int64.add now t.coord_timeout)
+    t.coord_deadline <- Some (Int64.add now coord_timeout)
   end
 
 let handle_recover t ~func ~wire =
@@ -207,7 +201,6 @@ let act_on_verdict t (ev : Fleet.event) =
   match ev.Fleet.ev_verdict with
   | Fleet.Node_gray { node = victim; component = Some func } ->
       let wire = Option.value ev.Fleet.ev_evidence ~default:"" in
-      t.recover_sent <- t.recover_sent + 1;
       if victim = me t then handle_recover t ~func ~wire
       else
         Fabric.send t.fabric ~src:(me t) ~dst:victim
@@ -274,14 +267,14 @@ let start t =
   ignore
     (Wd_sim.Sched.spawn ~name:(id ^ "-elect") ~daemon:true t.sched (fun () ->
          while true do
-           Wd_sim.Sched.sleep t.check_period;
+           Wd_sim.Sched.sleep check_period;
            election_check t
          done));
   (* leader-only correlation tick *)
   ignore
     (Wd_sim.Sched.spawn ~name:(id ^ "-fleet") ~daemon:true t.sched (fun () ->
          while true do
-           Wd_sim.Sched.sleep (Fleet.tick_period t.fleet);
+           Wd_sim.Sched.sleep Fleet.tick_period;
            fleet_tick t
          done));
   (* evidence as data: every locally-surfaced report leaves the node as
@@ -301,6 +294,4 @@ let start t =
 let leader t = t.leader
 let leader_history t = List.rev t.leader_history (* chronological *)
 let elections_started t = t.elections_started
-let coordinator_broadcasts t = t.coordinator_broadcasts
-let recover_sent t = t.recover_sent
 let fleet t = t.fleet

@@ -21,19 +21,16 @@
 type t
 
 val create :
-  ?check_period:int64 ->
-  ?answer_timeout:int64 ->
-  ?coord_timeout:int64 ->
   sched:Wd_sim.Sched.t ->
   fabric:Fabric.t ->
   node:Node.t ->
   membership:Membership.t ->
   fleet:Fleet.t ->
-  unit ->
   t
-(** [answer_timeout] bounds the [Elect] → [Elect_ok] wait (no answer means
-    crown self); [coord_timeout] the [Elect_ok] → [Coordinator] wait (a
-    superior answered but never took over means re-run). *)
+(** The leadership watchdog checks the leader every 500 ms. An [Elect]
+    unanswered for 1 s means crown self; an [Elect_ok] not followed by a
+    [Coordinator] within 2 s (a superior answered but never took over)
+    means re-run. *)
 
 val start : t -> unit
 (** Spawn the receiver, leadership-watchdog and fleet-tick tasks, and hook
@@ -51,10 +48,6 @@ val leader_history : t -> (int64 * string) list
     initial (priority-order) leader at time 0. *)
 
 val elections_started : t -> int
-val coordinator_broadcasts : t -> int
-
-val recover_sent : t -> int
-(** [Recover] commands issued while leading. *)
 
 val fleet : t -> Fleet.t
 (** This node's correlation engine — the fleet-level report of record when

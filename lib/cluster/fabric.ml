@@ -73,8 +73,6 @@ let create ?(links = []) ~sched ~nodes () =
 
 let peers t me = List.filter (fun n -> n <> me) t.nodes
 let reg t = t.reg
-let node_ids t = t.nodes
-
 (* Approximate wire size of each message class, in bytes. Only
    bandwidth-bounded links care: a big wire-encoded report ship serialises
    for size/rate seconds there, while a heartbeat barely registers — the

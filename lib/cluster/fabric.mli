@@ -45,15 +45,10 @@ val create :
     [Topology.link_profiles]; unlisted links keep the symmetric 1 ms base. *)
 
 val peers : t -> string -> string list
-val node_ids : t -> string list
 
 val reg : t -> Wd_env.Faultreg.t
 (** The fabric's own fault registry: scenario injection cuts or degrades
     links here without touching any node's private environment. *)
-
-val msg_size : msg -> int
-(** Approximate wire size in bytes, the serialisation cost on
-    bandwidth-bounded links. *)
 
 val send : t -> src:string -> dst:string -> msg -> unit
 (** Fire-and-forget: a send failing under an [Error] fault is treated as a

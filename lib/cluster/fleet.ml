@@ -68,52 +68,51 @@ type accusation = {
   acc_suspect : string list; (* peers the accuser suspects for gossip silence *)
 }
 
+(* the correlation period: the leader's election agent steps the engine
+   this often *)
+let tick_period = Wd_sim.Time.ms 500
+
+(* mimic evidence is fresh within this *)
+let mimic_window = Wd_sim.Time.sec 10
+
+(* signal evidence fades slower: the driver dedups repeats for 30s, so
+   persistent overload re-reports at that cadence; the window must outlast
+   the gap or overload would "blink" and let rules 2-3 misfire in between *)
+let signal_window = Wd_sim.Time.sec 45
+
+(* an accuser's gossip view is live within this; a dead accuser's stale
+   accusations fade *)
+let accuse_window = Wd_sim.Time.sec 2
+
+(* distinct peers that must accuse a node before rule 2 indicts it *)
+let quorum = 2
+
+(* consecutive ticks a candidate verdict must survive before it is recorded *)
+let confirm = 2
+
 type t = {
   sched : Wd_sim.Sched.t;
-  me : string;
   node_ids : string list;
-  tick : int64;
-  mimic_window : int64; (* mimic evidence is fresh within this *)
-  signal_window : int64; (* signal evidence fades slower: the driver
-                            dedups repeats for 30s, so persistent overload
-                            re-reports at that cadence; the window must
-                            outlast the gap or overload would "blink" and
-                            let rules 2-3 misfire in between *)
-  accuse_window : int64; (* an accuser's gossip view is live within this;
-                            a dead accuser's stale accusations fade *)
-  quorum : int;
-  confirm : int;
   inboxes : (string, inbox) Hashtbl.t;
   digests : (string, (Fabric.digest, unit) Hashtbl.t) Hashtbl.t;
   accusations : (string, accusation) Hashtbl.t; (* keyed by accuser *)
   streaks : (string, int) Hashtbl.t; (* verdict key -> consecutive ticks *)
   recorded : (string, unit) Hashtbl.t;
   mutable events : event list; (* newest first *)
-  mutable ingested : int; (* wires decoded and filed *)
   mutable rejected : int; (* wires that failed to decode *)
 }
 
-let create ?(tick = Wd_sim.Time.ms 500) ?(mimic_window = Wd_sim.Time.sec 10)
-    ?(signal_window = Wd_sim.Time.sec 45) ?(accuse_window = Wd_sim.Time.sec 2)
-    ?(quorum = 2) ?(confirm = 2) ~sched ~me ~node_ids () =
+let create ~sched ~node_ids =
   let t =
     {
       sched;
-      me;
       node_ids;
-      tick;
-      mimic_window;
-      signal_window;
-      accuse_window;
-      quorum;
-      confirm;
       inboxes = Hashtbl.create 8;
       digests = Hashtbl.create 8;
       accusations = Hashtbl.create 8;
       streaks = Hashtbl.create 8;
       recorded = Hashtbl.create 8;
       events = [];
-      ingested = 0;
       rejected = 0;
     }
   in
@@ -123,8 +122,6 @@ let create ?(tick = Wd_sim.Time.ms 500) ?(mimic_window = Wd_sim.Time.sec 10)
       Hashtbl.replace t.digests id (Hashtbl.create 32))
     node_ids;
   t
-
-let tick_period t = t.tick
 
 (* --- evidence intake ---------------------------------------------------- *)
 
@@ -136,8 +133,7 @@ let ingest_wire t ~from_ ~wire =
         match Report.of_wire wire with
         | Ok r ->
             Hashtbl.replace ib.seen wire ();
-            ib.reps <- (r, wire) :: ib.reps;
-            t.ingested <- t.ingested + 1
+            ib.reps <- (r, wire) :: ib.reps
         | Error _ -> t.rejected <- t.rejected + 1
       end
 
@@ -152,7 +148,6 @@ let note_gossip_evidence t ~from_ ~accuse_probe ~accuse_suspect ~digests =
   | None -> ()
   | Some set -> List.iter (fun d -> Hashtbl.replace set d ()) digests
 
-let ingested t = t.ingested
 let rejected t = t.rejected
 
 (* --- evidence views ----------------------------------------------------- *)
@@ -163,7 +158,7 @@ let fresh_reports t node_id ~now ~window ~kind =
   | Some ib ->
       List.filter
         (fun ((r : Report.t), _) ->
-          Node.kind_of_checker_id r.Report.checker_id = kind
+          Checker.kind_of_id r.Report.checker_id = kind
           && Int64.sub now r.Report.at <= window)
         ib.reps
 
@@ -174,7 +169,7 @@ let has_fresh_digest t node_id ~now ~window ~kind =
       Hashtbl.fold
         (fun (d : Fabric.digest) () acc ->
           acc
-          || (Node.kind_of_checker_id d.Fabric.d_checker = kind
+          || (Checker.kind_of_id d.Fabric.d_checker = kind
              && Int64.sub now d.Fabric.d_at <= window))
         set false
 
@@ -186,7 +181,7 @@ let has_evidence t node_id ~now ~window ~kind =
 
 let live_accusation t accuser ~now =
   match Hashtbl.find_opt t.accusations accuser with
-  | Some a when Int64.sub now a.acc_at <= t.accuse_window -> Some a
+  | Some a when Int64.sub now a.acc_at <= accuse_window -> Some a
   | Some _ | None -> None
 
 (* peers currently accusing [node_id]: deep probe failing, or suspected for
@@ -208,7 +203,7 @@ let accusers t node_id ~now =
    gray node it condemns is not trustworthy, and the successor will reach
    the same one from the same gossip. *)
 let quorum_accused t node_id ~now =
-  List.length (accusers t node_id ~now) >= t.quorum
+  List.length (accusers t node_id ~now) >= quorum
 
 (* directed probe-failure view: does [a] (freshly) accuse [b]'s deep probes?
    Rule 3 uses this alone — suspicion names no direction. *)
@@ -230,14 +225,14 @@ let candidates t ~now =
   let n = List.length t.node_ids in
   let mimic_nodes =
     List.filter
-      (fun id -> has_evidence t id ~now ~window:t.mimic_window ~kind:Checker.Mimic)
+      (fun id -> has_evidence t id ~now ~window:mimic_window ~kind:Checker.Mimic)
       t.node_ids
   in
   let signal_count =
     List.length
       (List.filter
          (fun id ->
-           has_evidence t id ~now ~window:t.signal_window ~kind:Checker.Signal)
+           has_evidence t id ~now ~window:signal_window ~kind:Checker.Signal)
          t.node_ids)
   in
   (* rule 1: overload *)
@@ -247,14 +242,14 @@ let candidates t ~now =
     let gray =
       List.filter_map
         (fun id ->
-          if List.length (accusers t id ~now) >= t.quorum then
+          if List.length (accusers t id ~now) >= quorum then
             (* oldest loc'd fresh mimic report names the component; its wire
                bytes ride along as the verdict's evidence *)
             let located =
               List.find_opt
                 (fun ((r : Report.t), _) -> r.Report.loc <> None)
                 (List.rev
-                   (fresh_reports t id ~now ~window:t.mimic_window
+                   (fresh_reports t id ~now ~window:mimic_window
                       ~kind:Checker.Mimic))
             in
             let component =
@@ -322,7 +317,7 @@ let step t ~now =
         (match Hashtbl.find_opt t.streaks key with Some s -> s | None -> 0) + 1
       in
       Hashtbl.replace t.streaks key streak;
-      if streak >= t.confirm && not (Hashtbl.mem t.recorded key) then begin
+      if streak >= confirm && not (Hashtbl.mem t.recorded key) then begin
         Hashtbl.replace t.recorded key ();
         let ev = { ev_at = now; ev_verdict = v; ev_evidence = evidence } in
         t.events <- ev :: t.events;
@@ -334,43 +329,3 @@ let step t ~now =
 (* --- results ----------------------------------------------------------- *)
 
 let events t = List.rev t.events (* chronological *)
-
-let indicted_nodes t =
-  List.filter_map
-    (fun e ->
-      match e.ev_verdict with Node_gray { node; _ } -> Some node | _ -> None)
-    (events t)
-  |> List.sort_uniq compare
-
-let indicted_links t =
-  List.concat_map
-    (fun e ->
-      match e.ev_verdict with Link_fault { links } -> links | _ -> [])
-    (events t)
-  |> List.sort_uniq compare
-
-let overloaded t =
-  List.exists (fun e -> e.ev_verdict = Overload) (events t)
-
-let first_component t =
-  List.find_map
-    (fun e ->
-      match e.ev_verdict with
-      | Node_gray { component; _ } -> component
-      | _ -> None)
-    (events t)
-
-let first_evidence t =
-  List.find_map
-    (fun e ->
-      match e.ev_verdict with Node_gray _ -> e.ev_evidence | _ -> None)
-    (events t)
-
-let pp_verdict ppf = function
-  | Node_gray { node; component } ->
-      Fmt.pf ppf "node-gray %s (component %s)" node
-        (Option.value component ~default:"?")
-  | Link_fault { links } ->
-      Fmt.pf ppf "link-fault %s"
-        (String.concat "," (List.map (fun (a, b) -> a ^ "-" ^ b) links))
-  | Overload -> Fmt.pf ppf "overload (no indictment)"

@@ -9,17 +9,18 @@
 
     Rule set, evaluated in priority order each tick:
 
-    + {b Global overload} — signal evidence on a majority of nodes while
-      every mimic checker is quiet: legitimate load, indict nobody.
+    + {b Global overload} — signal evidence (fresh within 45 s) on a
+      majority of nodes while every mimic checker is quiet (no mimic
+      evidence within 10 s): legitimate load, indict nobody.
     + {b Node-local gray failure} — a node's mimic checkers alarm AND a
-      [quorum] of distinct peers independently accuse it. Indict the
-      node, name the component, keep the localising report's wire bytes
-      as evidence.
+      quorum of 2 distinct peers independently accuse it (an accuser's
+      gossip view is live for 2 s). Indict the node, name the component,
+      keep the localising report's wire bytes as evidence.
     + {b Fabric-level failure} — no mimic alarms anywhere, probes fail on
       specific pairs, and every involved node still has a healthy link to
       some peer. Indict the link pairs, never a node.
 
-    A candidate verdict must survive [confirm] consecutive ticks before
+    A candidate verdict must survive 2 consecutive ticks before
     it is recorded, and each distinct verdict is recorded once. The
     per-node report inboxes, digest sets, accusation matrix and debounce
     streaks are all private — peers influence a verdict only through the
@@ -39,20 +40,11 @@ type event = {
 
 type t
 
-val create :
-  ?tick:int64 ->
-  ?mimic_window:int64 ->
-  ?signal_window:int64 ->
-  ?accuse_window:int64 ->
-  ?quorum:int ->
-  ?confirm:int ->
-  sched:Wd_sim.Sched.t ->
-  me:string ->
-  node_ids:string list ->
-  unit ->
-  t
+val create : sched:Wd_sim.Sched.t -> node_ids:string list -> t
 
-val tick_period : t -> int64
+val tick_period : int64
+(** The correlation period, 500 ms: the leader's election agent steps
+    the engine this often. *)
 
 (** {2 Evidence intake} *)
 
@@ -72,7 +64,6 @@ val note_gossip_evidence :
     per accuser and fade if the accuser's gossip stops; digests
     corroborate shipped reports. *)
 
-val ingested : t -> int
 val rejected : t -> int
 
 val quorum_accused : t -> string -> now:int64 -> bool
@@ -91,12 +82,3 @@ val events : t -> event list
 (** Chronological. *)
 
 val verdict_key : verdict -> string
-val indicted_nodes : t -> string list
-val indicted_links : t -> (string * string) list
-val overloaded : t -> bool
-val first_component : t -> string option
-
-val first_evidence : t -> string option
-(** Wire bytes attached to the first [Node_gray] event, if any. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

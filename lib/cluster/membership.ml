@@ -28,27 +28,27 @@ type peer_state = {
   mutable outstanding : (int * int64) option; (* in-flight probe: seq, sent *)
 }
 
+let gossip_period = Wd_sim.Time.ms 250
+let probe_period = Wd_sim.Time.ms 500
+let probe_timeout = Wd_sim.Time.ms 1500 (* unacked past this = one failure *)
+
+(* gossip silence past this = suspected *)
+let suspicion_timeout = Wd_sim.Time.sec 3
+
+(* consecutive probe failures before a peer is probe-failing *)
+let fail_threshold = 2
+
 type t = {
   node : Node.t;
   fabric : Fabric.t;
   sched : Wd_sim.Sched.t;
-  gossip_period : int64;
-  probe_period : int64;
-  probe_timeout : int64; (* unacked past this = one failure *)
-  suspicion_timeout : int64; (* gossip silence past this = suspected *)
-  fail_threshold : int; (* consecutive failures before probe_failing *)
-  digest_source : unit -> Fabric.digest list;
-      (* recent local report digests, piggybacked on each heartbeat *)
   peers : (string, peer_state) Hashtbl.t;
   mutable gossip_seq : int;
   mutable probe_seq : int;
   mutable handlers : (event -> unit) list;
 }
 
-let create ?(gossip_period = Wd_sim.Time.ms 250)
-    ?(probe_period = Wd_sim.Time.ms 500) ?(probe_timeout = Wd_sim.Time.ms 1500)
-    ?(suspicion_timeout = Wd_sim.Time.sec 3) ?(fail_threshold = 2)
-    ?(digest_source = fun () -> []) ~sched ~fabric ~node () =
+let create ~sched ~fabric ~node =
   let peers = Hashtbl.create 8 in
   List.iter
     (fun p ->
@@ -66,12 +66,6 @@ let create ?(gossip_period = Wd_sim.Time.ms 250)
     node;
     fabric;
     sched;
-    gossip_period;
-    probe_period;
-    probe_timeout;
-    suspicion_timeout;
-    fail_threshold;
-    digest_source;
     peers;
     gossip_seq = 0;
     probe_seq = 0;
@@ -84,14 +78,14 @@ let me t = Node.id t.node
 
 let record_probe_fail t st =
   st.probe_fails <- st.probe_fails + 1;
-  if st.probe_fails = t.fail_threshold then
+  if st.probe_fails = fail_threshold then
     emit t
       (Probe_failing
          { who = st.peer; by = me t; at = Wd_sim.Sched.now t.sched })
 
 let record_probe_ok t st ~healthy =
   if healthy then begin
-    if st.probe_fails >= t.fail_threshold then
+    if st.probe_fails >= fail_threshold then
       emit t
         (Probe_recovered
            { who = st.peer; by = me t; at = Wd_sim.Sched.now t.sched });
@@ -105,7 +99,7 @@ let record_probe_ok t st ~healthy =
 
 let accused_probe t =
   Hashtbl.fold
-    (fun p st acc -> if st.probe_fails >= t.fail_threshold then p :: acc else acc)
+    (fun p st acc -> if st.probe_fails >= fail_threshold then p :: acc else acc)
     t.peers []
   |> List.sort compare
 
@@ -154,11 +148,11 @@ let start t =
   ignore
     (Wd_sim.Sched.spawn ~name:(id ^ "-gossip") ~daemon:true sched (fun () ->
          while true do
-           Wd_sim.Sched.sleep t.gossip_period;
+           Wd_sim.Sched.sleep gossip_period;
            t.gossip_seq <- t.gossip_seq + 1;
            let accuse_probe = accused_probe t in
            let accuse_suspect = suspects t in
-           let digests = t.digest_source () in
+           let digests = Node.recent_digests t.node in
            List.iter
              (fun dst ->
                Fabric.send t.fabric ~src:id ~dst
@@ -176,12 +170,12 @@ let start t =
   ignore
     (Wd_sim.Sched.spawn ~name:(id ^ "-prober") ~daemon:true sched (fun () ->
          while true do
-           Wd_sim.Sched.sleep t.probe_period;
+           Wd_sim.Sched.sleep probe_period;
            let now = Wd_sim.Sched.now sched in
            Hashtbl.iter
              (fun _ st ->
                (match st.outstanding with
-               | Some (_, sent) when Int64.sub now sent > t.probe_timeout ->
+               | Some (_, sent) when Int64.sub now sent > probe_timeout ->
                    st.outstanding <- None;
                    record_probe_fail t st
                | Some _ | None -> ());
@@ -203,7 +197,7 @@ let start t =
              (fun _ st ->
                if
                  (not st.suspected)
-                 && Int64.sub now st.last_gossip > t.suspicion_timeout
+                 && Int64.sub now st.last_gossip > suspicion_timeout
                then begin
                  st.suspected <- true;
                  emit t (Suspected { who = st.peer; by = id; at = now })
@@ -215,7 +209,7 @@ let start t =
 
 let probe_failing t peer =
   match Hashtbl.find_opt t.peers peer with
-  | Some st -> st.probe_fails >= t.fail_threshold
+  | Some st -> st.probe_fails >= fail_threshold
   | None -> false
 
 let probe_ok_count t peer =

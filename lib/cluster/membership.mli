@@ -10,7 +10,12 @@
     in-flight probes) is private; the fleet reads it through the accusation
     views below. The agent does not own the fabric inbox — the node's
     election agent drains one ordered stream and dispatches membership
-    traffic into the [note_*]/[handle_*] entry points. *)
+    traffic into the [note_*]/[handle_*] entry points.
+
+    The timing is fixed: gossip every 250 ms, a probe round every 500 ms,
+    a probe unacked past 1.5 s counts as one failure, 2 consecutive
+    failures make a peer probe-failing, and 3 s of gossip silence makes
+    it suspected. *)
 
 type event =
   | Suspected of { who : string; by : string; at : int64 }
@@ -20,20 +25,9 @@ type event =
 
 type t
 
-val create :
-  ?gossip_period:int64 ->
-  ?probe_period:int64 ->
-  ?probe_timeout:int64 ->
-  ?suspicion_timeout:int64 ->
-  ?fail_threshold:int ->
-  ?digest_source:(unit -> Fabric.digest list) ->
-  sched:Wd_sim.Sched.t ->
-  fabric:Fabric.t ->
-  node:Node.t ->
-  unit ->
-  t
-(** [digest_source] supplies the node's recent report digests, piggybacked
-    on each heartbeat for leader-side corroboration. *)
+val create : sched:Wd_sim.Sched.t -> fabric:Fabric.t -> node:Node.t -> t
+(** Each heartbeat piggybacks the node's recent report digests
+    ({!Node.recent_digests}) for leader-side corroboration. *)
 
 val start : t -> unit
 (** Spawn the gossip, prober and suspicion-sweep tasks. *)

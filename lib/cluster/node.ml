@@ -18,16 +18,13 @@ type target =
   | Cs of Wd_targets.Cstore.t
 
 type t = {
-  index : int;
   id : string; (* fabric endpoint, "n<index>" *)
-  system : string;
   sched : Wd_sim.Sched.t;
   reg : Wd_env.Faultreg.t; (* private: faults here hit this node only *)
   driver : Driver.t;
   workload : Wd_targets.Workload.stats;
   target : target;
   res : Wd_ir.Runtime.resources;
-  tasks : Wd_sim.Sched.task list;
   recovery : Wd_watchdog.Recovery.t;
       (* microreboot plane, driven by fleet [Recover] commands — the node
          never self-heals on local reports alone *)
@@ -46,16 +43,6 @@ let digest_of (r : Wd_watchdog.Report.t) =
   }
 
 let take n l = List.filteri (fun i _ -> i < n) l
-
-(* Same id-prefix convention as Campaign.classify_checker, local to avoid a
-   wd_harness dependency (wd_harness depends on wd_cluster, not vice versa). *)
-let kind_of_checker_id id : Checker.kind =
-  let has_prefix p =
-    String.length id >= String.length p && String.sub id 0 (String.length p) = p
-  in
-  if has_prefix "probe:" then Checker.Probe
-  else if has_prefix "signal:" then Checker.Signal
-  else Checker.Mimic
 
 (* What one target system contributes to the node skeleton in [boot]. *)
 type parts = {
@@ -130,27 +117,23 @@ let boot ?schedule ~sched ~system ~index () =
   Driver.add_checker driver
     (Wd_detectors.Signalmon.queue_depth ~id:"signal:reqq" ~res:p.p_res
        ~queue:p.p_queue ~max_depth:64);
-  let wl =
-    Wd_targets.Workload.spawn
-      ~name:(id ^ "-client")
-      ~sched ~period:p.p_period ~op:p.p_op wstats
-  in
+  ignore
+    (Wd_targets.Workload.spawn
+       ~name:(id ^ "-client")
+       ~sched ~period:p.p_period ~op:p.p_op wstats);
   let tasks = p.p_start () in
   Generate.register_components recovery ~sched ~main:p.p_main
     ~entries:p.p_entries
     ~tasks:(take (List.length p.p_entries) tasks);
   Driver.start driver;
   {
-    index;
     id;
-    system = Topology.system_name system;
     sched;
     reg;
     driver;
     workload = wstats;
     target = p.p_target;
     res = p.p_res;
-    tasks = wl :: tasks;
     recovery;
     digests;
   }
@@ -211,19 +194,14 @@ let start_burst t =
            done
          done))
 
-let reports t = Driver.reports t.driver
 let checker_count t = Driver.checker_count t.driver
 
 (* --- accessors (the record is abstract outside this module) ------------ *)
 
 let id t = t.id
-let index t = t.index
-let system t = t.system
 let reg t = t.reg
 let driver t = t.driver
 let workload t = t.workload
-let res t = t.res
-let tasks t = t.tasks
 
 (* --- fleet-driven recovery and gossip corroboration -------------------- *)
 

@@ -25,9 +25,6 @@ val boot :
     scheduling policy (default {!Wd_watchdog.Schedule.fixed}). *)
 
 val id : t -> string
-val index : t -> int
-val system : t -> string
-(** The target system's registry name, for tables and repro dispatch. *)
 
 val reg : t -> Wd_env.Faultreg.t
 (** The node's private fault registry: scenario injection degrades this
@@ -35,8 +32,6 @@ val reg : t -> Wd_env.Faultreg.t
 
 val driver : t -> Wd_watchdog.Driver.t
 val workload : t -> Wd_targets.Workload.stats
-val res : t -> Wd_ir.Runtime.resources
-val tasks : t -> Wd_sim.Sched.task list
 
 val local_probe : ?timeout:int64 -> t -> bool
 (** Bounded end-to-end client operation through the local service, run by
@@ -47,16 +42,11 @@ val start_burst : t -> unit
 (** Open-loop burst flooder for the fleet-overload scenario: legitimate
     traffic, no fault anywhere. *)
 
-val reports : t -> Wd_watchdog.Report.t list
 val checker_count : t -> int
 
 val recent_digests : t -> Fabric.digest list
 (** Newest-first bounded view of the node's local report digests, the
     payload membership piggybacks on heartbeat gossip. *)
-
-val kind_of_checker_id : string -> Wd_watchdog.Checker.kind
-(** Classify a checker id by its ["probe:"] / ["signal:"] prefix
-    convention (default: mimic). *)
 
 val recover : t -> func:string -> reason:string -> bool
 (** Execute a fleet [Recover] command: microreboot the component owning

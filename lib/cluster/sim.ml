@@ -63,17 +63,14 @@ let boot ~seed ~topology () =
   in
   let agents =
     List.map
-      (fun n ->
-        Membership.create
-          ~digest_source:(fun () -> Node.recent_digests n)
-          ~sched ~fabric ~node:n ())
+      (fun n -> Membership.create ~sched ~fabric ~node:n)
       ns
   in
   let elections =
     List.map2
       (fun n a ->
-        let fleet = Fleet.create ~sched ~me:(Node.id n) ~node_ids:ids () in
-        Election.create ~sched ~fabric ~node:n ~membership:a ~fleet ())
+        let fleet = Fleet.create ~sched ~node_ids:ids in
+        Election.create ~sched ~fabric ~node:n ~membership:a ~fleet)
       ns agents
   in
   let membership_events = ref 0 and suspected_events = ref 0 in

@@ -4,29 +4,13 @@
    (seed, topology, scenario) and topologies can be validated when the
    config is built, long before any scheduler exists.
 
-   Target systems are typed handles resolved through [registry]: an unknown
-   system name fails in [system_of_string] at config-build time instead of
-   mid-boot, and a new fleet-capable target extends the variant, making
-   every dispatch site exhaustive by construction. *)
+   Target systems are a closed variant: a spec can only name a
+   fleet-capable target, and a new one extends the variant, making every
+   dispatch site exhaustive by construction. *)
 
 type system = Zkmini | Cstore
 
 let system_name = function Zkmini -> "zkmini" | Cstore -> "cstore"
-let registry = [ ("zkmini", Zkmini); ("cstore", Cstore) ]
-let registered_systems = List.map fst registry
-
-let system_of_string name =
-  match List.assoc_opt name registry with
-  | Some s -> Ok s
-  | None ->
-      Error
-        (Fmt.str "unknown fleet system %S (registered: %s)" name
-           (String.concat ", " registered_systems))
-
-let system_of_string_exn name =
-  match system_of_string name with
-  | Ok s -> s
-  | Error m -> invalid_arg ("Topology.system_of_string_exn: " ^ m)
 
 (* One directed link override. Unlisted links keep the fabric defaults
    (symmetric base latency, unbounded bandwidth). *)
@@ -160,8 +144,3 @@ let link_profiles t ~node_name =
           lp_bytes_per_sec = l.l_bytes_per_sec;
         } ))
     t.t_links
-
-let pp ppf t =
-  Fmt.pf ppf "%s: %d nodes [%s], %d link overrides" t.t_name (nodes t)
-    (String.concat "," (node_systems t))
-    (List.length t.t_links)

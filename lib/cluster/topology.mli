@@ -1,24 +1,15 @@
 (** Declarative fleet topology: node count, per-node target system, and
     per-link latency/bandwidth overrides. A {!spec} is pure data consumed
-    by [Sim.boot]; building one validates everything (system names, link
-    indices, bandwidths), so a bad campaign config fails when it is built,
-    not mid-boot. *)
+    by [Sim.boot]; building one validates everything (link indices,
+    bandwidths), so a bad campaign config fails when it is built, not
+    mid-boot. *)
 
-(** Typed handle to a fleet-capable target system. Resolving through
-    {!system_of_string} is the only way in from strings, so an unknown name
-    is unrepresentable downstream; adding a target extends the variant and
-    the compiler finds every dispatch site. *)
+(** The fleet-capable target systems. A spec can name no other, and
+    adding a target extends the variant, so the compiler finds every
+    dispatch site. *)
 type system = Zkmini | Cstore
 
 val system_name : system -> string
-
-val registry : (string * system) list
-(** The fleet-capable targets, by wire/CLI name. *)
-
-val registered_systems : string list
-
-val system_of_string : string -> (system, string) result
-val system_of_string_exn : string -> system
 
 type link = {
   l_src : int;
@@ -64,5 +55,3 @@ val hetero15 : unit -> spec
 val link_profiles :
   spec -> node_name:(int -> string) -> (string * string * Wd_env.Net.link_profile) list
 (** The link overrides as fabric endpoint triples, for [Net.set_link_profile]. *)
-
-val pp : Format.formatter -> spec -> unit

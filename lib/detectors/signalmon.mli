@@ -3,13 +3,6 @@
     delay. Modest completeness, weak accuracy, resource-level localisation
     only. *)
 
-val make :
-  ?period:int64 ->
-  ?timeout:int64 ->
-  id:string ->
-  (unit -> [ `Ok | `Fail of string ]) ->
-  Wd_watchdog.Checker.t
-
 val queue_depth :
   id:string ->
   res:Wd_ir.Runtime.resources ->

@@ -31,8 +31,6 @@ type t = {
   files : (string, file) Hashtbl.t;
   reg : Faultreg.t;
   rng : Wd_sim.Rng.t;
-  seek_ns : int64;
-  per_byte_ns : int64;
   (* op -> path -> interned fault-site id; only populated while faults are
      armed, so clean runs never pay for site strings at all. *)
   site_ids : (string, (string, Wd_sim.Site.id) Hashtbl.t) Hashtbl.t;
@@ -43,14 +41,16 @@ type t = {
   mutable synced : int;
 }
 
-let create ?(seek_ns = Wd_sim.Time.us 100) ?(per_byte_ns = 2L) ~reg ~rng name =
+(* the latency model: a fixed seek cost plus a per-byte cost *)
+let seek_ns = Wd_sim.Time.us 100
+let per_byte_ns = 2L
+
+let create ~reg ~rng name =
   {
     name;
     files = Hashtbl.create 64;
     reg;
     rng;
-    seek_ns;
-    per_byte_ns;
     site_ids = Hashtbl.create 7;
     reads = 0;
     writes = 0;
@@ -100,10 +100,10 @@ let perform d ~op ~path ~len =
   in
   let factor = Faultreg.slow_factor behaviours in
   let modelled =
-    Int64.add d.seek_ns (Int64.mul d.per_byte_ns (Int64.of_int len))
+    Int64.add seek_ns (Int64.mul per_byte_ns (Int64.of_int len))
   in
   let jitter =
-    Wd_sim.Rng.exponential d.rng ~mean:(Int64.to_float d.seek_ns /. 4.0)
+    Wd_sim.Rng.exponential d.rng ~mean:(Int64.to_float seek_ns /. 4.0)
   in
   let cost =
     Int64.of_float ((Int64.to_float modelled +. jitter) *. factor)
@@ -193,7 +193,6 @@ let paths d =
 
 let poke d ~path data =
   Hashtbl.replace d.files path (file_of_bytes (Bytes.copy data))
-let file_count d = Hashtbl.length d.files
 
 (* FNV-1a, used by checkers to validate stored payloads. An indexed loop
    keeps [h] unboxed; a closure capturing it would box an int64 per byte. *)

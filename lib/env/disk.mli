@@ -10,13 +10,10 @@ exception Io_error of string
 
 type t
 
-val create :
-  ?seek_ns:int64 ->
-  ?per_byte_ns:int64 ->
-  reg:Faultreg.t ->
-  rng:Wd_sim.Rng.t ->
-  string ->
-  t
+val create : reg:Faultreg.t -> rng:Wd_sim.Rng.t -> string -> t
+(** Every I/O costs a 100 us seek plus 2 ns per byte, with exponential
+    jitter (mean a quarter of the seek), scaled by any active
+    [Slow_factor] fault. *)
 
 val name : t -> string
 
@@ -39,8 +36,6 @@ val poke : t -> path:string -> Bytes.t -> unit
 
 val paths : t -> string list
 (** All stored paths, fault-free and cost-free (tests / ground truth). *)
-
-val file_count : t -> int
 
 val stats : t -> int * int * int * int * int
 (** [(reads, writes, bytes_read, bytes_written, syncs)]. *)

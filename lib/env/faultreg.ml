@@ -88,18 +88,6 @@ let first_trigger t ~id =
   | oldest :: _ -> Some oldest.at
   | [] -> None
 
-let pp_behaviour ppf = function
-  | Delay d -> Fmt.pf ppf "delay %a" Wd_sim.Time.pp d
-  | Slow_factor f -> Fmt.pf ppf "slow x%.1f" f
-  | Hang -> Fmt.string ppf "hang"
-  | Error m -> Fmt.pf ppf "error %s" m
-  | Corrupt -> Fmt.string ppf "corrupt"
-  | Drop -> Fmt.string ppf "drop"
-
-let pp_fault ppf f =
-  Fmt.pf ppf "%s@%s: %a [%a,%a)" f.id f.site_pattern pp_behaviour f.behaviour
-    Wd_sim.Time.pp f.start_at Wd_sim.Time.pp f.stop_at
-
 (* Helper used by env subsystems: apply the blocking/latency consequences of
    the matched behaviours. Returns [Ok corrupted?] or [Error msg]; the caller
    interprets corruption and drop for its own data model. *)

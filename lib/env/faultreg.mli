@@ -57,6 +57,3 @@ val apply_common :
 
 val slow_factor : (string * behaviour) list -> float
 val stop_of : t -> string -> int64
-
-val pp_behaviour : Format.formatter -> behaviour -> unit
-val pp_fault : Format.formatter -> fault -> unit

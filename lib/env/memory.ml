@@ -41,7 +41,6 @@ let create ?(pause_threshold = 0.80) ?(max_pause = Wd_sim.Time.ms 400) ~reg
 
 let name m = m.name
 let used m = m.used
-let capacity m = m.capacity
 let utilisation m = float_of_int m.used /. float_of_int m.capacity
 
 let stats m = (m.allocs, m.frees, m.peak, m.pauses, m.total_pause_ns)

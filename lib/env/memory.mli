@@ -18,7 +18,6 @@ val create :
 
 val name : t -> string
 val used : t -> int
-val capacity : t -> int
 val utilisation : t -> float
 
 val alloc : t -> int -> unit

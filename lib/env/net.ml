@@ -84,9 +84,6 @@ let register n endpoint =
 let exists n endpoint = Hashtbl.mem n.endpoints endpoint
 let ensure_registered n endpoint = if not (exists n endpoint) then register n endpoint
 
-let endpoints n =
-  Hashtbl.fold (fun e _ acc -> e :: acc) n.endpoints [] |> List.sort compare
-
 let inbox n endpoint =
   match Hashtbl.find_opt n.endpoints endpoint with
   | Some ch -> ch
@@ -196,8 +193,6 @@ let send ?site_dst ?(size = 0) n ~src ~dst payload =
           n.delivered <- n.delivered + 1
         else n.dropped <- n.dropped + 1)
   end
-
-let recv n endpoint = Wd_sim.Channel.recv (inbox n endpoint)
 
 let recv_timeout n endpoint ~timeout =
   Wd_sim.Channel.recv_timeout (inbox n endpoint) ~timeout

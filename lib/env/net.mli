@@ -36,14 +36,11 @@ val create :
 
 val name : 'a t -> string
 val register : 'a t -> string -> unit
-val exists : 'a t -> string -> bool
-(** O(1) endpoint-membership test. *)
 
 val ensure_registered : 'a t -> string -> unit
-(** Register the endpoint unless it already exists. O(1) on the hot path,
-    unlike scanning {!endpoints}. *)
+(** Register the endpoint unless it already exists; O(1) on the hot
+    path. *)
 
-val endpoints : 'a t -> string list
 val inbox_length : 'a t -> string -> int
 
 val set_link_profile : 'a t -> src:string -> dst:string -> link_profile -> unit
@@ -62,9 +59,6 @@ val send :
     redirected (shadow-inbox) send shares the fate of the real link.
     [size] (bytes, default 0) only matters on bandwidth-bounded links,
     where it sets the serialisation delay. *)
-
-val recv : 'a t -> string -> 'a envelope
-(** Blocks until a message arrives at the endpoint. *)
 
 val recv_timeout : 'a t -> string -> timeout:int64 -> 'a envelope option
 val try_recv : 'a t -> string -> 'a envelope option

@@ -32,18 +32,17 @@ let fclass_name = function
   | Infinite_loop -> "infinite-loop"
   | Transient_error -> "transient-error"
 
-(* A fault spec relative to the injection instant. *)
+(* A fault spec active from the injection instant. *)
 type fspec = {
   site_pattern : string;
   behaviour : Wd_env.Faultreg.behaviour;
-  offset : int64;       (* delay after the scenario's injection time *)
   duration : int64;     (* Time.never for unbounded *)
   once : bool;
 }
 
-let fspec ?(offset = 0L) ?(duration = Wd_sim.Time.never) ?(once = false)
-    site_pattern behaviour =
-  { site_pattern; behaviour; offset; duration; once }
+let fspec ?(duration = Wd_sim.Time.never) ?(once = false) site_pattern
+    behaviour =
+  { site_pattern; behaviour; duration; once }
 
 (* Expected detection per detector class — the qualitative claims of
    Tables 1 and 2 that experiment E1/E2 test empirically. *)
@@ -380,8 +379,6 @@ let find sid =
   | Some s -> s
   | None -> invalid_arg (Fmt.str "Catalog.find: unknown scenario %s" sid)
 
-let for_system system = List.filter (fun s -> s.system = system) all
-
 (* Materialise the scenario's fault specs into registry faults anchored at
    [at]. Returns the injected fault ids. *)
 let inject reg scenario ~at =
@@ -393,10 +390,10 @@ let inject reg scenario ~at =
           Wd_env.Faultreg.id;
           site_pattern = f.site_pattern;
           behaviour = f.behaviour;
-          start_at = Int64.add at f.offset;
+          start_at = at;
           stop_at =
             (if f.duration = Wd_sim.Time.never then Wd_sim.Time.never
-             else Int64.add (Int64.add at f.offset) f.duration);
+             else Int64.add at f.duration);
           once = f.once;
         };
       id)

@@ -17,21 +17,14 @@ type fclass =
 
 val fclass_name : fclass -> string
 
+(** One fault of a scenario, active from the scenario's injection
+    instant for [duration]. *)
 type fspec = {
   site_pattern : string;
   behaviour : Wd_env.Faultreg.behaviour;
-  offset : int64;    (** delay after the scenario's injection instant *)
   duration : int64;  (** [Time.never] for unbounded *)
   once : bool;
 }
-
-val fspec :
-  ?offset:int64 ->
-  ?duration:int64 ->
-  ?once:bool ->
-  string ->
-  Wd_env.Faultreg.behaviour ->
-  fspec
 
 type expectation = {
   exp_mimic : bool;
@@ -64,7 +57,6 @@ val exp :
 
 val all : scenario list
 val find : string -> scenario
-val for_system : string -> scenario list
 
 val inject : Wd_env.Faultreg.t -> scenario -> at:int64 -> string list
 (** Materialise the scenario's faults anchored at [at]; returns fault ids. *)

@@ -249,6 +249,3 @@ let inject ~node_reg ~fabric_reg ~node_name ~at s =
         List.iteri (fun i k -> go (Fmt.str "%s#%d" tag i) k) ks
   in
   go s.csid s.ckind
-
-let pp_cscenario ppf s =
-  Fmt.pf ppf "%-20s %s" s.csid s.cdescription

@@ -76,5 +76,3 @@ val inject :
     [i]'s private registry (a fault there degrades that node only);
     [fabric_reg] governs the shared inter-node fabric. Overload and
     fault-free inject nothing — the burst is workload, not a fault. *)
-
-val pp_cscenario : Format.formatter -> cscenario -> unit

@@ -7,6 +7,7 @@
    with no scenario). *)
 
 module Catalog = Wd_faults.Catalog
+module Checker = Wd_watchdog.Checker
 module Driver = Wd_watchdog.Driver
 module Report = Wd_watchdog.Report
 
@@ -37,13 +38,12 @@ type run = {
 }
 
 let classify_checker id =
-  let has_prefix p =
-    String.length id >= String.length p && String.sub id 0 (String.length p) = p
-  in
-  if has_prefix "probe:" then `Probe
-  else if has_prefix "signal:" then `Signal
-  else if has_prefix Wd_infer.Checkers.id_prefix then `Inferred
-  else `Mimic
+  if String.starts_with ~prefix:Wd_infer.Checkers.id_prefix id then `Inferred
+  else
+    match Checker.kind_of_id id with
+    | Checker.Probe -> `Probe
+    | Checker.Signal -> `Signal
+    | Checker.Mimic -> `Mimic
 
 let intrinsic_families = [ "mimic"; "probe"; "signal"; "inferred" ]
 let families = intrinsic_families @ [ "heartbeat"; "observer" ]

@@ -330,7 +330,7 @@ let e5_text () =
 (* ------------------------------------------------------------------ *)
 
 let target_programs () =
-  List.map (fun sys -> (sys, Inference.program_of sys)) Systems.all_systems
+  List.map (fun sys -> (sys, Systems.program sys)) Systems.all_systems
 
 let e6_run () =
   par_map
@@ -1161,7 +1161,7 @@ let e18_repro_fault =
 let e18_repro_timeout = Wd_sim.Time.ms 100
 
 let e18_repro ~system wire =
-  let g = Generate.analyze_cached (Inference.program_of system) in
+  let g = Generate.analyze_cached (Systems.program system) in
   Wd_autowatchdog.Reproduce.run_wire ~fault:e18_repro_fault
     ~timeout:e18_repro_timeout g ~wire
 

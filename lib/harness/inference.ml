@@ -78,13 +78,7 @@ let schedule cfg =
       fixed @ take cfg.mc_per_system from_sweep)
     Systems.all_systems
 
-let program_of = function
-  | "kvs" -> Wd_targets.Kvs.program ()
-  | "zkmini" -> Wd_targets.Zkmini.program ()
-  | "dfsmini" -> Wd_targets.Dfsmini.program ()
-  | "cstore" -> Wd_targets.Cstore.program ()
-  | "mqbroker" -> Wd_targets.Mqbroker.program ()
-  | s -> invalid_arg ("Inference.program_of: unknown system " ^ s)
+let program_of system = Systems.program system
 
 (* Resolve a runtime op key to a static location via the analysis's
    vulnerable-operation keys. Exact vkey match first; otherwise fall back
@@ -152,7 +146,7 @@ let mine_and_synth ?(cfg = default_cfg) ?jobs () =
             obs_runs
         in
         let obs = Mine.aggregate runs in
-        let locate = locate_in (program_of system) in
+        let locate = locate_in (Systems.program system) in
         (system, Synth.synthesize ~config:cfg.mc_synth ~locate ~system obs))
       (List.sort compare Systems.all_systems)
   in
@@ -171,9 +165,3 @@ let mine_and_synth ?(cfg = default_cfg) ?jobs () =
            (String.concat "\n"
               (List.map (fun (_, m) -> Synth.to_canonical m) models)));
   }
-
-let pp_mined ppf m =
-  Fmt.pf ppf "mined %d runs (%d op events) -> %d models, digest %s@."
-    m.md_runs m.md_events (List.length m.md_models) m.md_digest;
-  List.iter (fun (_, model) -> Fmt.pf ppf "  %a@." Synth.pp_model model)
-    m.md_models

@@ -13,8 +13,6 @@ type mine_cfg = {
   mc_synth : Wd_infer.Synth.config;
 }
 
-val default_cfg : mine_cfg
-
 val mine_run :
   warmup:int64 ->
   observe:int64 ->
@@ -25,6 +23,7 @@ val mine_run :
     watchdog) configuration, traced from boot. *)
 
 val program_of : string -> Wd_ir.Ast.program
+(** [Systems.program system]; the perf harness in [perfbench/] names it. *)
 
 val locate_in : Wd_ir.Ast.program -> string -> Wd_ir.Loc.t option
 (** Resolve a runtime op key to a static location via the program's
@@ -41,5 +40,3 @@ val model_for : mined -> string -> Wd_infer.Synth.model option
 
 val mine_and_synth :
   ?cfg:mine_cfg -> ?jobs:int -> unit -> mined
-
-val pp_mined : Format.formatter -> mined -> unit

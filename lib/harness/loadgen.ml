@@ -252,7 +252,9 @@ let success_ratio r =
    empties, which daemon-held timers prevent — so the clock is advanced in
    bounded steps, checking completion between steps. [step] bounds detection
    slack, not precision: all measurements are event-timestamped. *)
-let drive ?(step = Wd_sim.Time.ms 200) g =
+let step = Wd_sim.Time.ms 200
+
+let drive g =
   let wall0 = Unix.gettimeofday () in
   let sched = g.g_sched in
   let guard = ref 0 in
@@ -336,12 +338,3 @@ let spawn_fleet ?(label = "fleet") ~world ~clients_per_node ~think ~requests ()
            done))
   done;
   g
-
-let pp_result ppf r =
-  Fmt.pf ppf
-    "%s: %d req (%d ok, %d err, %d timeout, %d shed) in %a sim / %.1fs wall — \
-     %.0f req/s, p50 %a p90 %a p99 %a max %a"
-    r.lr_label r.lr_requests r.lr_ok r.lr_err r.lr_timeout r.lr_shed
-    Wd_sim.Time.pp r.lr_sim_ns r.lr_wall_s (throughput_rps r) Wd_sim.Time.pp
-    r.lr_p50 Wd_sim.Time.pp r.lr_p90 Wd_sim.Time.pp r.lr_p99 Wd_sim.Time.pp
-    r.lr_max

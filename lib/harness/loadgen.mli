@@ -76,14 +76,14 @@ type result = {
   lr_max : int64;
 }
 
-val drive : ?step:int64 -> gen -> result
-(** Advance the simulation in bounded steps (default 200ms virtual) until
+val drive : gen -> result
+(** Advance the simulation in bounded steps of 200ms virtual until
     every arrival is accounted for. Needed because target systems hold
     daemon timers, so [Sched.run ~until] never reports quiescence on its
     own. If the target wedges (fault injection) and no request completes
     for a long stretch of steps, the remaining budget is shed and the run
     ends — detection-latency experiments terminate even when the system
-    does not. [step] bounds completion-detection slack only; all
+    does not. The step bounds completion-detection slack only; all
     measurements are event-timestamped. *)
 
 val completed : gen -> int
@@ -93,5 +93,3 @@ val throughput_rps : result -> float
 (** Completed requests per virtual second. *)
 
 val success_ratio : result -> float
-
-val pp_result : Format.formatter -> result -> unit

@@ -374,21 +374,23 @@ let mq _ =
         client = (fun i -> M.produce t ~data:("le" ^ string_of_int i));
       } )
 
+(* the one system -> target table *)
+let target = function
+  | "kvs" -> kvs
+  | "zkmini" -> zk
+  | "dfsmini" -> dfs
+  | "cstore" -> cs
+  | "mqbroker" -> mq
+  | s -> invalid_arg ("Systems: unknown system " ^ s)
+
+let program system = fst (target system None)
+
 (* The one boot skeleton: validate and analyse the program, boot the
    target on the (maybe instrumented) program, then driver, watchdog,
    baseline checkers, heartbeat, observer, workload, extra spawn, start —
    in that order, which every pinned schedule depends on. *)
 let boot ?schedule ~sched ~reg ~mode ?special system =
-  let target =
-    match system with
-    | "kvs" -> kvs
-    | "zkmini" -> zk
-    | "dfsmini" -> dfs
-    | "cstore" -> cs
-    | "mqbroker" -> mq
-    | s -> invalid_arg ("Systems.boot: unknown system " ^ s)
-  in
-  let prog, boot_target = target special in
+  let prog, boot_target = target system special in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
   let run_prog =

@@ -27,6 +27,12 @@ type booted = {
           on the request path. *)
 }
 
+val program : string -> Wd_ir.Ast.program
+(** The IR program of "kvs", "zkmini", "dfsmini", "cstore" or "mqbroker":
+    the one {!boot} runs without a [special] variant, before
+    instrumentation. Raises [Invalid_argument] on any other system
+    name. *)
+
 val boot :
   ?schedule:Wd_watchdog.Schedule.policy ->
   sched:Wd_sim.Sched.t ->
@@ -39,6 +45,7 @@ val boot :
     one skeleton every target shares. [special] selects boot variants:
     "leak_bug", "deadlock_bug", "in_memory", "burst" (kvs) and "spin_bug"
     (cstore); other values boot the plain system. [schedule] is the
-    checker scheduling policy (default {!Wd_watchdog.Schedule.fixed}). *)
+    checker scheduling policy (default {!Wd_watchdog.Schedule.fixed}).
+    Raises [Invalid_argument] on an unknown system name. *)
 
 val all_systems : string list

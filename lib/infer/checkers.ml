@@ -136,6 +136,3 @@ let compile ?(period = Wd_sim.Time.ms 500) ?(timeout = Wd_sim.Time.sec 5)
       family_checker ~id ~period ~timeout monitor (List.rev invs) :: l)
     by_family []
   |> List.sort (fun a b -> compare a.Checker.id b.Checker.id)
-
-let checker_count model =
-  List.length (Synth.family_counts model)

@@ -25,5 +25,3 @@ val eval :
   Synth.invariant ->
   Wd_watchdog.Report.t option
 (** Exposed for tests: evaluate a single invariant. *)
-
-val checker_count : Synth.model -> int

@@ -122,7 +122,10 @@ let drain r =
   Trace.iter_ops r.rec_trace r.rec_cursor (push r.rec_ops);
   r.rec_cursor <- Trace.total r.rec_trace
 
-let attach ?(capacity = 1 lsl 16) ?(drain_every = Wd_sim.Time.ms 250) sched =
+(* the miner daemon's drain period *)
+let drain_every = Wd_sim.Time.ms 250
+
+let attach ?(capacity = 1 lsl 16) sched =
   let trace = Trace.create ~capacity () in
   Wd_sim.Sched.set_trace sched trace;
   let r =
@@ -388,7 +391,3 @@ let aggregate runs =
     obs_events = !events;
     obs_dropped = !dropped;
   }
-
-let pp_stats ppf ks =
-  Fmt.pf ppf "%-44s runs %d  n %5d  fails %d  max-gap %a" ks.ks_key ks.ks_runs
-    ks.ks_count ks.ks_fails Wd_sim.Time.pp ks.ks_max_gap

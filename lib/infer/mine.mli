@@ -37,10 +37,9 @@ type run_obs = {
 
 type recorder
 
-val attach :
-  ?capacity:int -> ?drain_every:int64 -> Wd_sim.Sched.t -> recorder
+val attach : ?capacity:int -> Wd_sim.Sched.t -> recorder
 (** Install a trace on the scheduler (via {!Wd_sim.Sched.set_trace}) and a
-    daemon that drains it into an unbounded accumulator. Call before
+    daemon that drains it into an unbounded accumulator every 250 ms. Call before
     booting the system under observation. *)
 
 val finish : recorder -> id:string -> seed:int -> run_obs
@@ -79,4 +78,3 @@ val aggregate : run_obs list -> observations
     identical observations. *)
 
 val target_of_key : string -> string
-val pp_stats : Format.formatter -> key_stats -> unit

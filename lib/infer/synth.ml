@@ -304,10 +304,3 @@ let family_counts m =
       Hashtbl.replace tally f (1 + Option.value ~default:0 (Hashtbl.find_opt tally f)))
     m.m_invariants;
   Hashtbl.fold (fun f n l -> (f, n) :: l) tally [] |> List.sort compare
-
-let pp_model ppf m =
-  Fmt.pf ppf "%s: %d invariants from %d runs (%a) digest %s" m.m_system
-    (List.length m.m_invariants)
-    m.m_runs
-    Fmt.(list ~sep:(any ", ") (pair ~sep:(any " ") string int))
-    (family_counts m) (digest m)

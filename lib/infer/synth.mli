@@ -57,5 +57,3 @@ val family_name : body -> string
 val family_counts : model -> (string * int) list
 val to_canonical : model -> string
 val digest : model -> string
-val pp_invariant : Format.formatter -> invariant -> unit
-val pp_model : Format.formatter -> model -> unit

@@ -9,7 +9,6 @@ open Ast
 let i n = Const (VInt n)
 let s str = Const (VStr str)
 let bconst x = Const (VBool x)
-let unit_e = Const VUnit
 let v name = Var name
 
 let ( +: ) a b = Binop (Add, a, b)

@@ -12,7 +12,6 @@ open Ast
 val i : int -> expr
 val s : string -> expr
 val bconst : bool -> expr
-val unit_e : expr
 val v : string -> expr
 
 val ( +: ) : expr -> expr -> expr

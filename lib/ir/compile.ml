@@ -933,9 +933,6 @@ let compile ~rt prog =
 
 let program cp = cp.cp_prog
 
-let nslots cp fname =
-  Option.map (fun cf -> cf.cf_nslots) (Hashtbl.find_opt cp.cp_funcs fname)
-
 let frame_pool_stats cp fname =
   Option.map
     (fun cf -> (cf.cf_pool_len, cf.cf_pool_hits))

@@ -157,8 +157,6 @@ val compile : rt:'i rt -> program -> 'i t
     first binding, matching [Ast.find_func]. *)
 
 val program : 'i t -> program
-val nslots : 'i t -> string -> int option
-(** Frame width of a compiled function, for introspection and tests. *)
 
 val frame_pool_stats : 'i t -> string -> (int * int) option
 (** [(pooled_frames, pool_hits)] for a compiled function: current free-list

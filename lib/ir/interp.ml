@@ -39,21 +39,17 @@ type mode = Main | Checker
    per operation. [Loc.dummy] is the "none" sentinel for location fields
    (real program locs always carry a non-negative uid); virtual-ns
    quantities are native ints (they fit 62 bits). The option-shaped views
-   live in the [current_op]/[last_op]/[slowest_op] accessors. *)
+   live in the [current_op]/[last_op] accessors. *)
 type probe_state = {
   mutable op_active : bool;    (* an operation is in flight *)
   mutable op_loc : Loc.t;      (* its location (valid when [op_active]) *)
   mutable op_desc : string;
   mutable op_started : int;    (* virtual ns *)
   mutable last_loc : Loc.t;    (* most recent op; [Loc.dummy] = none yet *)
-  mutable slow_loc : Loc.t;
-  mutable slow_ns : int;       (* -1 = no op observed yet *)
-  mutable ops_executed : int;
-  (* cumulative time spent in operations vs. waiting for locks; slowness
+  (* cumulative time spent in operations, lock waits excluded; slowness
      assessment uses op time only, since benign lock contention is not a
      fail-slow signal (lock wedges have their own liveness budget) *)
   mutable op_ns : int;
-  mutable lock_ns : int;
 }
 
 let current_op p =
@@ -61,12 +57,6 @@ let current_op p =
   else None
 
 let last_op p = if p.last_loc == Loc.dummy then None else Some p.last_loc
-
-let slowest_op p =
-  if p.slow_ns < 0 then None else Some (p.slow_loc, Int64.of_int p.slow_ns)
-
-let probe_op_ns p = Int64.of_int p.op_ns
-let probe_lock_ns p = Int64.of_int p.lock_ns
 
 type hook_spec = { hook_checker : string; hook_vars : string list }
 
@@ -98,7 +88,6 @@ type t = {
   mutable hooks : hook option array; (* by hook id *)
   probe : probe_state;
   shadow_globals : (string, value) Hashtbl.t;
-  scratch_prefix : string;
   lock_timeout : int64;
   (* CPU accounting and depth budget live in the [Compile.ctx] record the
      compiled engine threads through every closure; the tree-walker updates
@@ -363,9 +352,9 @@ let trace_err = function
 (* The probe bracket around an effectful action, so the watchdog driver can
    pinpoint an in-flight hang and track slow operations. [probe_enter]
    opens it and returns the start time; exactly one of [probe_exit] (the
-   action returned) or [probe_fail] (it raised) closes it. [is_lock] routes
-   the elapsed time to the lock-wait counter (excluded from slowness
-   assessment); the call site knows, so no description sniffing. [tkey],
+   action returned) or [probe_fail] (it raised) closes it. [is_lock] keeps
+   a lock wait out of [op_ns] (excluded from slowness assessment); the
+   call site knows, so no description sniffing. [tkey],
    when not [no_tkey], additionally emits Op_start/Op_end/Op_fail trace
    events keyed by it — the raw material for trace-inferred checkers. The
    bracket is pure field stores and plain calls: nothing is boxed and no
@@ -391,13 +380,7 @@ let probe_exit t s loc ~is_lock ~tkey started =
   let elapsed = Int64.to_int (Wd_sim.Sched.now s) - started in
   p.op_active <- false;
   p.last_loc <- loc;
-  p.ops_executed <- p.ops_executed + 1;
-  (if is_lock then p.lock_ns <- p.lock_ns + elapsed
-   else p.op_ns <- p.op_ns + elapsed);
-  if elapsed > p.slow_ns then begin
-    p.slow_loc <- loc;
-    p.slow_ns <- elapsed
-  end;
+  if not is_lock then p.op_ns <- p.op_ns + elapsed;
   if tkey >= 0 then
     Wd_sim.Sched.trace_op_end s ~op:tkey ~node:t.node_site
       ~func:(Wd_sim.Site.intern (Loc.func loc))
@@ -411,7 +394,10 @@ let probe_fail t s loc ~tkey e =
       ~func:(Wd_sim.Site.intern (Loc.func loc))
       ~err:(trace_err e)
 
-let scratch t path = t.scratch_prefix ^ path
+(* checker-mode disk writes land under this prefix *)
+let scratch_prefix = "__wd/"
+
+let scratch path = scratch_prefix ^ path
 
 (* Shared empty-mailbox marker: the engine and the reference walker return
    this exact structure on a timed-out poll; it contains no mutable leaf, so
@@ -428,7 +414,7 @@ let op_body t loc ~kind ~target vargs =
       (match t.mode with
       | Main -> Wd_env.Disk.write d ~path data
       | Checker ->
-          Wd_env.Disk.write ~as_path:path d ~path:(scratch t path) data);
+          Wd_env.Disk.write ~as_path:path d ~path:(scratch path) data);
       VUnit
   | Disk_append, [ p; data ] ->
       let d = Runtime.disk t.res target in
@@ -436,7 +422,7 @@ let op_body t loc ~kind ~target vargs =
       (match t.mode with
       | Main -> Wd_env.Disk.append d ~path data
       | Checker ->
-          Wd_env.Disk.append ~as_path:path d ~path:(scratch t path) data);
+          Wd_env.Disk.append ~as_path:path d ~path:(scratch path) data);
       VUnit
   | Disk_read, [ p ] ->
       let d = Runtime.disk t.res target in
@@ -448,8 +434,8 @@ let op_body t loc ~kind ~target vargs =
              real file, which a read cannot damage. Either way the
              fault site is the original path (fate sharing). *)
           let phys =
-            if Wd_env.Disk.peek d ~path:(scratch t path) <> None then
-              scratch t path
+            if Wd_env.Disk.peek d ~path:(scratch path) <> None then
+              scratch path
             else path
           in
           VBytes (Wd_env.Disk.read ~as_path:path d ~path:phys))
@@ -461,7 +447,7 @@ let op_body t loc ~kind ~target vargs =
       let path = arg_str loc p in
       (match t.mode with
       | Main -> Wd_env.Disk.delete d ~path
-      | Checker -> Wd_env.Disk.delete ~as_path:path d ~path:(scratch t path));
+      | Checker -> Wd_env.Disk.delete ~as_path:path d ~path:(scratch path));
       VUnit
   | Disk_exists, [ p ] ->
       VBool (Wd_env.Disk.exists (Runtime.disk t.res target) ~path:(arg_str loc p))
@@ -854,9 +840,13 @@ module Reference = struct
     Fun.protect ~finally:(fun () -> Atomic.set active prev) f
 end
 
-let create ?compiled ?(mode = Main) ?(scratch_prefix = "__wd/")
-    ?(lock_timeout = Wd_sim.Time.sec 5) ?(stmt_cost = 100L)
-    ?(cpu_quantum = Wd_sim.Time.us 10) ~node ~res prog =
+(* virtual CPU cost of one statement, and the accumulated cost at which the
+   interpreter yields it to the scheduler as one sleep *)
+let stmt_cost = 100
+let cpu_quantum = Wd_sim.Time.us 10
+
+let create ?compiled ?(mode = Main) ?(lock_timeout = Wd_sim.Time.sec 5) ~node
+    ~res prog =
   let compiled =
     match compiled with
     | Some cp ->
@@ -888,19 +878,13 @@ let create ?compiled ?(mode = Main) ?(scratch_prefix = "__wd/")
         op_desc = "";
         op_started = 0;
         last_loc = Loc.dummy;
-        slow_loc = Loc.dummy;
-        slow_ns = -1;
-        ops_executed = 0;
         op_ns = 0;
-        lock_ns = 0;
       };
     shadow_globals = Hashtbl.create 16;
-    scratch_prefix;
     lock_timeout;
     ctx =
       Compile.make_ctx
-        ~stmt_cost:(Int64.to_int stmt_cost)
-        ~quantum:(Int64.to_int cpu_quantum) ~max_depth:512;
+        ~stmt_cost ~quantum:(Int64.to_int cpu_quantum) ~max_depth:512;
     op_descs = Hashtbl.create 16;
     lock_descs = Hashtbl.create 8;
     trace_keys = Hashtbl.create 32;

@@ -67,21 +67,15 @@ type probe_state = {
   mutable op_desc : string;
   mutable op_started : int;  (** virtual ns *)
   mutable last_loc : Loc.t;  (** most recent op; [Loc.dummy] = none yet *)
-  mutable slow_loc : Loc.t;
-  mutable slow_ns : int;     (** -1 = no op observed yet *)
-  mutable ops_executed : int;
-  mutable op_ns : int;       (** cumulative operation time, virtual ns *)
-  mutable lock_ns : int;     (** cumulative lock-wait time (excluded from
-                                 slowness assessment) *)
+  mutable op_ns : int;
+      (** cumulative operation time, virtual ns; lock waits are excluded
+          from it, as from slowness assessment *)
 }
 
 val current_op : probe_state -> (Loc.t * string * int64) option
 (** Operation in flight: location, description, start time. *)
 
 val last_op : probe_state -> Loc.t option
-val slowest_op : probe_state -> (Loc.t * int64) option
-val probe_op_ns : probe_state -> int64
-val probe_lock_ns : probe_state -> int64
 
 type hook_spec = { hook_checker : string; hook_vars : string list }
 
@@ -90,15 +84,15 @@ type t
 val create :
   ?compiled:compiled ->
   ?mode:mode ->
-  ?scratch_prefix:string ->
   ?lock_timeout:int64 ->
-  ?stmt_cost:int64 ->
-  ?cpu_quantum:int64 ->
   node:string ->
   res:Runtime.resources ->
   program ->
   t
-(** Without [?compiled], the program's form is fetched from {!precompile}. *)
+(** Without [?compiled], the program's form is fetched from {!precompile}.
+    [lock_timeout] (default 5 s) is the checker-mode try-lock budget.
+    Every statement costs 100 virtual ns, yielded to the scheduler in
+    10 us quanta; checker-mode disk writes land under ["__wd/"]. *)
 
 val program : t -> program
 val node : t -> string

@@ -18,13 +18,3 @@ let pp ppf t =
     (String.concat "." (List.map string_of_int t.path))
 
 let to_string t = Fmt.str "%a" pp t
-
-let equal a b = a.uid = b.uid
-
-(* Localisation distance between a reported location and the ground-truth
-   fault location: 0 = exact statement, 1 = same function, 2 = elsewhere.
-   This is the "pinpoint" metric of Table 2. *)
-let distance a b =
-  if a.uid = b.uid && a.uid >= 0 then 0
-  else if a.func = b.func && a.func <> "?" then 1
-  else 2

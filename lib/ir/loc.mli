@@ -11,10 +11,6 @@ val make : func:string -> path:int list -> uid:int -> t
 val func : t -> string
 val path : t -> int list
 val uid : t -> int
-val equal : t -> t -> bool
-
-val distance : t -> t -> int
-(** 0 = same statement, 1 = same function, 2 = elsewhere. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,10 +1,6 @@
 (** Pretty-printer for IR programs, in a pseudo-Java style so reduction
     demos read like the paper's Figures 2 and 3. *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_stmt : indent:int -> Format.formatter -> Ast.stmt -> unit
 val pp_block : indent:int -> Format.formatter -> Ast.block -> unit
-val pp_func : Format.formatter -> Ast.func -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 val func_to_string : Ast.func -> string
 val program_to_string : Ast.program -> string

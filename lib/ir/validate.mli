@@ -7,8 +7,6 @@
 
 type problem = { where : string; what : string }
 
-val pp_problem : Format.formatter -> problem -> unit
-
 val check : Ast.program -> (unit, problem list) result
 
 val check_exn : Ast.program -> unit

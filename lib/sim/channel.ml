@@ -28,10 +28,7 @@ let create ?(capacity = max_int) name =
     received = 0;
   }
 
-let name c = c.name
 let length c = Queue.length c.items
-let is_empty c = Queue.is_empty c.items
-let is_closed c = c.closed
 let stats c = (c.sent, c.received)
 
 let close c =

@@ -7,10 +7,7 @@ exception Closed of string
     channel has drained. *)
 
 val create : ?capacity:int -> string -> 'a t
-val name : 'a t -> string
 val length : 'a t -> int
-val is_empty : 'a t -> bool
-val is_closed : 'a t -> bool
 
 val send : 'a t -> 'a -> unit
 (** Blocks while the channel is full. *)

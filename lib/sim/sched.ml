@@ -149,17 +149,6 @@ let emit_finished s t how =
   | None -> ()
   | Some tr -> Trace.finished tr ~at:s.now ~task_id:t.id ~task_name:t.name ~how
 
-(* Record an event attributed to the current task (the interpreter uses this
-   for operation-level events). No-op when tracing is off. *)
-let trace_emit s kind =
-  match s.trace with
-  | None -> ()
-  | Some tr ->
-      let task_id, task_name =
-        match s.current with Some t -> (t.id, t.name) | None -> (0, "<sched>")
-      in
-      Trace.record tr ~at:s.now ~task_id ~task_name kind
-
 (* Interned op-event emitters for the interpreter's traced fast path: the
    caller resolves Site ids once per op site, and nothing here allocates. *)
 let current_ident s =
@@ -377,7 +366,7 @@ let kill s t =
   match t.state with
   | Finished -> ()
   | Running ->
-      if s.current == Some t then raise Cancelled
+      if s.current == t.as_current then raise Cancelled
       else
         (* A running task other than the current one is impossible in a
            single-domain scheduler. *)

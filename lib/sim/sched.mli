@@ -131,14 +131,10 @@ val set_trace : t -> Trace.t -> unit
 
 val trace : t -> Trace.t option
 
-val trace_emit : t -> Trace.kind -> unit
-(** Record an event attributed to the currently running task; no-op when
-    tracing is off. The interpreter uses this to append operation-level
-    events ({!Trace.Op_start} etc.) into the same timeline. *)
-
-(** Interned op-event emitters: same timeline entries as {!trace_emit} with
-    an [Op_*] kind, but taking pre-resolved {!Site.id}s so a traced hot
-    path allocates nothing. No-ops when tracing is off. *)
+(** Op-event emitters: the interpreter appends operation-level events
+    ({!Trace.Op_start} etc.) to the same timeline, attributed to the
+    running task, taking pre-resolved {!Site.id}s so a traced hot path
+    allocates nothing. No-ops when tracing is off. *)
 
 val trace_op_start : t -> op:Site.id -> node:Site.id -> func:Site.id -> unit
 

@@ -21,7 +21,6 @@ let create name =
     contended = 0;
   }
 
-let name m = m.name
 let owner m = m.owner
 let locked m = m.owner <> None
 let acquisitions m = m.acquisitions

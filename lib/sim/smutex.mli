@@ -6,7 +6,6 @@
 type t
 
 val create : string -> t
-val name : t -> string
 val owner : t -> Sched.task option
 val locked : t -> bool
 

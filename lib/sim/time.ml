@@ -2,21 +2,18 @@
 
 type t = int64
 
-let ns n = Int64.of_int n
 let us n = Int64.of_int (n * 1_000)
 let ms n = Int64.of_int (n * 1_000_000)
 let sec n = Int64.of_int (n * 1_000_000_000)
 
 let of_float_sec f = Int64.of_float (f *. 1e9)
 let to_float_sec t = Int64.to_float t /. 1e9
-let to_float_ms t = Int64.to_float t /. 1e6
 
 let add = Int64.add
 let sub = Int64.sub
 let ( + ) = Int64.add
 let ( - ) = Int64.sub
 
-let zero = 0L
 let never = Int64.max_int
 
 let pp ppf t =

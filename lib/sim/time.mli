@@ -6,22 +6,18 @@
 
 type t = int64
 
-val ns : int -> t
 val us : int -> t
 val ms : int -> t
 val sec : int -> t
 
 val of_float_sec : float -> t
 val to_float_sec : t -> float
-val to_float_ms : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t
 
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
-
-val zero : t
 
 val never : t
 (** [Int64.max_int]: an instant later than any reachable virtual time. *)

@@ -118,5 +118,4 @@ val iter_ops :
     only and [note] (the error) on [Fail] only. Allocates nothing. *)
 
 val kind_name : kind -> string
-val pp_event : Format.formatter -> event -> unit
 val dump : ?n:int -> Format.formatter -> t -> unit

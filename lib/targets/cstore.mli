@@ -4,14 +4,8 @@
     a disk hang inside compaction blocks only that task, so clients stay
     healthy and every extrinsic detector stays green. *)
 
-val node : string
 val seed_node : string
-val disk_name : string
-val net_name : string
-val mem_name : string
 val request_queue : string
-val memtable_flush_threshold : int
-val compaction_fanin : int
 
 val program : ?spin_bug:bool -> unit -> Wd_ir.Ast.program
 (** [spin_bug] selects the variant whose compaction spins forever on a

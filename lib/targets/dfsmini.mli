@@ -4,15 +4,10 @@
     namenode. The generated mimic checker for the write path is the moral
     equivalent of the enhanced HDFS disk checker (HADOOP-13738). *)
 
-val node : string
 val namenode : string
-val disk_name : string
-val net_name : string
-val mem_name : string
 val request_queue : string
 
 val program : unit -> Wd_ir.Ast.program
-val entries : string list
 
 type t = {
   sched : Wd_sim.Sched.t;

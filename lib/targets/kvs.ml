@@ -360,8 +360,9 @@ let replica_loop =
 
 (* Queue names are fixed strings in [Op] targets; the reply queue is chosen
    per request, so [handle_request] routes replies through a level of
-   indirection implemented in the wrapper below (see [drain_replies]): the
-   IR writes to the well-known "reply" queue tagged with the reply id. *)
+   indirection: the IR writes to the well-known "kvs.replies" queue tagged
+   with the reply id, and the [Rpcq] dispatcher below forwards each reply
+   to its request's queue. *)
 
 let leader_entries = [ "listener"; "flusher"; "compactor"; "snapshotter"; "heartbeat" ]
 let replica_entries = [ "replica" ]
@@ -410,7 +411,7 @@ type t = {
   replica_disk : Wd_env.Disk.t;
   net : Ast.value Wd_env.Net.t;
   mem : Wd_env.Memory.t;
-  mutable reply_seq : int;
+  rpc : Rpcq.t;
 }
 
 let boot ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
@@ -451,24 +452,12 @@ let boot ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
     replica_disk;
     net;
     mem;
-    reply_seq = 0;
+    rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue:"kvs.replies";
   }
 
 (* Route replies from the well-known "kvs.replies" queue to the per-request
    reply queue named in the message. *)
-let spawn_reply_dispatcher t =
-  Wd_sim.Sched.spawn ~name:"kvs/reply-dispatch" ~daemon:true t.sched (fun () ->
-      let replies = Runtime.queue t.res "kvs.replies" in
-      while true do
-        let msg = Wd_sim.Channel.recv replies in
-        match msg with
-        | Ast.VMap kvs -> (
-            match (List.assoc_opt "id" kvs, List.assoc_opt "data" kvs) with
-            | Some (Ast.VStr id), Some data ->
-                ignore (Wd_sim.Channel.try_send (Runtime.queue t.res id) data)
-            | _, _ -> ())
-        | _ -> ()
-      done)
+let spawn_reply_dispatcher t = Rpcq.spawn_dispatcher t.rpc
 
 let start t =
   let leader_tasks = Interp.start ~entries:leader_entries t.leader t.sched in
@@ -478,25 +467,9 @@ let start t =
 
 (* Client request over the public interface; used by workloads and probe
    checkers. Blocks the calling task until a reply or the timeout. *)
-let request ?(timeout = Wd_sim.Time.sec 2) t ~op ~key ~value =
-  t.reply_seq <- t.reply_seq + 1;
-  let reply_name = Fmt.str "reply/%d" t.reply_seq in
-  let reply_q = Runtime.queue t.res reply_name in
-  let req =
-    Ast.VMap
-      [
-        ("op", Ast.VStr op);
-        ("key", Ast.VStr key);
-        ("value", Ast.VStr value);
-        ("reply", Ast.VStr reply_name);
-      ]
-  in
-  let inq = Runtime.queue t.res request_queue in
-  if not (Wd_sim.Channel.try_send inq req) then `Err "request queue full"
-  else
-    match Wd_sim.Channel.recv_timeout reply_q ~timeout with
-    | Some v -> `Ok v
-    | None -> `Timeout
+let request ?timeout t ~op ~key ~value =
+  Rpcq.request ?timeout t.rpc
+    [ ("op", Ast.VStr op); ("key", Ast.VStr key); ("value", Ast.VStr value) ]
 
 let set ?timeout t ~key ~value = request ?timeout t ~op:"set" ~key ~value
 let get ?timeout t ~key = request ?timeout t ~op:"get" ~key ~value:""
@@ -505,6 +478,3 @@ let del ?timeout t ~key = request ?timeout t ~op:"del" ~key ~value:""
 
 let stats_sets t =
   match Runtime.global t.res "kvs.stats.sets" with Ast.VInt n -> n | _ -> 0
-
-let stats_gets t =
-  match Runtime.global t.res "kvs.stats.gets" with Ast.VInt n -> n | _ -> 0

@@ -8,13 +8,7 @@
 
 (* resource and queue names (fault-site building blocks) *)
 val request_queue : string
-val leader_node : string
-val replica_node : string
 val monitor_node : string
-val disk_name : string
-val replica_disk_name : string
-val net_name : string
-val mem_name : string
 
 val program : ?leak_bug:bool -> ?deadlock_bug:bool -> unit -> Wd_ir.Ast.program
 (** The kvs IR program. [leak_bug] selects the variant whose request
@@ -36,7 +30,8 @@ type t = {
   replica_disk : Wd_env.Disk.t;
   net : Wd_ir.Ast.value Wd_env.Net.t;
   mem : Wd_env.Memory.t;
-  mutable reply_seq : int;
+  rpc : Rpcq.t;  (** request/reply plumbing on ["kvs.requests"] /
+                     ["kvs.replies"] *)
 }
 
 val boot :
@@ -53,6 +48,8 @@ val boot :
     program. *)
 
 val spawn_reply_dispatcher : t -> Wd_sim.Sched.task
+(** The [Rpcq] dispatcher routing ["kvs.replies"] to per-request queues;
+    {!start} spawns it. *)
 
 val start : t -> Wd_sim.Sched.task list
 (** Start leader + replica entries and the reply dispatcher. *)
@@ -76,4 +73,3 @@ val del :
   [ `Ok of Wd_ir.Ast.value | `Err of string | `Timeout ]
 
 val stats_sets : t -> int
-val stats_gets : t -> int

@@ -8,19 +8,11 @@
     retention cleaner, a consumer delivery link that blocks the sender
     while producers stay healthy, and silent append corruption. *)
 
-val node : string
-val consumer_node : string
 val monitor_node : string
-val disk_name : string
-val net_name : string
-val mem_name : string
 val request_queue : string
-val records_per_segment : int
 val retention_segments : int
 
 val program : unit -> Wd_ir.Ast.program
-val broker_entries : string list
-val consumer_entries : string list
 
 type t = {
   sched : Wd_sim.Sched.t;

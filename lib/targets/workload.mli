@@ -13,9 +13,6 @@ type stats = {
 
 val create_stats : unit -> stats
 
-val record :
-  stats -> latency:int64 -> [< `Ok of 'a | `Err of string | `Timeout ] -> unit
-
 val mean_latency : stats -> int64
 val percentile : stats -> float -> int64
 val success_ratio : stats -> float

@@ -4,17 +4,8 @@
     commit critical section, hanging all writes while heartbeats and the
     admin command keep answering. *)
 
-val leader_node : string
-val follower1 : string
-val follower2 : string
 val monitor_node : string
-val disk_name : string
-val follower_disk_name : string
-val net_name : string
-val mem_name : string
 val request_queue : string
-val admin_queue : string
-val snap_count : int
 
 val program : unit -> Wd_ir.Ast.program
 val leader_entries : string list

@@ -33,7 +33,10 @@ type t = {
          point is noticing that the version is NOT advancing. *)
 }
 
-let kind_name = function Probe -> "probe" | Signal -> "signal" | Mimic -> "mimic"
+let kind_of_id id =
+  if String.starts_with ~prefix:"probe:" id then Probe
+  else if String.starts_with ~prefix:"signal:" id then Signal
+  else Mimic
 
 let make ?(kind = Mimic) ?(period = Wd_sim.Time.sec 1)
     ?(timeout = Wd_sim.Time.sec 10) ?slow_budget
@@ -41,7 +44,3 @@ let make ?(kind = Mimic) ?(period = Wd_sim.Time.sec 1)
     ?(slow_elapsed = fun () -> None) ?ctx_version ~id run =
   { id; kind; period; timeout; slow_budget; run; locate; slow_elapsed;
     ctx_version }
-
-let pp ppf c =
-  Fmt.pf ppf "%s[%s] period=%a timeout=%a" c.id (kind_name c.kind)
-    Wd_sim.Time.pp c.period Wd_sim.Time.pp c.timeout

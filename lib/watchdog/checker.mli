@@ -33,7 +33,10 @@ type t = {
           whose point is noticing the version is {e not} advancing. *)
 }
 
-val kind_name : kind -> string
+val kind_of_id : string -> kind
+(** The kind a checker id names by its prefix convention: ["probe:"],
+    ["signal:"], anything else mimic. Reports carry only the id, so
+    consumers that group reports by family read the kind back here. *)
 
 val make :
   ?kind:kind ->
@@ -47,5 +50,3 @@ val make :
   id:string ->
   (now:int64 -> outcome) ->
   t
-
-val pp : Format.formatter -> t -> unit

@@ -18,6 +18,17 @@
    spawn per run — which confines the checker to a worker the driver kills
    on timeout. *)
 
+(* a repeat of an entry's last finding within this is dropped *)
+let dedup_window = Wd_sim.Time.sec 30
+
+(* Adaptive slowness: once a checker has [slow_min_samples] fault-free
+   executions, a run taking longer than
+   [max slow_floor (slow_mult * baseline)] is reported as Slow. This is how
+   fail-slow and limplock faults are caught without absolute budgets. *)
+let slow_floor = Wd_sim.Time.ms 5
+let slow_mult = 20.0
+let slow_min_samples = 5
+
 type entry = {
   checker : Checker.t;
   runner : Wd_sim.Sched.runner;
@@ -81,7 +92,7 @@ let deliver t entry (r : Report.t) =
     let duplicate =
       String.equal fkind entry.last_fkind
       && Option.equal same_site r.Report.loc entry.last_loc
-      && Int64.sub now entry.last_report_at < t.policy.dedup_window
+      && Int64.sub now entry.last_report_at < dedup_window
     in
     if duplicate then ()
     else begin
@@ -118,10 +129,10 @@ let run_once t entry =
         match c.Checker.slow_budget with
         | Some budget -> Some budget
         | None ->
-            if entry.lat_samples >= t.policy.slow_min_samples then
+            if entry.lat_samples >= slow_min_samples then
               Some
-                (max t.policy.slow_floor
-                   (Int64.of_float (t.policy.slow_mult *. entry.lat_baseline)))
+                (max slow_floor
+                   (Int64.of_float (slow_mult *. entry.lat_baseline)))
             else None
       in
       (match slow_threshold with
@@ -285,9 +296,6 @@ let stop t =
 
 let reports t = List.rev t.reports
 let suppressed t = List.rev t.suppressed
-
-let first_report t =
-  match List.rev t.reports with [] -> None | r :: _ -> Some r
 
 let first_report_where t pred =
   List.find_opt pred (List.rev t.reports)

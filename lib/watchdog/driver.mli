@@ -40,7 +40,6 @@ val reports : t -> Report.t list
 val suppressed : t -> Report.t list
 (** Reports held back by validation (policy [suppress_unvalidated]). *)
 
-val first_report : t -> Report.t option
 val first_report_where : t -> (Report.t -> bool) -> Report.t option
 
 type checker_stats = {

@@ -1,53 +1,24 @@
 (* Alarm policy: how raw checker failures become reports.
 
-   [confirmations] debounces one-off blips; [dedup_window] suppresses
-   repeats of the same finding; [validate] is the paper's §5 false-alarm
-   mitigation — when a mimic checker fails, invoke a probe checker to assess
-   the impact before (optionally) suppressing the alarm.
+   [confirmations] debounces one-off blips; [validate] is the paper's §5
+   false-alarm mitigation — when a mimic checker fails, invoke a probe
+   checker to assess the impact before (optionally) suppressing the alarm.
+   Dedup and adaptive slowness are driver constants.
 
-   Construction goes through [make] and the [with_*] builders so adding a
+   Construction goes through [make] and [with_validation] so adding a
    field never breaks a caller; the record itself stays transparent for
    readers (the driver pattern-matches fields directly). *)
 
 type t = {
   confirmations : int;
-  dedup_window : int64;
   validate : (Report.t -> bool) option;
   suppress_unvalidated : bool;
-  (* Adaptive slowness: once a checker has [slow_min_samples] fault-free
-     executions, a run taking longer than
-     [max slow_floor (slow_mult * baseline)] is reported as Slow. This is
-     how fail-slow and limplock faults are caught without absolute budgets. *)
-  slow_floor : int64;
-  slow_mult : float;
-  slow_min_samples : int;
 }
 
-let make ?(confirmations = 1) ?(dedup_window = Wd_sim.Time.sec 30) ?validate
-    ?(suppress_unvalidated = false) ?(slow_floor = Wd_sim.Time.ms 5)
-    ?(slow_mult = 20.0) ?(slow_min_samples = 5) () =
-  {
-    confirmations;
-    dedup_window;
-    validate;
-    suppress_unvalidated;
-    slow_floor;
-    slow_mult;
-    slow_min_samples;
-  }
+let make ?(confirmations = 1) () =
+  { confirmations; validate = None; suppress_unvalidated = false }
 
 let default = make ()
-
-let with_confirmations confirmations p = { p with confirmations }
-let with_dedup_window dedup_window p = { p with dedup_window }
-
-let with_slowness ?floor ?mult ?min_samples p =
-  {
-    p with
-    slow_floor = Option.value floor ~default:p.slow_floor;
-    slow_mult = Option.value mult ~default:p.slow_mult;
-    slow_min_samples = Option.value min_samples ~default:p.slow_min_samples;
-  }
 
 let with_validation ?(suppress = false) validate p =
   { p with validate = Some validate; suppress_unvalidated = suppress }

@@ -1,45 +1,30 @@
 (** Alarm policy: how raw checker failures become reports.
 
-    [confirmations] debounces blips; [dedup_window] suppresses repeats of
-    the same finding; [validate] is the §5 false-alarm mitigation (probe the
-    impact when a mimic checker fails); the [slow_*] fields drive the
-    driver's adaptive fail-slow detection.
+    [confirmations] debounces blips; [validate] is the §5 false-alarm
+    mitigation (probe the impact when a mimic checker fails), and
+    [suppress_unvalidated] holds back the reports it does not confirm.
+
+    The rest of the alarm path is fixed in the driver: a repeat of the
+    same finding within 30 s is dropped, and once a checker has 5
+    fault-free runs, a run longer than [max 5ms (20 x baseline)] is
+    reported as slow.
 
     Readers may match on the record freely, but construction goes through
-    {!make} / {!default} and the [with_*] builders, so adding a policy
-    field never breaks a call site. *)
+    {!make} / {!default} and {!with_validation}, so adding a policy field
+    never breaks a call site. *)
 
 type t = {
   confirmations : int;
-  dedup_window : int64;
   validate : (Report.t -> bool) option;
   suppress_unvalidated : bool;
-  slow_floor : int64;
-  slow_mult : float;
-  slow_min_samples : int;
 }
 
-val make :
-  ?confirmations:int ->
-  ?dedup_window:int64 ->
-  ?validate:(Report.t -> bool) ->
-  ?suppress_unvalidated:bool ->
-  ?slow_floor:int64 ->
-  ?slow_mult:float ->
-  ?slow_min_samples:int ->
-  unit ->
-  t
-(** Every omitted field takes its {!default} value. *)
+val make : ?confirmations:int -> unit -> t
+(** [confirmations] defaults to 1; no validation. *)
 
 val default : t
-(** [make ()]: 1 confirmation, 30s dedup window, no validation, 5ms slow
-    floor, 20x slow multiplier after 5 samples. Stable across releases. *)
-
-val with_confirmations : int -> t -> t
-val with_dedup_window : int64 -> t -> t
-
-val with_slowness : ?floor:int64 -> ?mult:float -> ?min_samples:int -> t -> t
-(** Adjust the adaptive-slowness thresholds; omitted parameters keep the
-    policy's current values. *)
+(** [make ()]. *)
 
 val with_validation : ?suppress:bool -> (Report.t -> bool) -> t -> t
+(** Validate every mimic report with the given probe; with [suppress]
+    (default [false]) the reports it rejects are held back. *)

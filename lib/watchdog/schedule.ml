@@ -248,8 +248,6 @@ let note_run t sl ~started ~events_cost =
   sl.sl_last_version <- sl.sl_batch_version;
   sl.sl_next_due <- Int64.add (Wd_sim.Sched.now t.sched) (eff_period t sl)
 
-let throttle t = t.throttle
-
 let stats t =
   {
     st_policy = policy_name t.policy;

@@ -37,7 +37,6 @@ val adaptive :
 (** Defaults: 0.5% target overhead, 2s latency bound, 500ms window.
     Raises [Invalid_argument] on non-positive parameters. *)
 
-val policy_name : policy -> string
 val pp_policy : Format.formatter -> policy -> unit
 
 type t
@@ -82,9 +81,6 @@ val note_run : t -> slot -> started:int64 -> events_cost:int -> unit
 val tick : t -> unit
 (** Close the sampling window if due: compare checker event share against
     [target_overhead], sample the pressure probes, move the throttle. *)
-
-val throttle : t -> float
-(** Current cadence stretch factor (1.0 = unthrottled). *)
 
 type stats = {
   st_policy : string;

@@ -115,15 +115,10 @@ let test_correlated_slow_link_gray () =
 
 (* --- typed topology configs -------------------------------------------- *)
 
-(* Bad configs die when built, not mid-boot: an unknown system name fails
-   in the registry, and a scenario whose victim index falls outside the
-   topology is rejected before any scheduler exists. *)
+(* Bad configs die when built, not mid-boot: a scenario whose victim index
+   falls outside the topology, or a link override naming a node that does
+   not exist, is rejected before any scheduler exists. *)
 let test_config_time_validation () =
-  check "unknown system rejected" true
-    (Result.is_error (Topology.system_of_string "etcd"));
-  check "known systems resolve" true
-    (Topology.system_of_string "zkmini" = Ok Topology.Zkmini
-    && Topology.system_of_string "cstore" = Ok Topology.Cstore);
   (match
      Sim.run
        ~cfg:

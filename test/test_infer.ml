@@ -11,6 +11,7 @@ module Monitor = Wd_infer.Monitor
 module Checkers = Wd_infer.Checkers
 module Campaign = Wd_harness.Campaign
 module Inference = Wd_harness.Inference
+module Systems = Wd_harness.Systems
 
 let ms = Wd_sim.Time.ms
 let sec = Wd_sim.Time.sec
@@ -96,7 +97,7 @@ let test_mining_deterministic () =
     let obs = Mine.aggregate [ ro ] in
     let m =
       Synth.synthesize ~system:"cstore"
-        ~locate:(Inference.locate_in (Inference.program_of "cstore"))
+        ~locate:(Inference.locate_in (Systems.program "cstore"))
         obs
     in
     Synth.digest m
@@ -596,7 +597,7 @@ let quick_mine system =
   in
   let obs = Mine.aggregate (List.map snd runs) in
   Synth.synthesize ~system
-    ~locate:(Inference.locate_in (Inference.program_of system))
+    ~locate:(Inference.locate_in (Systems.program system))
     obs
 
 let test_inferred_only_detects () =

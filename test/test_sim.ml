@@ -343,6 +343,22 @@ let test_sched_kill () =
   check "never resumed" false !reached;
   check "killed status" true (Sched.task_status victim = Some Sched.Killed)
 
+(* A task that kills itself ends Killed at that point, and its exit hooks
+   run with that status. *)
+let test_sched_kill_self () =
+  let s = Sched.create () in
+  let reached = ref false and hook_status = ref None in
+  let t =
+    Sched.spawn ~name:"suicide" s (fun () ->
+        Sched.kill s (Sched.self s);
+        reached := true)
+  in
+  Sched.on_exit t (fun st -> hook_status := Some st);
+  ignore (Sched.run s);
+  check "stopped at the kill" false !reached;
+  check "killed status" true (Sched.task_status t = Some Sched.Killed);
+  check "exit hook saw Killed" true (!hook_status = Some Sched.Killed)
+
 let test_sched_failure_status () =
   let s = Sched.create () in
   let t = Sched.spawn ~name:"fails" s (fun () -> failwith "boom") in
@@ -1156,6 +1172,7 @@ let () =
           Alcotest.test_case "yield interleaves" `Quick test_sched_yield_interleaves;
           Alcotest.test_case "join" `Quick test_sched_join;
           Alcotest.test_case "kill" `Quick test_sched_kill;
+          Alcotest.test_case "kill self" `Quick test_sched_kill_self;
           Alcotest.test_case "failure status" `Quick test_sched_failure_status;
           Alcotest.test_case "timeout_join ok" `Quick test_sched_timeout_join_completes;
           Alcotest.test_case "timeout_join timeout" `Quick

@@ -61,6 +61,23 @@ let test_kvs_missing_key_empty () =
       | `Ok v -> check_str "empty" "val:" (vstr v)
       | _ -> Alcotest.fail "get")
 
+(* Each request's reply queue is dropped once its reply arrives: 100 sets
+   leave the resource table's queue count where it was. *)
+let test_kvs_requests_leak_no_queue () =
+  let sched, _reg, t = boot_kvs () in
+  let queues () = Hashtbl.length t.Wd_targets.Kvs.res.Wd_ir.Runtime.queues in
+  let before = ref 0 and after = ref 0 in
+  client sched (fun () ->
+      ignore (Wd_targets.Kvs.set t ~key:"warm" ~value:"v");
+      before := queues ();
+      for i = 1 to 100 do
+        match Wd_targets.Kvs.set t ~key:(Fmt.str "k%d" i) ~value:"v" with
+        | `Ok _ -> ()
+        | _ -> Alcotest.fail "set"
+      done;
+      after := queues ());
+  check_int "no reply queue left behind" !before !after
+
 let test_kvs_persistence_pipeline () =
   let sched, _reg, t = boot_kvs () in
   client sched (fun () ->
@@ -373,6 +390,8 @@ let () =
           Alcotest.test_case "set/get" `Quick test_kvs_set_get;
           Alcotest.test_case "append/del" `Quick test_kvs_append_del;
           Alcotest.test_case "missing key" `Quick test_kvs_missing_key_empty;
+          Alcotest.test_case "requests leak no reply queue" `Quick
+            test_kvs_requests_leak_no_queue;
           Alcotest.test_case "persistence pipeline" `Quick test_kvs_persistence_pipeline;
           Alcotest.test_case "in-memory mode" `Quick test_kvs_in_memory_no_disk;
           Alcotest.test_case "leak bug variant" `Quick test_kvs_leak_bug_grows_memory;

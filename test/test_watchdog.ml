@@ -648,7 +648,7 @@ let test_wire_hostile_length () =
 let test_fleet_rejects_hostile_wire () =
   let sched = Sched.create ~seed:1 () in
   let fleet =
-    Wd_cluster.Fleet.create ~sched ~me:"n0" ~node_ids:[ "n0"; "n1" ] ()
+    Wd_cluster.Fleet.create ~sched ~node_ids:[ "n0"; "n1" ]
   in
   Wd_cluster.Fleet.ingest_wire fleet ~from_:"n1" ~wire:hostile_wire;
   check_int "counted as rejected" 1 (Wd_cluster.Fleet.rejected fleet)
