@@ -147,7 +147,7 @@ let checkers_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SYSTEM")
   in
   let run system =
-    match Wd_harness.Systems.program system with
+    match Wd_targets.Target.program system with
     | exception Invalid_argument _ ->
         Fmt.epr "unknown system %s@." system;
         1

@@ -26,7 +26,7 @@ let () =
     Wd_ir.Interp.start ~entries:Kvs.leader_entries kvs.Kvs.leader sched
   in
   ignore (Wd_ir.Interp.start ~entries:Kvs.replica_entries kvs.Kvs.replica sched);
-  ignore (Kvs.spawn_reply_dispatcher kvs);
+  ignore (Wd_targets.Rpcq.spawn_dispatcher kvs.Kvs.rpc);
   let recovery = Recovery.create ~backoff:(Wd_sim.Time.sec 3) sched in
   Generate.register_components recovery ~sched ~main:kvs.Kvs.leader
     ~entries:Kvs.leader_entries ~tasks:leader_tasks;

@@ -33,10 +33,10 @@ val reg : t -> Wd_env.Faultreg.t
 val driver : t -> Wd_watchdog.Driver.t
 val workload : t -> Wd_targets.Workload.stats
 
-val local_probe : ?timeout:int64 -> t -> bool
-(** Bounded end-to-end client operation through the local service, run by
-    the membership responder before acking a peer's probe: a limping node
-    answers gossip but fails this. *)
+val local_probe : t -> bool
+(** The system's bounded end-to-end write (800 ms timeout) through the
+    local service, run by the membership responder before acking a peer's
+    probe: a limping node answers gossip but fails this. *)
 
 val start_burst : t -> unit
 (** Open-loop burst flooder for the fleet-overload scenario: legitimate

@@ -330,7 +330,7 @@ let e5_text () =
 (* ------------------------------------------------------------------ *)
 
 let target_programs () =
-  List.map (fun sys -> (sys, Systems.program sys)) Systems.all_systems
+  List.map (fun sys -> (sys, Wd_targets.Target.program sys)) Systems.all_systems
 
 let e6_run () =
   par_map
@@ -680,7 +680,7 @@ let e11_row ~with_recovery =
   ignore
     (Wd_ir.Interp.start ~entries:Wd_targets.Kvs.replica_entries
        t.Wd_targets.Kvs.replica sched);
-  ignore (Wd_targets.Kvs.spawn_reply_dispatcher t);
+  ignore (Wd_targets.Rpcq.spawn_dispatcher t.Wd_targets.Kvs.rpc);
   let recovery =
     Wd_watchdog.Recovery.create ~backoff:(Wd_sim.Time.sec 3) sched
   in
@@ -1161,7 +1161,7 @@ let e18_repro_fault =
 let e18_repro_timeout = Wd_sim.Time.ms 100
 
 let e18_repro ~system wire =
-  let g = Generate.analyze_cached (Systems.program system) in
+  let g = Generate.analyze_cached (Wd_targets.Target.program system) in
   Wd_autowatchdog.Reproduce.run_wire ~fault:e18_repro_fault
     ~timeout:e18_repro_timeout g ~wire
 
@@ -1807,7 +1807,7 @@ let e22_fleet ~requests =
   | Wd_sim.Sched.Deadlock _ ->
       ());
   let g =
-    Loadgen.spawn_fleet ~label:"fleet" ~world ~clients_per_node:8
+    Loadgen.spawn_fleet ~world ~clients_per_node:8
       ~think:(Wd_sim.Time.us 200) ~requests ()
   in
   let r = Loadgen.drive g in

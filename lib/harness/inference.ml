@@ -78,7 +78,7 @@ let schedule cfg =
       fixed @ take cfg.mc_per_system from_sweep)
     Systems.all_systems
 
-let program_of system = Systems.program system
+let program_of system = Wd_targets.Target.program system
 
 (* Resolve a runtime op key to a static location via the analysis's
    vulnerable-operation keys. Exact vkey match first; otherwise fall back
@@ -146,7 +146,7 @@ let mine_and_synth ?(cfg = default_cfg) ?jobs () =
             obs_runs
         in
         let obs = Mine.aggregate runs in
-        let locate = locate_in (Systems.program system) in
+        let locate = locate_in (Wd_targets.Target.program system) in
         (system, Synth.synthesize ~config:cfg.mc_synth ~locate ~system obs))
       (List.sort compare Systems.all_systems)
   in

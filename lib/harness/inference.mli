@@ -23,7 +23,8 @@ val mine_run :
     watchdog) configuration, traced from boot. *)
 
 val program_of : string -> Wd_ir.Ast.program
-(** [Systems.program system]; the perf harness in [perfbench/] names it. *)
+(** [Wd_targets.Target.program system]; the perf harness in [perfbench/]
+    names it. *)
 
 val locate_in : Wd_ir.Ast.program -> string -> Wd_ir.Loc.t option
 (** Resolve a runtime op key to a static location via the program's

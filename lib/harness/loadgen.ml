@@ -158,9 +158,26 @@ let record g ~t0 (r : reply) =
 
 let accounted g = g.g_completed + g.g_shed >= g.g_target
 
+(* One closed-loop client fiber: take the next request index from the
+   shared counter, issue it, wait for the reply, think, repeat until the
+   budget is drained. *)
+let closed_client g ~think op () =
+  let sched = g.g_sched in
+  let continue = ref true in
+  while !continue do
+    let idx = g.g_next in
+    if idx >= g.g_target then continue := false
+    else begin
+      g.g_next <- idx + 1;
+      let t0 = Sched.now sched in
+      let r = op idx in
+      record g ~t0 r;
+      if think > 0L then Sched.sleep think
+    end
+  done
+
 (* Closed loop: [clients] persistent client fibers share one request
-   counter; each issues the next request, waits for the reply, thinks, and
-   repeats until the budget is drained. Daemons — they end with the world. *)
+   counter. Daemons — they end with the world. *)
 let spawn_closed ?(label = "closed") ~sched ~clients ~think ~requests ~op () =
   let g = make_gen ~sched ~label ~target:requests in
   for c = 0 to clients - 1 do
@@ -168,19 +185,7 @@ let spawn_closed ?(label = "closed") ~sched ~clients ~think ~requests ~op () =
       (Sched.spawn
          ~name:("load/" ^ label ^ "/" ^ string_of_int c)
          ~daemon:true sched
-         (fun () ->
-           let continue = ref true in
-           while !continue do
-             let idx = g.g_next in
-             if idx >= g.g_target then continue := false
-             else begin
-               g.g_next <- idx + 1;
-               let t0 = Sched.now sched in
-               let r = op idx in
-               record g ~t0 r;
-               if think > 0L then Sched.sleep think
-             end
-           done))
+         (closed_client g ~think op))
   done;
   g
 
@@ -306,35 +311,21 @@ let inflight g = g.g_inflight
    surface membership probing uses). One generator accounts for the whole
    fleet; per-node imbalance shows up in the latency tail. *)
 
-let spawn_fleet ?(label = "fleet") ~world ~clients_per_node ~think ~requests ()
-    =
+let spawn_fleet ~world ~clients_per_node ~think ~requests () =
   let sched = Wd_cluster.Sim.world_sched world in
   let nodes = Array.of_list (Wd_cluster.Sim.world_nodes world) in
   let nnodes = Array.length nodes in
   if nnodes = 0 then invalid_arg "Loadgen.spawn_fleet: empty world";
-  let g = make_gen ~sched ~label ~target:requests in
+  let g = make_gen ~sched ~label:"fleet" ~target:requests in
   for c = 0 to (clients_per_node * nnodes) - 1 do
     let node = nodes.(c mod nnodes) in
     ignore
       (Sched.spawn
-         ~name:("load/" ^ label ^ "/" ^ Wd_cluster.Node.id node ^ "/"
+         ~name:("load/fleet/" ^ Wd_cluster.Node.id node ^ "/"
                 ^ string_of_int (c / nnodes))
          ~daemon:true sched
-         (fun () ->
-           let continue = ref true in
-           while !continue do
-             let idx = g.g_next in
-             if idx >= g.g_target then continue := false
-             else begin
-               g.g_next <- idx + 1;
-               let t0 = Sched.now sched in
-               let r =
-                 if Wd_cluster.Node.local_probe node then `Ok Wd_ir.Ast.VUnit
-                 else `Err "probe failed"
-               in
-               record g ~t0 r;
-               if think > 0L then Sched.sleep think
-             end
-           done))
+         (closed_client g ~think (fun _ ->
+              if Wd_cluster.Node.local_probe node then `Ok Wd_ir.Ast.VUnit
+              else `Err "probe failed")))
   done;
   g

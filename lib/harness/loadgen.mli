@@ -48,7 +48,6 @@ val spawn_open :
     queue. *)
 
 val spawn_fleet :
-  ?label:string ->
   world:Wd_cluster.Sim.world ->
   clients_per_node:int ->
   think:int64 ->
@@ -57,8 +56,9 @@ val spawn_fleet :
   gen
 (** Closed-loop clients spread across every node of a booted cluster world,
     driving each node's bounded end-to-end client operation
-    ({!Wd_cluster.Node.local_probe}). One shared budget; per-node imbalance
-    shows up in the tail. *)
+    ({!Wd_cluster.Node.local_probe}) through the same client fiber as
+    {!spawn_closed}. One shared budget, labelled ["fleet"]; per-node
+    imbalance shows up in the tail. *)
 
 type result = {
   lr_label : string;

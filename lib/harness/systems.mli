@@ -1,4 +1,5 @@
-(** Per-target adapters: boot a system with its generated watchdog, the
+(** The single-node boot skeleton: boot a system from its
+    {!Wd_targets.Target} description with its generated watchdog, the
     baseline detectors (probe / signal / heartbeat / observer) and a client
     workload, exposing the uniform surface the campaign runner drives. *)
 
@@ -27,12 +28,6 @@ type booted = {
           on the request path. *)
 }
 
-val program : string -> Wd_ir.Ast.program
-(** The IR program of "kvs", "zkmini", "dfsmini", "cstore" or "mqbroker":
-    the one {!boot} runs without a [special] variant, before
-    instrumentation. Raises [Invalid_argument] on any other system
-    name. *)
-
 val boot :
   ?schedule:Wd_watchdog.Schedule.policy ->
   sched:Wd_sim.Sched.t ->
@@ -41,11 +36,15 @@ val boot :
   ?special:string ->
   string ->
   booted
-(** Boot "kvs", "zkmini", "dfsmini", "cstore" or "mqbroker" through the
-    one skeleton every target shares. [special] selects boot variants:
-    "leak_bug", "deadlock_bug", "in_memory", "burst" (kvs) and "spin_bug"
-    (cstore); other values boot the plain system. [schedule] is the
-    checker scheduling policy (default {!Wd_watchdog.Schedule.fixed}).
-    Raises [Invalid_argument] on an unknown system name. *)
+(** Boot "kvs", "zkmini", "dfsmini", "cstore" or "mqbroker" from its
+    {!Wd_targets.Target} description through the one skeleton every
+    target shares. [special] selects boot variants: "leak_bug",
+    "deadlock_bug", "in_memory" (kvs) and "spin_bug" (cstore) as the
+    description reads them, and "burst", which floods the request queue
+    with 2,000 requests every 2 s ({!Wd_targets.Target.spawn_burst}); other
+    values boot the plain system. [schedule] is the checker scheduling policy (default
+    {!Wd_watchdog.Schedule.fixed}). Raises [Invalid_argument] on an
+    unknown system name. *)
 
 val all_systems : string list
+(** {!Wd_targets.Target.names}. *)

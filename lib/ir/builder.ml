@@ -11,20 +11,25 @@ let s str = Const (VStr str)
 let bconst x = Const (VBool x)
 let v name = Var name
 
-let ( +: ) a b = Binop (Add, a, b)
-let ( -: ) a b = Binop (Sub, a, b)
-let ( *: ) a b = Binop (Mul, a, b)
-let ( /: ) a b = Binop (Div, a, b)
-let ( %: ) a b = Binop (Mod, a, b)
-let ( =: ) a b = Binop (Eq, a, b)
-let ( <>: ) a b = Binop (Ne, a, b)
-let ( <: ) a b = Binop (Lt, a, b)
-let ( <=: ) a b = Binop (Le, a, b)
-let ( >: ) a b = Binop (Gt, a, b)
-let ( >=: ) a b = Binop (Ge, a, b)
-let ( &&: ) a b = Binop (And, a, b)
-let ( ||: ) a b = Binop (Or, a, b)
-let ( ^: ) a b = Binop (Concat, a, b)
+module Infix = struct
+  let ( +: ) a b = Binop (Add, a, b)
+  let ( -: ) a b = Binop (Sub, a, b)
+  let ( *: ) a b = Binop (Mul, a, b)
+  let ( /: ) a b = Binop (Div, a, b)
+  let ( %: ) a b = Binop (Mod, a, b)
+  let ( =: ) a b = Binop (Eq, a, b)
+  let ( <>: ) a b = Binop (Ne, a, b)
+  let ( <: ) a b = Binop (Lt, a, b)
+  let ( <=: ) a b = Binop (Le, a, b)
+  let ( >: ) a b = Binop (Gt, a, b)
+  let ( >=: ) a b = Binop (Ge, a, b)
+  let ( &&: ) a b = Binop (And, a, b)
+  let ( ||: ) a b = Binop (Or, a, b)
+  let ( ^: ) a b = Binop (Concat, a, b)
+end
+
+include Infix
+
 let not_ e = Unop (Not, e)
 let neg e = Unop (Neg, e)
 let len e = Unop (Len, e)

@@ -14,22 +14,27 @@ val s : string -> expr
 val bconst : bool -> expr
 val v : string -> expr
 
-val ( +: ) : expr -> expr -> expr
-val ( -: ) : expr -> expr -> expr
-val ( *: ) : expr -> expr -> expr
-val ( /: ) : expr -> expr -> expr
-val ( %: ) : expr -> expr -> expr
-val ( =: ) : expr -> expr -> expr
-val ( <>: ) : expr -> expr -> expr
-val ( <: ) : expr -> expr -> expr
-val ( <=: ) : expr -> expr -> expr
-val ( >: ) : expr -> expr -> expr
-val ( >=: ) : expr -> expr -> expr
-val ( &&: ) : expr -> expr -> expr
-val ( ||: ) : expr -> expr -> expr
+(** The binary operators, for [open Builder.Infix]. *)
+module Infix : sig
+  val ( +: ) : expr -> expr -> expr
+  val ( -: ) : expr -> expr -> expr
+  val ( *: ) : expr -> expr -> expr
+  val ( /: ) : expr -> expr -> expr
+  val ( %: ) : expr -> expr -> expr
+  val ( =: ) : expr -> expr -> expr
+  val ( <>: ) : expr -> expr -> expr
+  val ( <: ) : expr -> expr -> expr
+  val ( <=: ) : expr -> expr -> expr
+  val ( >: ) : expr -> expr -> expr
+  val ( >=: ) : expr -> expr -> expr
+  val ( &&: ) : expr -> expr -> expr
+  val ( ||: ) : expr -> expr -> expr
 
-val ( ^: ) : expr -> expr -> expr
-(** String concatenation. *)
+  val ( ^: ) : expr -> expr -> expr
+  (** String concatenation. *)
+end
+
+include module type of Infix
 
 val not_ : expr -> expr
 val neg : expr -> expr

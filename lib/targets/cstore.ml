@@ -8,13 +8,7 @@
 
 open Wd_ir
 module B = Builder
-
-let ( =: ) = B.( =: )
-let ( <>: ) = B.( <>: )
-let ( +: ) = B.( +: )
-let ( >=: ) = B.( >=: )
-let ( >: ) = B.( >: )
-let ( *: ) = B.( *: )
+open B.Infix
 
 let node = "cs1"
 let seed_node = "cs-seed"
@@ -25,14 +19,6 @@ let request_queue = "cs.requests"
 let replies_queue = "cs.replies"
 let memtable_flush_threshold = 8
 let compaction_fanin = 3
-
-let reply_msg data =
-  B.prim "map_put"
-    [
-      B.prim "map_put" [ B.prim "map_empty" []; B.s "id"; B.v "reply" ];
-      B.s "data";
-      data;
-    ]
 
 let do_write =
   B.func "do_write" ~params:[ "key"; "value" ]
@@ -82,7 +68,7 @@ let write_loop =
                   B.let_ "value" (B.prim "map_get_opt" [ B.v "req"; B.s "value"; B.s "" ]);
                   B.call "do_write" [ B.v "key"; B.v "value" ];
                   B.if_ (B.v "reply" <>: B.s "")
-                    [ B.queue_put ~queue:replies_queue ~data:(reply_msg (B.s "ok")) ]
+                    [ B.queue_put ~queue:replies_queue ~data:(Rpcq.reply (B.s "ok")) ]
                     [];
                 ]
                 [
@@ -92,7 +78,7 @@ let write_loop =
                       B.if_ (B.v "reply" <>: B.s "")
                         [
                           B.queue_put ~queue:replies_queue
-                            ~data:(reply_msg (B.prim "concat" [ B.s "val:"; B.v "res" ]));
+                            ~data:(Rpcq.reply (B.prim "concat" [ B.s "val:"; B.v "res" ]));
                         ]
                         [];
                     ]
@@ -234,9 +220,7 @@ let program ?(spin_bug = false) () =
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Runtime.resources;
-  prog : Ast.program;
   main : Interp.t;
   disk : Wd_env.Disk.t;
   net : Ast.value Wd_env.Net.t;
@@ -244,25 +228,19 @@ type t = {
   rpc : Rpcq.t;
 }
 
-let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
-  (* environment randomness derives from the scheduler's seed, so a run is
-     a pure function of that one seed *)
-  let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
-  let res = Runtime.create ~reg ~rng in
-  let disk = Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) disk_name in
-  let net = Wd_env.Net.create ~reg ~rng:(Wd_sim.Rng.split rng) net_name in
-  let mem = Wd_env.Memory.create ~reg ~capacity:mem_capacity mem_name in
-  Runtime.add_disk res disk;
-  Runtime.add_net res net;
-  Runtime.add_mem res mem;
-  List.iter (Wd_env.Net.register net) [ node; seed_node ];
+let boot ~sched ~reg ~prog () =
+  let { Target_env.res; net; mem } =
+    Target_env.create ~sched ~reg ~disks:[ disk_name ] ~net:net_name
+      ~mem:mem_name ~mem_capacity:(64 * 1024 * 1024)
+      ~endpoints:[ node; seed_node ]
+  in
   Runtime.set_global res "cs.memtable" (Ast.VMap []);
   Runtime.set_global res "cs.sstable_index" (Ast.VMap []);
   Runtime.set_global res "cs.sstable_gen" (Ast.VInt 0);
   Runtime.set_global res "cs.compactions" (Ast.VInt 0);
   let main = Interp.create ~node ~res prog in
   let rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue in
-  { sched; reg; res; prog; main; disk; net; mem; rpc }
+  { sched; res; main; disk = Runtime.disk res disk_name; net; mem; rpc }
 
 let start t =
   let tasks = Interp.start ~entries t.main t.sched in

@@ -15,9 +15,7 @@ val entries : string list
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Wd_ir.Runtime.resources;
-  prog : Wd_ir.Ast.program;
   main : Wd_ir.Interp.t;
   disk : Wd_env.Disk.t;
   net : Wd_ir.Ast.value Wd_env.Net.t;
@@ -26,7 +24,6 @@ type t = {
 }
 
 val boot :
-  ?mem_capacity:int ->
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->
   prog:Wd_ir.Ast.program ->

@@ -9,10 +9,7 @@
 
 open Wd_ir
 module B = Builder
-
-let ( =: ) = B.( =: )
-let ( <>: ) = B.( <>: )
-let ( +: ) = B.( +: )
+open B.Infix
 
 let node = "dn1"
 let namenode = "nn"
@@ -21,14 +18,6 @@ let net_name = "dfs.net"
 let mem_name = "dfs.mem"
 let request_queue = "dfs.blocks"
 let replies_queue = "dfs.replies"
-
-let reply_msg data =
-  B.prim "map_put"
-    [
-      B.prim "map_put" [ B.prim "map_empty" []; B.s "id"; B.v "reply" ];
-      B.s "data";
-      data;
-    ]
 
 (* Store a block plus its checksum metadata and ack the namenode. *)
 let write_block =
@@ -77,7 +66,7 @@ let receiver_loop =
                   B.call "write_block" [ B.v "blkid"; B.v "data" ];
                   B.mem_free ~pool:mem_name ~size:(B.len (B.v "data") +: B.i 128);
                   B.if_ (B.v "reply" <>: B.s "")
-                    [ B.queue_put ~queue:replies_queue ~data:(reply_msg (B.s "ok")) ]
+                    [ B.queue_put ~queue:replies_queue ~data:(Rpcq.reply (B.s "ok")) ]
                     [];
                 ]
                 [
@@ -90,7 +79,7 @@ let receiver_loop =
                             [
                               B.queue_put ~queue:replies_queue
                                 ~data:
-                                  (reply_msg (B.prim "str_of_bytes" [ B.v "data" ]));
+                                  (Rpcq.reply (B.prim "str_of_bytes" [ B.v "data" ]));
                             ]
                             [];
                         ]
@@ -101,7 +90,7 @@ let receiver_loop =
                               [
                                 B.queue_put ~queue:replies_queue
                                   ~data:
-                                    (reply_msg
+                                    (Rpcq.reply
                                        (B.prim "concat" [ B.s "err:"; B.v "e" ]));
                               ]
                               [];
@@ -209,9 +198,7 @@ let program () =
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Runtime.resources;
-  prog : Ast.program;
   dn : Interp.t;
   disk : Wd_env.Disk.t;
   net : Ast.value Wd_env.Net.t;
@@ -219,23 +206,17 @@ type t = {
   rpc : Rpcq.t;
 }
 
-let boot ?(mem_capacity = 128 * 1024 * 1024) ~sched ~reg ~prog () =
-  (* environment randomness derives from the scheduler's seed, so a run is
-     a pure function of that one seed *)
-  let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
-  let res = Runtime.create ~reg ~rng in
-  let disk = Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) disk_name in
-  let net = Wd_env.Net.create ~reg ~rng:(Wd_sim.Rng.split rng) net_name in
-  let mem = Wd_env.Memory.create ~reg ~capacity:mem_capacity mem_name in
-  Runtime.add_disk res disk;
-  Runtime.add_net res net;
-  Runtime.add_mem res mem;
-  List.iter (Wd_env.Net.register net) [ node; namenode ];
+let boot ~sched ~reg ~prog () =
+  let { Target_env.res; net; mem } =
+    Target_env.create ~sched ~reg ~disks:[ disk_name ] ~net:net_name
+      ~mem:mem_name ~mem_capacity:(128 * 1024 * 1024)
+      ~endpoints:[ node; namenode ]
+  in
   Runtime.set_global res "dfs.corrupt_found" (Ast.VInt 0);
   Runtime.set_global res "dfs.scan_errors" (Ast.VInt 0);
   let dn = Interp.create ~node ~res prog in
   let rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue in
-  { sched; reg; res; prog; dn; disk; net; mem; rpc }
+  { sched; res; dn; disk = Runtime.disk res disk_name; net; mem; rpc }
 
 let start t =
   let tasks = Interp.start ~entries t.dn t.sched in

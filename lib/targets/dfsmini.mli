@@ -11,9 +11,7 @@ val program : unit -> Wd_ir.Ast.program
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Wd_ir.Runtime.resources;
-  prog : Wd_ir.Ast.program;
   dn : Wd_ir.Interp.t;
   disk : Wd_env.Disk.t;
   net : Wd_ir.Ast.value Wd_env.Net.t;
@@ -22,7 +20,6 @@ type t = {
 }
 
 val boot :
-  ?mem_capacity:int ->
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->
   prog:Wd_ir.Ast.program ->

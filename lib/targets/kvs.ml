@@ -11,13 +11,7 @@
 
 open Wd_ir
 module B = Builder
-
-let ( +: ) = B.( +: )
-let ( *: ) = B.( *: )
-let ( =: ) = B.( =: )
-let ( <>: ) = B.( <>: )
-let ( >: ) = B.( >: )
-let ( ^: ) = B.( ^: )
+open B.Infix
 
 let request_queue = "kvs.requests"
 let leader_node = "kvs1"
@@ -120,14 +114,6 @@ let handle_del =
       B.return_unit;
     ]
 
-let reply_msg data =
-  B.prim "map_put"
-    [
-      B.prim "map_put" [ B.prim "map_empty" []; B.s "id"; B.v "reply" ];
-      B.s "data";
-      data;
-    ]
-
 let handle_request =
   B.func "handle_request" ~params:[ "req" ]
     [
@@ -139,7 +125,7 @@ let handle_request =
           B.let_ "value" (B.prim "map_get_opt" [ B.v "req"; B.s "value"; B.s "" ]);
           B.call "handle_set" [ B.v "key"; B.v "value" ];
           B.if_ (B.v "reply" <>: B.s "")
-            [ B.queue_put ~queue:"kvs.replies" ~data:(reply_msg (B.s "ok")) ]
+            [ B.queue_put ~queue:"kvs.replies" ~data:(Rpcq.reply (B.s "ok")) ]
             [];
         ]
         [
@@ -149,7 +135,7 @@ let handle_request =
               B.if_ (B.v "reply" <>: B.s "")
                 [
                   B.queue_put ~queue:"kvs.replies"
-                    ~data:(reply_msg (B.s "val:" ^: B.v "res"));
+                    ~data:(Rpcq.reply (B.s "val:" ^: B.v "res"));
                 ]
                 [];
             ]
@@ -162,7 +148,7 @@ let handle_request =
                   B.if_ (B.v "reply" <>: B.s "")
                     [
                       B.queue_put ~queue:"kvs.replies"
-                        ~data:(reply_msg (B.s "ok"));
+                        ~data:(Rpcq.reply (B.s "ok"));
                     ]
                     [];
                 ]
@@ -173,7 +159,7 @@ let handle_request =
                       B.if_ (B.v "reply" <>: B.s "")
                         [
                           B.queue_put ~queue:"kvs.replies"
-                            ~data:(reply_msg (B.s "ok"));
+                            ~data:(Rpcq.reply (B.s "ok"));
                         ]
                         [];
                     ]
@@ -402,9 +388,7 @@ let program ?(leak_bug = false) ?(deadlock_bug = false) () =
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Runtime.resources;
-  prog : Ast.program; (* the program actually running (maybe instrumented) *)
   leader : Interp.t;
   replica : Interp.t;
   disk : Wd_env.Disk.t;
@@ -416,21 +400,11 @@ type t = {
 
 let boot ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
     ~reg ~prog () =
-  (* environment randomness derives from the scheduler's seed, so a run is
-     a pure function of that one seed *)
-  let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
-  let res = Runtime.create ~reg ~rng in
-  let disk = Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) disk_name in
-  let replica_disk =
-    Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) replica_disk_name
+  let { Target_env.res; net; mem } =
+    Target_env.create ~sched ~reg ~disks:[ disk_name; replica_disk_name ]
+      ~net:net_name ~mem:mem_name ~mem_capacity
+      ~endpoints:[ leader_node; replica_node; monitor_node ]
   in
-  let net = Wd_env.Net.create ~reg ~rng:(Wd_sim.Rng.split rng) net_name in
-  let mem = Wd_env.Memory.create ~reg ~capacity:mem_capacity mem_name in
-  Runtime.add_disk res disk;
-  Runtime.add_disk res replica_disk;
-  Runtime.add_net res net;
-  Runtime.add_mem res mem;
-  List.iter (Wd_env.Net.register net) [ leader_node; replica_node; monitor_node ];
   Runtime.set_global res "kvs.index" (Ast.VMap []);
   Runtime.set_global res "kvs2.index" (Ast.VMap []);
   Runtime.set_global res "kvs.dirty" (Ast.VMap []);
@@ -443,26 +417,20 @@ let boot ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
   let replica = Interp.create ~node:replica_node ~res prog in
   {
     sched;
-    reg;
     res;
-    prog;
     leader;
     replica;
-    disk;
-    replica_disk;
+    disk = Runtime.disk res disk_name;
+    replica_disk = Runtime.disk res replica_disk_name;
     net;
     mem;
     rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue:"kvs.replies";
   }
 
-(* Route replies from the well-known "kvs.replies" queue to the per-request
-   reply queue named in the message. *)
-let spawn_reply_dispatcher t = Rpcq.spawn_dispatcher t.rpc
-
 let start t =
   let leader_tasks = Interp.start ~entries:leader_entries t.leader t.sched in
   let replica_tasks = Interp.start ~entries:replica_entries t.replica t.sched in
-  ignore (spawn_reply_dispatcher t);
+  ignore (Rpcq.spawn_dispatcher t.rpc);
   leader_tasks @ replica_tasks
 
 (* Client request over the public interface; used by workloads and probe

@@ -21,9 +21,7 @@ val replica_entries : string list
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Wd_ir.Runtime.resources;
-  prog : Wd_ir.Ast.program;
   leader : Wd_ir.Interp.t;
   replica : Wd_ir.Interp.t;
   disk : Wd_env.Disk.t;
@@ -46,10 +44,6 @@ val boot :
     instrumented program when attaching a watchdog). [in_memory] sets the
     paper's in-memory configuration: no disk activity from the main
     program. *)
-
-val spawn_reply_dispatcher : t -> Wd_sim.Sched.task
-(** The [Rpcq] dispatcher routing ["kvs.replies"] to per-request queues;
-    {!start} spawns it. *)
 
 val start : t -> Wd_sim.Sched.task list
 (** Start leader + replica entries and the reply dispatcher. *)

@@ -14,13 +14,7 @@
 
 open Wd_ir
 module B = Builder
-
-let ( <>: ) = B.( <>: )
-let ( +: ) = B.( +: )
-let ( /: ) = B.( /: )
-let ( >: ) = B.( >: )
-let ( <: ) = B.( <: )
-let ( *: ) = B.( *: )
+open B.Infix
 
 let node = "mq1"
 let consumer_node = "consumer1"
@@ -32,14 +26,6 @@ let request_queue = "mq.produce"
 let replies_queue = "mq.replies"
 let records_per_segment = 50
 let retention_segments = 6
-
-let reply_msg data =
-  B.prim "map_put"
-    [
-      B.prim "map_put" [ B.prim "map_empty" []; B.s "id"; B.v "reply" ];
-      B.s "data";
-      data;
-    ]
 
 (* Offset -> segment path, shared by the producer and delivery paths.
    Segment numbers are zero-padded so that lexicographic directory order is
@@ -98,7 +84,7 @@ let produce_loop =
               B.let_ "reply" (B.prim "map_get_opt" [ B.v "req"; B.s "reply"; B.s "" ]);
               B.call "handle_produce" [ B.v "payload" ];
               B.if_ (B.v "reply" <>: B.s "")
-                [ B.queue_put ~queue:replies_queue ~data:(reply_msg (B.s "ok")) ]
+                [ B.queue_put ~queue:replies_queue ~data:(Rpcq.reply (B.s "ok")) ]
                 [];
             ]
             [];
@@ -222,9 +208,7 @@ let program () =
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Runtime.resources;
-  prog : Ast.program;
   broker : Interp.t;
   consumer : Interp.t;
   disk : Wd_env.Disk.t;
@@ -233,18 +217,12 @@ type t = {
   rpc : Rpcq.t;
 }
 
-let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
-  (* environment randomness derives from the scheduler's seed, so a run is
-     a pure function of that one seed *)
-  let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
-  let res = Runtime.create ~reg ~rng in
-  let disk = Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) disk_name in
-  let net = Wd_env.Net.create ~reg ~rng:(Wd_sim.Rng.split rng) net_name in
-  let mem = Wd_env.Memory.create ~reg ~capacity:mem_capacity mem_name in
-  Runtime.add_disk res disk;
-  Runtime.add_net res net;
-  Runtime.add_mem res mem;
-  List.iter (Wd_env.Net.register net) [ node; consumer_node; monitor_node ];
+let boot ~sched ~reg ~prog () =
+  let { Target_env.res; net; mem } =
+    Target_env.create ~sched ~reg ~disks:[ disk_name ] ~net:net_name
+      ~mem:mem_name ~mem_capacity:(64 * 1024 * 1024)
+      ~endpoints:[ node; consumer_node; monitor_node ]
+  in
   Runtime.set_global res "mq.next_offset" (Ast.VInt 0);
   Runtime.set_global res "mq.delivered_offset" (Ast.VInt 0);
   Runtime.set_global res "mq.retention_runs" (Ast.VInt 0);
@@ -252,7 +230,16 @@ let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   let broker = Interp.create ~node ~res prog in
   let consumer = Interp.create ~node:consumer_node ~res prog in
   let rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue in
-  { sched; reg; res; prog; broker; consumer; disk; net; mem; rpc }
+  {
+    sched;
+    res;
+    broker;
+    consumer;
+    disk = Runtime.disk res disk_name;
+    net;
+    mem;
+    rpc;
+  }
 
 let start t =
   let b = Interp.start ~entries:broker_entries t.broker t.sched in

@@ -16,9 +16,7 @@ val program : unit -> Wd_ir.Ast.program
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Wd_ir.Runtime.resources;
-  prog : Wd_ir.Ast.program;
   broker : Wd_ir.Interp.t;
   consumer : Wd_ir.Interp.t;
   disk : Wd_env.Disk.t;
@@ -28,7 +26,6 @@ type t = {
 }
 
 val boot :
-  ?mem_capacity:int ->
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->
   prog:Wd_ir.Ast.program ->

@@ -38,6 +38,17 @@ let spawn_dispatcher t =
         | _ -> ()
       done)
 
+(* The IR side of the protocol: the reply map a target pushes onto its
+   replies queue, tagged with the request's reply id. *)
+let reply data =
+  let module B = Builder in
+  B.prim "map_put"
+    [
+      B.prim "map_put" [ B.prim "map_empty" []; B.s "id"; B.v "reply" ];
+      B.s "data";
+      data;
+    ]
+
 (* Issue one request and wait for its reply. Must be called from a task. *)
 let request ?(timeout = Wd_sim.Time.sec 2) t fields =
   t.seq <- t.seq + 1;

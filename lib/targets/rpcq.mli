@@ -16,6 +16,11 @@ val create :
 
 val spawn_dispatcher : t -> Wd_sim.Sched.task
 
+val reply : Wd_ir.Ast.expr -> Wd_ir.Ast.expr
+(** The IR expression for a reply carrying [data], tagged with the
+    request's id (the IR variable ["reply"]): what a target pushes onto its
+    replies queue. *)
+
 val request :
   ?timeout:int64 ->
   t ->

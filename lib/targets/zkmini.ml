@@ -14,12 +14,7 @@
 
 open Wd_ir
 module B = Builder
-
-let ( =: ) = B.( =: )
-let ( <>: ) = B.( <>: )
-let ( +: ) = B.( +: )
-let ( %: ) = B.( %: )
-let ( ^: ) = B.( ^: )
+open B.Infix
 
 let leader_node = "zkL"
 let follower1 = "zkF1"
@@ -33,14 +28,6 @@ let request_queue = "zk.requests"
 let admin_queue = "zk.admin"
 let replies_queue = "zk.replies"
 let snap_count = 20 (* txns between snapshots, like ZooKeeper's snapCount *)
-
-let reply_msg data =
-  B.prim "map_put"
-    [
-      B.prim "map_put" [ B.prim "map_empty" []; B.s "id"; B.v "reply" ];
-      B.s "data";
-      data;
-    ]
 
 let listener_loop =
   B.func "listener_loop" ~params:[]
@@ -179,7 +166,7 @@ let final_loop =
                     ~value:(B.prim "map_put" [ B.v "tree"; B.v "path"; B.v "data" ]);
                   B.mem_alloc ~pool:mem_name ~size:(B.len (B.v "data") +: B.i 32);
                   B.if_ (B.v "reply" <>: B.s "")
-                    [ B.queue_put ~queue:replies_queue ~data:(reply_msg (B.s "ok")) ]
+                    [ B.queue_put ~queue:replies_queue ~data:(Rpcq.reply (B.s "ok")) ]
                     [];
                 ]
                 [
@@ -191,7 +178,7 @@ let final_loop =
                       B.if_ (B.v "reply" <>: B.s "")
                         [
                           B.queue_put ~queue:replies_queue
-                            ~data:(reply_msg (B.s "val:" ^: B.v "res"));
+                            ~data:(Rpcq.reply (B.s "val:" ^: B.v "res"));
                         ]
                         [];
                     ]
@@ -229,7 +216,7 @@ let admin_loop =
               B.let_ "req" (B.prim "map_get" [ B.v "r"; B.s "payload" ]);
               B.let_ "reply" (B.prim "map_get_opt" [ B.v "req"; B.s "reply"; B.s "" ]);
               B.if_ (B.v "reply" <>: B.s "")
-                [ B.queue_put ~queue:replies_queue ~data:(reply_msg (B.s "imok")) ]
+                [ B.queue_put ~queue:replies_queue ~data:(Rpcq.reply (B.s "imok")) ]
                 [];
             ]
             [];
@@ -289,9 +276,7 @@ let program () =
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Runtime.resources;
-  prog : Ast.program;
   leader : Interp.t;
   f1 : Interp.t;
   f2 : Interp.t;
@@ -303,23 +288,12 @@ type t = {
   admin_rpc : Rpcq.t;
 }
 
-let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
-  (* environment randomness derives from the scheduler's seed, so a run is
-     a pure function of that one seed *)
-  let rng = Wd_sim.Rng.split (Wd_sim.Sched.rng sched) in
-  let res = Runtime.create ~reg ~rng in
-  let disk = Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) disk_name in
-  let fdisk =
-    Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) follower_disk_name
+let boot ~sched ~reg ~prog () =
+  let { Target_env.res; net; mem } =
+    Target_env.create ~sched ~reg ~disks:[ disk_name; follower_disk_name ]
+      ~net:net_name ~mem:mem_name ~mem_capacity:(64 * 1024 * 1024)
+      ~endpoints:[ leader_node; follower1; follower2; monitor_node ]
   in
-  let net = Wd_env.Net.create ~reg ~rng:(Wd_sim.Rng.split rng) net_name in
-  let mem = Wd_env.Memory.create ~reg ~capacity:mem_capacity mem_name in
-  Runtime.add_disk res disk;
-  Runtime.add_disk res fdisk;
-  Runtime.add_net res net;
-  Runtime.add_mem res mem;
-  List.iter (Wd_env.Net.register net)
-    [ leader_node; follower1; follower2; monitor_node ];
   Runtime.set_global res "zk.zxid" (Ast.VInt 0);
   Runtime.set_global res "zk.txncount" (Ast.VInt 0);
   Runtime.set_global res "zk.scount" (Ast.VInt 0);
@@ -327,13 +301,20 @@ let boot ?(mem_capacity = 64 * 1024 * 1024) ~sched ~reg ~prog () =
   let leader = Interp.create ~node:leader_node ~res prog in
   let f1 = Interp.create ~node:follower1 ~res prog in
   let f2 = Interp.create ~node:follower2 ~res prog in
-  let rpc =
-    Rpcq.create ~sched ~res ~request_queue ~replies_queue
-  in
-  let admin_rpc =
-    Rpcq.create ~sched ~res ~request_queue:admin_queue ~replies_queue
-  in
-  { sched; reg; res; prog; leader; f1; f2; disk; fdisk; net; mem; rpc; admin_rpc }
+  {
+    sched;
+    res;
+    leader;
+    f1;
+    f2;
+    disk = Runtime.disk res disk_name;
+    fdisk = Runtime.disk res follower_disk_name;
+    net;
+    mem;
+    rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue;
+    admin_rpc =
+      Rpcq.create ~sched ~res ~request_queue:admin_queue ~replies_queue;
+  }
 
 let start t =
   let l = Interp.start ~entries:leader_entries t.leader t.sched in

@@ -12,9 +12,7 @@ val leader_entries : string list
 
 type t = {
   sched : Wd_sim.Sched.t;
-  reg : Wd_env.Faultreg.t;
   res : Wd_ir.Runtime.resources;
-  prog : Wd_ir.Ast.program;
   leader : Wd_ir.Interp.t;
   f1 : Wd_ir.Interp.t;
   f2 : Wd_ir.Interp.t;
@@ -27,7 +25,6 @@ type t = {
 }
 
 val boot :
-  ?mem_capacity:int ->
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->
   prog:Wd_ir.Ast.program ->

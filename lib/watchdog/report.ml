@@ -183,7 +183,14 @@ let dec_str c =
   c.pos <- c.pos + n;
   s
 
-let rec dec_value c : Wd_ir.Ast.value =
+(* Containers ('l', 'p', 'm') may nest at most this deep. The decoder
+   recurses once per level, so without a bound a hostile wire of a few
+   million nested maps overflows the stack (and the deep stack slows every
+   minor GC long before that). Every run's shipped payloads nest at most
+   one level deep. *)
+let wire_max_nesting = 64
+
+let rec dec_value c ~depth : Wd_ir.Ast.value =
   match take c with
   | 'u' -> Wd_ir.Ast.VUnit
   | 'T' -> Wd_ir.Ast.VBool true
@@ -191,13 +198,14 @@ let rec dec_value c : Wd_ir.Ast.value =
   | 'i' -> Wd_ir.Ast.VInt (dec_int c)
   | 's' -> Wd_ir.Ast.VStr (dec_str c)
   | 'y' -> Wd_ir.Ast.VBytes (Bytes.of_string (dec_str c))
+  | ('l' | 'p' | 'm') when depth >= wire_max_nesting -> fail "nested too deep"
   | 'l' ->
       let n = dec_int c in
       if n < 0 then fail "bad list length";
-      Wd_ir.Ast.VList (List.init n (fun _ -> dec_value c))
+      Wd_ir.Ast.VList (List.init n (fun _ -> dec_value c ~depth:(depth + 1)))
   | 'p' ->
-      let x = dec_value c in
-      let y = dec_value c in
+      let x = dec_value c ~depth:(depth + 1) in
+      let y = dec_value c ~depth:(depth + 1) in
       Wd_ir.Ast.VPair (x, y)
   | 'm' ->
       let n = dec_int c in
@@ -205,7 +213,7 @@ let rec dec_value c : Wd_ir.Ast.value =
       Wd_ir.Ast.VMap
         (List.init n (fun _ ->
              let k = dec_str c in
-             let v = dec_value c in
+             let v = dec_value c ~depth:(depth + 1) in
              (k, v)))
   | ch -> fail (Fmt.str "unknown value tag %c" ch)
 
@@ -247,7 +255,7 @@ let of_wire s =
     let payload =
       List.init n (fun _ ->
           let k = dec_str c in
-          let v = dec_value c in
+          let v = dec_value c ~depth:0 in
           (k, v))
     in
     let validated =

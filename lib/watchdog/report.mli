@@ -37,8 +37,14 @@ val to_wire : t -> string
     values, in a tagged length-prefixed form. Deterministic — the same
     report encodes to the same bytes on every run. *)
 
+val wire_max_nesting : int
+(** How deep payload containers (lists, pairs, maps) may nest in a wire
+    {!of_wire} accepts: 64. *)
+
 val of_wire : string -> (t, string) result
 (** Decode {!to_wire} output. Round-trips structurally:
-    [of_wire (to_wire r) = Ok r]. *)
+    [of_wire (to_wire r) = Ok r] for every report whose payload nests at
+    most {!wire_max_nesting} containers deep; a deeper wire, like any
+    malformed one, is an [Error], never an exception. *)
 
 val pp : Format.formatter -> t -> unit

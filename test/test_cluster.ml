@@ -301,6 +301,62 @@ let test_e19_hetero_grid () =
          && List.mem "cstore" r.Sim.cr_node_systems)
        r1)
 
+(* Pinned fleet boot fingerprints: uniform zkmini and cstore fleets and a
+   mixed one, booted through [Sim.boot] and run for 10 virtual seconds.
+   The digest covers the scheduler's counters, the scheduler trace of the
+   run (which task ran when, by id and name), each node's checker ids in
+   registration order and each node's workload counters, so a node boot
+   that spawns, registers or orders anything differently moves it. *)
+let fleet_fingerprint topology =
+  let w = Sim.boot ~seed:42 ~topology () in
+  let sched = Sim.world_sched w in
+  let trace = Wd_sim.Trace.create ~capacity:(1 lsl 18) () in
+  Wd_sim.Sched.set_trace sched trace;
+  ignore (Wd_sim.Sched.run ~until:(Wd_sim.Time.sec 10) sched);
+  let spawned, switches, events = Wd_sim.Sched.stats sched in
+  let timeline =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ";"
+            (List.map
+               (fun (e : Wd_sim.Trace.event) ->
+                 Fmt.str "%Ld/%d/%s/%s" e.at e.task_id e.task_name
+                   (Wd_sim.Trace.kind_name e.kind))
+               (Wd_sim.Trace.recent trace (Wd_sim.Trace.total trace)))))
+  in
+  let node n =
+    let ids =
+      List.map
+        (fun st -> st.Wd_watchdog.Driver.cs_id)
+        (Wd_watchdog.Driver.stats (Wd_cluster.Node.driver n))
+    in
+    let wl = Wd_cluster.Node.workload n in
+    Fmt.str "%s[%s]%d/%d/%Ld" (Wd_cluster.Node.id n) (String.concat "," ids)
+      wl.Wd_targets.Workload.issued wl.Wd_targets.Workload.ok
+      wl.Wd_targets.Workload.total_latency
+  in
+  Digest.to_hex
+    (Digest.string
+       (Fmt.str "%d/%d/%d/%d/%s/%s" spawned switches events
+          (Wd_sim.Trace.total trace) timeline
+          (String.concat ";" (List.map node (Sim.world_nodes w)))))
+
+let test_fleet_fingerprints () =
+  List.iter
+    (fun (name, topology, want) ->
+      Alcotest.(check string) name want (fleet_fingerprint topology))
+    [
+      ( "zkmini x3",
+        Topology.uniform ~nodes:3 Topology.Zkmini,
+        "7532d6c2fbe5e1901370add3c0b5cf07" );
+      ( "cstore x3",
+        Topology.uniform ~nodes:3 Topology.Cstore,
+        "1e4b96ebc8277b115001c066c5649440" );
+      ( "mixed",
+        Topology.mixed [ Topology.Cstore; Topology.Zkmini; Topology.Cstore ],
+        "1fbd4d9427460c2c2b8c2a59bd608a45" );
+    ]
+
 let () =
   Alcotest.run "wd_cluster"
     [
@@ -330,6 +386,8 @@ let () =
         [
           Alcotest.test_case "configs validated before boot" `Quick
             test_config_time_validation;
+          Alcotest.test_case "fleet boot fingerprints pinned" `Quick
+            test_fleet_fingerprints;
         ] );
       ( "membership",
         [

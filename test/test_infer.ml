@@ -97,7 +97,7 @@ let test_mining_deterministic () =
     let obs = Mine.aggregate [ ro ] in
     let m =
       Synth.synthesize ~system:"cstore"
-        ~locate:(Inference.locate_in (Systems.program "cstore"))
+        ~locate:(Inference.locate_in (Wd_targets.Target.program "cstore"))
         obs
     in
     Synth.digest m
@@ -597,7 +597,7 @@ let quick_mine system =
   in
   let obs = Mine.aggregate (List.map snd runs) in
   Synth.synthesize ~system
-    ~locate:(Inference.locate_in (Systems.program system))
+    ~locate:(Inference.locate_in (Wd_targets.Target.program system))
     obs
 
 let test_inferred_only_detects () =

@@ -645,16 +645,133 @@ let test_wire_hostile_length () =
   check "of_wire returns Error" true
     (match Report.of_wire hostile_wire with Ok _ -> false | Error _ -> true)
 
+(* A payload value [depth] containers deep (maps, lists and pairs in
+   turn) around a unit leaf, and a report wire carrying it. *)
+let nested_value_wire depth =
+  let b = Buffer.create (8 * depth) in
+  let rec go d =
+    if d = 0 then Buffer.add_char b 'u'
+    else
+      match d mod 3 with
+      | 0 ->
+          Buffer.add_string b "m1;1:k";
+          go (d - 1)
+      | 1 ->
+          Buffer.add_string b "l1;";
+          go (d - 1)
+      | _ ->
+          Buffer.add_char b 'p';
+          go (d - 1);
+          Buffer.add_char b 'u'
+  in
+  go depth;
+  Buffer.contents b
+
+let nested_wire depth = "WDR1|1;1:tSN0:1;1:v" ^ nested_value_wire depth ^ "N"
+
+(* One level past the bound: well-formed in every other respect. *)
+let deep_wire = nested_wire (Report.wire_max_nesting + 1)
+
+let test_wire_nesting_bound () =
+  let decodes w = match Report.of_wire w with Ok _ -> true | Error _ -> false in
+  check "at the bound decodes" true
+    (decodes (nested_wire Report.wire_max_nesting));
+  check "one past the bound rejected" false (decodes deep_wire);
+  (* 100k levels: rejected at level 65, not decoded at all *)
+  check "very deep rejected" false (decodes (nested_wire 100_000))
+
+(* A well-formed wire built field by field; [num] sees every length,
+   count and integer field as its canonical decimal and may replace it,
+   and [nest] is the last payload value. *)
+let wire_template ~num ~nest =
+  let int n = num (string_of_int n) ^ ";" in
+  let str s = num (string_of_int (String.length s)) ^ ":" ^ s in
+  let fields =
+    [
+      (fun () -> int 7);
+      (fun () -> str "chk");
+      (fun () -> "E" ^ str "msg");
+      (fun () -> "L" ^ str "fn" ^ int 2 ^ int 0 ^ int 3 ^ int 9);
+      (fun () -> str "op");
+      (fun () -> int 4);
+      (fun () -> str "a" ^ "i" ^ int 5);
+      (fun () -> str "b" ^ "l" ^ int 2 ^ "s" ^ str "x" ^ "y" ^ str "yy");
+      (fun () -> str "c" ^ "m" ^ int 1 ^ str "k" ^ "pu" ^ "T");
+      (fun () -> str "d" ^ nest);
+    ]
+  in
+  (* fields in order, so [num] numbers them left to right *)
+  "WDR1|" ^ String.concat "" (List.map (fun f -> f ()) fields) ^ "N"
+
+let wire_fields =
+  let n = ref 0 in
+  ignore
+    (wire_template
+       ~num:(fun s ->
+         incr n;
+         s)
+       ~nest:"u");
+  !n
+
+let gen_boundary_number =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            string_of_int max_int;
+            string_of_int min_int;
+            Int64.to_string Int64.max_int;
+            Int64.to_string Int64.min_int;
+            "99999999999999999999";
+            "-0";
+            "-1";
+            "00";
+            "007";
+          ];
+        (* [max_int - pos]: a bounds check written as [pos + n] wraps *)
+        map (fun p -> string_of_int (max_int - p)) (int_bound 600);
+      ])
+
+(* Every length/count/int field in turn takes a boundary value, and the
+   last payload value nests just under, at or just over the bound. The
+   decoder must answer [Ok] or [Error], reject anything nested past the
+   bound, and accept the untouched wire when it is within the bound. *)
+let prop_wire_never_raises =
+  let bound = Report.wire_max_nesting in
+  QCheck.Test.make ~name:"of_wire never raises" ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          triple (int_bound wire_fields) gen_boundary_number
+            (int_range (bound - 1) (bound + 1))))
+    (fun (k, bad, depth) ->
+      let i = ref 0 in
+      let num s =
+        let j = !i in
+        incr i;
+        if j = k then bad else s
+      in
+      match
+        Report.of_wire (wire_template ~num ~nest:(nested_value_wire depth))
+      with
+      | exception _ -> false
+      | Ok _ -> depth <= bound
+      | Error _ -> depth > bound || k < wire_fields)
+
 let test_fleet_rejects_hostile_wire () =
   let sched = Sched.create ~seed:1 () in
   let fleet =
     Wd_cluster.Fleet.create ~sched ~node_ids:[ "n0"; "n1" ]
   in
   Wd_cluster.Fleet.ingest_wire fleet ~from_:"n1" ~wire:hostile_wire;
-  check_int "counted as rejected" 1 (Wd_cluster.Fleet.rejected fleet)
+  Wd_cluster.Fleet.ingest_wire fleet ~from_:"n1" ~wire:deep_wire;
+  check_int "counted as rejected" 2 (Wd_cluster.Fleet.rejected fleet)
 
 (* A fleet Recover command whose evidence does not decode still reboots
-   the named component, under the plain reason. *)
+   the named component, under the plain reason: one command carries a
+   hostile string length, another (for a second component) a payload
+   nested past the bound. *)
 let test_recover_hostile_wire () =
   let module C = Wd_cluster in
   let w =
@@ -664,19 +781,27 @@ let test_recover_hostile_wire () =
   in
   let sched = C.Sim.world_sched w in
   ignore (Sched.run ~until:(Time.sec 2) sched);
-  let entry =
-    List.find
-      (fun e -> e.entry_name = List.hd Wd_targets.Zkmini.leader_entries)
-      (Wd_targets.Zkmini.program ()).entries
+  let func name =
+    (List.find
+       (fun e -> e.entry_name = name)
+       (Wd_targets.Zkmini.program ()).entries)
+      .entry_func
+  in
+  let recover entry wire =
+    C.Fabric.send (C.Sim.world_fabric w) ~src:"n1" ~dst:"n0"
+      (C.Fabric.Recover { from_ = "n1"; func = func entry; wire })
   in
   ignore
     (Sched.spawn ~name:"hostile-recover" sched (fun () ->
-         C.Fabric.send (C.Sim.world_fabric w) ~src:"n1" ~dst:"n0"
-           (C.Fabric.Recover
-              { from_ = "n1"; func = entry.entry_func; wire = hostile_wire })));
+         match Wd_targets.Zkmini.leader_entries with
+         | first :: second :: _ ->
+             recover first hostile_wire;
+             recover second deep_wire
+         | _ -> Alcotest.fail "zkmini has two leader entries"));
   ignore (Sched.run ~until:(Time.sec 4) sched);
   Alcotest.(check (list string))
-    "rebooted under the plain reason" [ "fleet indictment" ]
+    "rebooted under the plain reason"
+    [ "fleet indictment"; "fleet indictment" ]
     (List.map
        (fun e -> e.Recovery.ev_reason)
        (C.Node.recovery_events (List.hd (C.Sim.world_nodes w))))
@@ -701,6 +826,8 @@ let () =
             test_fleet_rejects_hostile_wire;
           Alcotest.test_case "recover on hostile wire" `Quick
             test_recover_hostile_wire;
+          Alcotest.test_case "nesting bound" `Quick test_wire_nesting_bound;
+          QCheck_alcotest.to_alcotest prop_wire_never_raises;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_wire_mutation;
           QCheck_alcotest.to_alcotest prop_wire_truncation;
