@@ -179,8 +179,8 @@ let scenario_cmd =
         (* raw run with tracing enabled; dump the recent timeline *)
         let cfg = Wd_harness.Campaign.default_config in
         let sched = Wd_sim.Sched.create ~seed:cfg.Wd_harness.Campaign.seed () in
-        let tr = Wd_sim.Trace.create ~capacity:16384 () in
-        Wd_sim.Sched.set_trace sched tr;
+        (* asked for before boot, so the ring records the whole run *)
+        let tr = Wd_sim.Sched.trace sched in
         let booted =
           Wd_harness.Campaign.boot
             ~schedule:cfg.Wd_harness.Campaign.schedule ~sched
@@ -214,7 +214,7 @@ let scenario_cmd =
           (fun r -> Fmt.pr "REPORT %a@." Wd_watchdog.Report.pp r)
           (Wd_watchdog.Driver.reports booted.Wd_harness.Systems.b_driver);
         Fmt.pr "@.scheduler timeline (last 40 events):@.";
-        Wd_sim.Trace.dump ~n:40 Fmt.stdout (Option.get (Wd_sim.Sched.trace sched));
+        Wd_sim.Trace.dump ~n:40 Fmt.stdout tr;
         0
     | scenario ->
         let r = Wd_harness.Campaign.run_scenario sid in

@@ -128,9 +128,10 @@ let default_config =
     schedule = Wd_watchdog.Schedule.fixed;
   }
 
-(* Every single-node world boots here. The monitor must own the trace
-   before the system boots so startup ops (recovery reads, first writes)
-   are part of its ordering state, exactly as they were during mining. *)
+(* Every single-node world boots here. The monitor must register its
+   trace cursor before the system boots so startup ops (recovery reads,
+   first writes) are part of its ordering state, exactly as they were
+   during mining. *)
 let boot ?schedule ~sched ~mode ~infer ?special system =
   let reg = Wd_env.Faultreg.create () in
   match infer with
@@ -186,18 +187,14 @@ let run_scenario ?(cfg = default_config) sid =
      the ground-truth function — the paper's "caller of the faulting
      function" ballpark. *)
   let near =
-    match booted.Systems.b_generated with
-    | None -> fun _ _ -> false
-    | Some g ->
-        let prog =
-          g.Wd_autowatchdog.Generate.red.Wd_analysis.Reduction.original
-        in
-        (* analysis-time callgraph, shared across every run of the system *)
-        let cg = g.Wd_autowatchdog.Generate.callgraph in
-        fun f truth ->
-          Wd_ir.Ast.has_func prog f
-          && (List.mem_assoc truth (Wd_analysis.Callgraph.callees cg f)
-             || List.mem_assoc f (Wd_analysis.Callgraph.callees cg truth))
+    let g = booted.Systems.b_generated in
+    let prog = g.Wd_autowatchdog.Generate.red.Wd_analysis.Reduction.original in
+    (* analysis-time callgraph, shared across every run of the system *)
+    let cg = g.Wd_autowatchdog.Generate.callgraph in
+    fun f truth ->
+      Wd_ir.Ast.has_func prog f
+      && (List.mem_assoc truth (Wd_analysis.Callgraph.callees cg f)
+         || List.mem_assoc f (Wd_analysis.Callgraph.callees cg truth))
   in
   let heartbeat =
     outcome_of_suspicion ~inject_at

@@ -762,7 +762,7 @@ let e12_text () =
   let booted, inject_at =
     Campaign.run_raw cfg ~system:"kvs" ~scenario:(Some scenario) ()
   in
-  let g = Option.get booted.Systems.b_generated in
+  let g = booted.Systems.b_generated in
   let report =
     List.find
       (fun (r : Report.t) ->

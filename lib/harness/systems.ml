@@ -17,7 +17,7 @@ type booted = {
   b_system : string;
   b_sched : Wd_sim.Sched.t;
   b_reg : Wd_env.Faultreg.t;
-  b_generated : Generate.generated option;
+  b_generated : Generate.generated;
   b_driver : Driver.t;
   b_heartbeat : Wd_detectors.Heartbeat.t;
   b_observer : Wd_detectors.Observer.t;
@@ -145,7 +145,7 @@ let boot ?schedule ~sched ~reg ~mode ?special system =
     b_system = system;
     b_sched = sched;
     b_reg = reg;
-    b_generated = Some g;
+    b_generated = g;
     b_driver = driver;
     b_heartbeat = heartbeat;
     b_observer = observer;

@@ -12,7 +12,7 @@ type booted = {
   b_system : string;
   b_sched : Wd_sim.Sched.t;
   b_reg : Wd_env.Faultreg.t;
-  b_generated : Wd_autowatchdog.Generate.generated option;
+  b_generated : Wd_autowatchdog.Generate.generated;
   b_driver : Wd_watchdog.Driver.t;
   b_heartbeat : Wd_detectors.Heartbeat.t;
   b_observer : Wd_detectors.Observer.t;

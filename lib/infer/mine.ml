@@ -3,12 +3,12 @@
    ordering/concurrency observations — the raw material the synthesizer
    fits invariants to.
 
-   A [recorder] drains the op events of the scheduler's bounded trace ring
-   into an unbounded columnar accumulator from a daemon task, so
-   arbitrarily long mining runs lose no events as long as the ring outlasts
-   one drain interval. Aggregation is pure and deterministic: it works on
-   interned site ids, and every table is turned into strings and sorted
-   before it leaves. *)
+   A [recorder] is a cursor on the scheduler's bounded trace ring that
+   copies op events into an unbounded columnar accumulator. The ring drains
+   it before overwriting anything it has not read, so arbitrarily long
+   mining runs lose no events. Aggregation is pure and deterministic: it
+   works on interned site ids, and every table is turned into strings and
+   sorted before it leaves. *)
 
 module Trace = Wd_sim.Trace
 module Site = Wd_sim.Site
@@ -106,47 +106,24 @@ type run_obs = {
   ro_seed : int;
   ro_span : int64; (* virtual time covered: first event .. final drain *)
   ro_ops : ops;
-  ro_dropped : int;
 }
 
 type recorder = {
   rec_sched : Wd_sim.Sched.t;
-  rec_trace : Trace.t;
-  mutable rec_cursor : int;
+  rec_cursor : Trace.cursor;
   rec_ops : ops;
-  mutable rec_dropped : int;
 }
 
-let drain r =
-  r.rec_dropped <- r.rec_dropped + Trace.lost r.rec_trace r.rec_cursor;
-  Trace.iter_ops r.rec_trace r.rec_cursor (push r.rec_ops);
-  r.rec_cursor <- Trace.total r.rec_trace
-
-(* the miner daemon's drain period *)
-let drain_every = Wd_sim.Time.ms 250
-
-let attach ?(capacity = 1 lsl 16) sched =
-  let trace = Trace.create ~capacity () in
-  Wd_sim.Sched.set_trace sched trace;
-  let r =
-    {
-      rec_sched = sched;
-      rec_trace = trace;
-      rec_cursor = 0;
-      rec_ops = ops_create 4096;
-      rec_dropped = 0;
-    }
-  in
-  ignore
-    (Wd_sim.Sched.spawn ~name:"infer:miner" ~daemon:true sched (fun () ->
-         while true do
-           Wd_sim.Sched.sleep drain_every;
-           drain r
-         done));
-  r
+let attach sched =
+  let ops = ops_create 4096 in
+  {
+    rec_sched = sched;
+    rec_cursor = Trace.cursor (Wd_sim.Sched.trace sched) (push ops);
+    rec_ops = ops;
+  }
 
 let finish r ~id ~seed =
-  drain r;
+  Trace.drain r.rec_cursor;
   let o = r.rec_ops in
   resize o o.len;
   let span =
@@ -158,7 +135,6 @@ let finish r ~id ~seed =
     ro_seed = seed;
     ro_span = span;
     ro_ops = o;
-    ro_dropped = r.rec_dropped;
   }
 
 (* --- aggregation ------------------------------------------------------- *)
@@ -189,7 +165,6 @@ type observations = {
   obs_overlaps : (string * string) list;
       (* sorted key pairs (a < b), same target, seen in flight concurrently *)
   obs_events : int;
-  obs_dropped : int;
 }
 
 let target_of_key key =
@@ -266,12 +241,11 @@ let aggregate runs =
   in
   let bump_gap a gap = if gap > a.a_max_gap then a.a_max_gap <- gap in
   let orders = ref [] in
-  let events = ref 0 and dropped = ref 0 in
+  let events = ref 0 in
   List.iteri
     (fun run_idx ro ->
       let o = ro.ro_ops in
       events := !events + o.len;
-      dropped := !dropped + ro.ro_dropped;
       let first_order = ref [] in
       (* per-task stack of in-flight ops (innermost first): a sync key on
          the stack is a lock this task currently holds or is acquiring.
@@ -389,5 +363,4 @@ let aggregate runs =
     obs_orders = List.rev !orders;
     obs_overlaps;
     obs_events = !events;
-    obs_dropped = !dropped;
   }

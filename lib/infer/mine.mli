@@ -9,19 +9,8 @@ type ops
 
 val ops_length : ops -> int
 
-val iter_ops :
-  ops ->
-  (Wd_sim.Trace.op_tag ->
-  at:int ->
-  task_id:int ->
-  op:Wd_sim.Site.id ->
-  node:Wd_sim.Site.id ->
-  func:Wd_sim.Site.id ->
-  dur:int ->
-  note:string ->
-  unit) ->
-  unit
-(** In order, with the fields {!Wd_sim.Trace.iter_ops} passes. *)
+val iter_ops : ops -> Wd_sim.Trace.op_fold -> unit
+(** In order, with the fields a {!Wd_sim.Trace.cursor} passes. *)
 
 val ops_of_events : Wd_sim.Trace.event list -> ops
 (** The op events of a boxed event list (others are skipped): synthetic
@@ -32,18 +21,18 @@ type run_obs = {
   ro_seed : int;
   ro_span : int64;
   ro_ops : ops;
-  ro_dropped : int;
 }
 
 type recorder
 
-val attach : ?capacity:int -> Wd_sim.Sched.t -> recorder
-(** Install a trace on the scheduler (via {!Wd_sim.Sched.set_trace}) and a
-    daemon that drains it into an unbounded accumulator every 250 ms. Call before
+val attach : Wd_sim.Sched.t -> recorder
+(** Register a {!Wd_sim.Trace.cursor} on {!Wd_sim.Sched.trace} that copies
+    op events into an unbounded accumulator; the ring drains it before it
+    overwrites anything, so no event is lost. Spawns no task. Call before
     booting the system under observation. *)
 
 val finish : recorder -> id:string -> seed:int -> run_obs
-(** Final drain; call after the run's last {!Wd_sim.Sched.run}. *)
+(** Drain what is left; call after the run's last {!Wd_sim.Sched.run}. *)
 
 type key_stats = {
   ks_key : string;      (** runtime op key "kind:target:operand-prefix" *)
@@ -70,7 +59,6 @@ type observations = {
   obs_overlaps : (string * string) list;
       (** sorted same-target key pairs observed concurrently in flight *)
   obs_events : int;
-  obs_dropped : int;
 }
 
 val aggregate : run_obs list -> observations

@@ -1,18 +1,17 @@
 (* Runtime trace consumer (stage 3a): the live counterpart of the miner.
-   One monitor per booted world owns the scheduler's trace cursor and folds
-   new op events into per-key state that the compiled inferred checkers
-   query: in-flight operations (for envelope hangs), worst completed
-   duration (for fail-slow, latched via max), last-start times (for gap
-   liveness), failure signatures, first occurrences (for ordering) and
-   same-target overlaps (for exclusion).
+   One monitor per booted world holds a cursor on the scheduler's trace
+   ring and folds new op events into per-key state that the compiled
+   inferred checkers query: in-flight operations (for envelope hangs),
+   worst completed duration (for fail-slow, latched via max), last-start
+   times (for gap liveness), failure signatures, first occurrences (for
+   ordering) and same-target overlaps (for exclusion).
 
    Draining is cheap and idempotent between events; every checker calls
    [drain] before evaluating, so whichever runs first in a tick pays the
-   fold. If events were overwritten between drains (ring overflow), the
-   in-flight table is cleared rather than risk a stale entry surfacing as a
-   phantom hang: monotone counters survive, liveness re-arms.
+   fold. Between checker ticks the ring drains the cursor itself before it
+   would overwrite an unread event, so the fold sees every event.
 
-   The fold reads op slots in place ([Trace.iter_ops]) and indexes keys by
+   The fold reads op slots in place (a [Trace.cursor]) and indexes keys by
    op site id. Each key's target is interned once, when the key is first
    seen, so an [Op_start] scans only the keys sharing its target; the key
    strings are needed only by the queries. *)
@@ -40,11 +39,8 @@ type key = {
   k_st : key_state;
 }
 
-type t = {
-  sched : Wd_sim.Sched.t;
-  trace : Trace.t;
-  mutable cursor : int;
-  mutable dropped : int;
+(* The per-key state the fold updates and the queries read. *)
+type index = {
   mutable by_site : key option array; (* index = op site id *)
   by_name : (string, key) Hashtbl.t; (* the query index *)
   groups : (string, key list ref) Hashtbl.t; (* by target *)
@@ -52,30 +48,17 @@ type t = {
   overlap_ids : (int, unit) Hashtbl.t; (* the same pairs, by site ids *)
 }
 
-let create ?(capacity = 1 lsl 16) sched =
-  let trace = Trace.create ~capacity () in
-  Wd_sim.Sched.set_trace sched trace;
-  {
-    sched;
-    trace;
-    cursor = 0;
-    dropped = 0;
-    by_site = Array.make 64 None;
-    by_name = Hashtbl.create 64;
-    groups = Hashtbl.create 16;
-    overlaps = Hashtbl.create 16;
-    overlap_ids = Hashtbl.create 16;
-  }
+type t = { index : index; cursor : Trace.cursor }
 
-let add_key t site =
+let add_key ix site =
   let name = Site.str site in
   let target = Mine.target_of_key name in
   let group =
-    match Hashtbl.find_opt t.groups target with
+    match Hashtbl.find_opt ix.groups target with
     | Some g -> g
     | None ->
         let g = ref [] in
-        Hashtbl.add t.groups target g;
+        Hashtbl.add ix.groups target g;
         g
   in
   let k =
@@ -97,20 +80,20 @@ let add_key t site =
         };
     }
   in
-  if site >= Array.length t.by_site then begin
-    let bigger = Array.make (max (site + 1) (2 * Array.length t.by_site)) None in
-    Array.blit t.by_site 0 bigger 0 (Array.length t.by_site);
-    t.by_site <- bigger
+  if site >= Array.length ix.by_site then begin
+    let bigger = Array.make (max (site + 1) (2 * Array.length ix.by_site)) None in
+    Array.blit ix.by_site 0 bigger 0 (Array.length ix.by_site);
+    ix.by_site <- bigger
   end;
-  t.by_site.(site) <- Some k;
-  Hashtbl.add t.by_name name k;
+  ix.by_site.(site) <- Some k;
+  Hashtbl.add ix.by_name name k;
   group := k :: !group;
   k
 
-let key t site =
-  if site < Array.length t.by_site then
-    match t.by_site.(site) with Some k -> k | None -> add_key t site
-  else add_key t site
+let key ix site =
+  if site < Array.length ix.by_site then
+    match ix.by_site.(site) with Some k -> k | None -> add_key ix site
+  else add_key ix site
 
 let rec other_task task = function
   | [] -> false
@@ -127,27 +110,27 @@ let rec without_task task = function
         if rest' == rest then l else e :: rest'
 
 (* First instant [a] and [b] were seen in flight together. *)
-let note_overlap t a b at =
+let note_overlap ix a b at =
   let lo = min a.k_site b.k_site and hi = max a.k_site b.k_site in
   let id = (lo lsl 31) lor hi in
-  if not (Hashtbl.mem t.overlap_ids id) then begin
-    Hashtbl.add t.overlap_ids id ();
+  if not (Hashtbl.mem ix.overlap_ids id) then begin
+    Hashtbl.add ix.overlap_ids id ();
     let pair =
       if a.k_name < b.k_name then (a.k_name, b.k_name)
       else (b.k_name, a.k_name)
     in
-    Hashtbl.add t.overlaps pair at
+    Hashtbl.add ix.overlaps pair at
   end
 
-let rec scan_group t k task at = function
+let rec scan_group ix k task at = function
   | [] -> ()
   | other :: rest ->
       if other != k && other_task task other.k_st.st_inflight then
-        note_overlap t k other at;
-      scan_group t k task at rest
+        note_overlap ix k other at;
+      scan_group ix k task at rest
 
-let fold_op t tag ~at ~task_id ~op ~node:_ ~func ~dur ~note =
-  let k = key t op in
+let fold_op ix tag ~at ~task_id ~op ~node:_ ~func ~dur ~note =
+  let k = key ix op in
   let st = k.k_st in
   match (tag : Trace.op_tag) with
   | Start ->
@@ -156,7 +139,7 @@ let fold_op t tag ~at ~task_id ~op ~node:_ ~func ~dur ~note =
       st.st_last_start <- at;
       if st.st_first_seen < 0L then st.st_first_seen <- at;
       (* same-target overlap with any other in-flight key *)
-      scan_group t k task_id at !(k.k_group);
+      scan_group ix k task_id at !(k.k_group);
       st.st_inflight <- (task_id, at, Site.str func) :: st.st_inflight
   | End ->
       st.st_completed <- st.st_completed + 1;
@@ -171,22 +154,24 @@ let fold_op t tag ~at ~task_id ~op ~node:_ ~func ~dur ~note =
       if st.st_first_err = "" then st.st_first_err <- note;
       st.st_inflight <- without_task task_id st.st_inflight
 
-let drain t =
-  let lost = Trace.lost t.trace t.cursor in
-  if lost > 0 then begin
-    t.dropped <- t.dropped + lost;
-    (* stale in-flight entries would read as phantom hangs; reset them *)
-    Hashtbl.iter (fun _ k -> k.k_st.st_inflight <- []) t.by_name
-  end;
-  if Trace.total t.trace > t.cursor then begin
-    Trace.iter_ops t.trace t.cursor (fold_op t);
-    t.cursor <- Trace.total t.trace
-  end
+let create sched =
+  let index =
+    {
+      by_site = Array.make 64 None;
+      by_name = Hashtbl.create 64;
+      groups = Hashtbl.create 16;
+      overlaps = Hashtbl.create 16;
+      overlap_ids = Hashtbl.create 16;
+    }
+  in
+  { index; cursor = Trace.cursor (Wd_sim.Sched.trace sched) (fold_op index) }
+
+let drain t = Trace.drain t.cursor
 
 (* --- queries (after a drain) ------------------------------------------- *)
 
 let view t key =
-  match Hashtbl.find_opt t.by_name key with
+  match Hashtbl.find_opt t.index.by_name key with
   | Some k -> Some k.k_st
   | None -> None
 
@@ -205,7 +190,6 @@ let oldest_inflight t key =
 
 let overlapped_at t a b =
   let pair = if a < b then (a, b) else (b, a) in
-  Hashtbl.find_opt t.overlaps pair
+  Hashtbl.find_opt t.index.overlaps pair
 
-let dropped t = t.dropped
-let keys_tracked t = Hashtbl.length t.by_name
+let keys_tracked t = Hashtbl.length t.index.by_name

@@ -1,7 +1,8 @@
 (** Runtime trace consumer: folds the scheduler's op-level trace events
     into per-key state that compiled inferred checkers query. Create it
-    before booting the monitored system (it installs the trace); checkers
-    call {!drain} before each evaluation. *)
+    before booting the monitored system, so its cursor on the scheduler's
+    trace ring sees startup ops; checkers call {!drain} before each
+    evaluation. *)
 
 type key_state = {
   mutable st_started : int;
@@ -17,15 +18,14 @@ type key_state = {
 
 type t
 
-val create : ?capacity:int -> Wd_sim.Sched.t -> t
-(** Installs a fresh trace ring on the scheduler via
-    {!Wd_sim.Sched.set_trace}. *)
+val create : Wd_sim.Sched.t -> t
+(** Registers a {!Wd_sim.Trace.cursor} on {!Wd_sim.Sched.trace}. The ring
+    drains it before overwriting anything it has not read, so the monitor
+    folds every op event. *)
 
 val drain : t -> unit
 (** Fold all new trace events into the state. Cheap when nothing new
-    happened; shared by every checker on the same monitor. On ring
-    overflow the in-flight table resets (counters survive) so stale
-    entries can never read as phantom hangs. *)
+    happened; shared by every checker on the same monitor. *)
 
 val view : t -> string -> key_state option
 val seen : t -> string -> bool
@@ -37,5 +37,4 @@ val overlapped_at : t -> string -> string -> int64 option
 (** First instant the two keys were observed concurrently in flight on the
     same target, if ever. *)
 
-val dropped : t -> int
 val keys_tracked : t -> int

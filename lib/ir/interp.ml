@@ -320,27 +320,24 @@ let lock_desc_memo t lockname =
 let no_tkey = -1
 
 let trace_key t s ~opname ~target vargs =
-  if t.mode <> Main then no_tkey
+  if t.mode <> Main || not (Wd_sim.Sched.traced s) then no_tkey
   else
-    match Wd_sim.Sched.trace s with
-    | None -> no_tkey
-    | Some _ -> (
-        let prefix =
-          match vargs with
-          | VStr s :: _ -> (
-              match String.index_opt s '/' with
-              | Some i -> String.sub s 0 (i + 1)
-              | None -> s)
-          | _ -> ""
-        in
-        let key = (opname, target, prefix) in
-        match Hashtbl.find_opt t.trace_keys key with
-        | Some id -> id
-        | None ->
-            let id = Wd_sim.Site.intern (opname ^ ":" ^ target ^ ":" ^ prefix) in
-            if Hashtbl.length t.trace_keys < 8192 then
-              Hashtbl.add t.trace_keys key id;
-            id)
+    let prefix =
+      match vargs with
+      | VStr s :: _ -> (
+          match String.index_opt s '/' with
+          | Some i -> String.sub s 0 (i + 1)
+          | None -> s)
+      | _ -> ""
+    in
+    let key = (opname, target, prefix) in
+    match Hashtbl.find_opt t.trace_keys key with
+    | Some id -> id
+    | None ->
+        let id = Wd_sim.Site.intern (opname ^ ":" ^ target ^ ":" ^ prefix) in
+        if Hashtbl.length t.trace_keys < 8192 then
+          Hashtbl.add t.trace_keys key id;
+        id
 
 let trace_err = function
   | Violation { vkind; _ } -> "violation:" ^ vkind

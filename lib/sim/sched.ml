@@ -122,8 +122,17 @@ let timer_slack s =
 
 let timer_count s = Heap.size s.timers
 
-let set_trace s trace = s.trace <- Some trace
-let trace s = s.trace
+let trace_capacity = 1 lsl 16
+
+let trace s =
+  match s.trace with
+  | Some tr -> tr
+  | None ->
+      let tr = Trace.create ~capacity:trace_capacity in
+      s.trace <- Some tr;
+      tr
+
+let traced s = Option.is_some s.trace
 
 (* Dedicated per-kind emitters: with tracing off (the common case) nothing
    is evaluated or allocated — the old [emit s t (Trace.Blocked reason)]

@@ -125,11 +125,15 @@ val timer_slack : t -> int64
 val timer_count : t -> int
 (** Armed timers. *)
 
-val set_trace : t -> Trace.t -> unit
-(** Start recording scheduler events (spawn/block/resume/finish) into the
-    given ring buffer. *)
+val trace : t -> Trace.t
+(** The scheduler's one trace ring (2^16 events), created by the first
+    call; from then on it records scheduler events
+    (spawn/block/resume/finish) and the interpreter's op events. Consumers
+    read it through {!Trace.cursor}. *)
 
-val trace : t -> Trace.t option
+val traced : t -> bool
+(** Whether {!trace} was ever called: until then nothing is recorded and
+    tracing costs nothing. *)
 
 (** Op-event emitters: the interpreter appends operation-level events
     ({!Trace.Op_start} etc.) to the same timeline, attributed to the

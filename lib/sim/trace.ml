@@ -1,19 +1,25 @@
 (* Execution tracing: a bounded ring buffer of scheduler events (spawns,
    blocks with reasons, wakes, exits) and — when the interpreter runs with
    tracing enabled — operation-level events (start/end/fail of environment
-   operations, keyed "kind:target:operand-prefix"). Opt-in via
-   [Sched.set_trace]; the last events before a detection are the postmortem
-   timeline a report invites you to read, and the op events are the raw
-   material the trace miner turns into inferred checkers.
+   operations, keyed "kind:target:operand-prefix"). Each scheduler owns at
+   most one ring ([Sched.trace]); the last events before a detection are
+   the postmortem timeline a report invites you to read, and the op events
+   are the raw material the trace miner turns into inferred checkers.
 
    Storage is struct-of-arrays: one int/string column per field, indexed by
    ring position. Recording an event is a handful of array stores — no
    record or variant block is allocated on the hot path. Op identifiers are
    interned ({!Site}) and timestamps are stored as native ints (virtual ns
    fits in 62 bits). The boxed [event] view is materialised only by
-   [recent]/[dump], for the postmortem timeline and tests; incremental
-   consumers (the trace miner and the inferred-checker monitor) read op
-   slots in place through [iter_ops], which allocates nothing. *)
+   [recent]/[dump], for the postmortem timeline and tests.
+
+   Incremental consumers (the trace miner and the inferred-checker monitor)
+   register a [cursor]: a read position plus an op fold. The ring never
+   overwrites an event a cursor has not read. [due] is the smallest global
+   index whose push would overwrite one; a push that reaches it first
+   drains every cursor that is behind, so the hot path pays one int
+   compare. Reads go through the slots in place and allocate nothing. A
+   ring with no cursor overwrites its oldest event. *)
 
 type kind =
   | Spawned
@@ -35,6 +41,19 @@ let tag_op_start = 4
 let tag_op_end = 5
 let tag_op_fail = 6
 
+type op_tag = Start | End | Fail
+
+type op_fold =
+  op_tag ->
+  at:int ->
+  task_id:int ->
+  op:Site.id ->
+  node:Site.id ->
+  func:Site.id ->
+  dur:int ->
+  note:string ->
+  unit
+
 type t = {
   capacity : int;
   c_tag : int array;
@@ -48,10 +67,14 @@ type t = {
   c_note : string array; (* Blocked reason / Finished how / Op_fail err *)
   mutable next : int;
   mutable total : int;
+  mutable due : int; (* first [total] whose push overwrites an unread event *)
+  mutable cursors : cursor list; (* in registration order *)
 }
 
-let create ?(capacity = 4096) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
+and cursor = { ring : t; mutable pos : int; fold : op_fold }
+
+let create ~capacity =
+  if capacity <= 0 then invalid_arg "Trace: capacity must be positive";
   {
     capacity;
     c_tag = Array.make capacity 0;
@@ -65,10 +88,48 @@ let create ?(capacity = 4096) () =
     c_note = Array.make capacity "";
     next = 0;
     total = 0;
+    due = max_int;
+    cursors = [];
   }
+
+(* Hand [c] every op event it has not read, oldest first, and move it to
+   the head. Its window never exceeds the ring: the push that would
+   overwrite its oldest unread event drains it first. *)
+let drain c =
+  let t = c.ring in
+  let from = c.pos and n = t.total in
+  c.pos <- n;
+  let i = ref ((t.next - (n - from) + t.capacity) mod t.capacity) in
+  for _ = from to n - 1 do
+    let s = !i in
+    let tag = t.c_tag.(s) in
+    if tag >= tag_op_start then
+      c.fold
+        (if tag = tag_op_start then Start
+         else if tag = tag_op_end then End
+         else Fail)
+        ~at:t.c_at.(s) ~task_id:t.c_task_id.(s) ~op:t.c_op.(s)
+        ~node:t.c_node.(s) ~func:t.c_func.(s) ~dur:t.c_dur.(s)
+        ~note:t.c_note.(s);
+    i := if s + 1 = t.capacity then 0 else s + 1
+  done;
+  assert (t.total = n (* a drain callback must not push *))
+
+let cursor t fold =
+  let c = { ring = t; pos = t.total; fold } in
+  t.cursors <- t.cursors @ [ c ];
+  t.due <- min t.due (c.pos + t.capacity);
+  c
+
+(* The next push would overwrite an event some cursor has not read. *)
+let catch_up t =
+  List.iter (fun c -> if c.pos + t.capacity <= t.total then drain c) t.cursors;
+  t.due <-
+    List.fold_left (fun due c -> min due (c.pos + t.capacity)) max_int t.cursors
 
 (* Claim the next ring slot and stamp the shared columns. *)
 let push t ~at ~task_id ~task_name =
+  if t.total >= t.due then catch_up t;
   let i = t.next in
   t.next <- (i + 1) mod t.capacity;
   t.total <- t.total + 1;
@@ -181,33 +242,6 @@ let recent t n =
   let n = min n (min t.total t.capacity) in
   let start = (t.next - n + (t.capacity * 2)) mod t.capacity in
   List.init n (fun i -> event_of_slot t ((start + i) mod t.capacity))
-
-(* In-place op reader. [lost] and [iter_ops] share one window: the events
-   with global index >= [cursor] that are still in the ring. Slots that
-   already fell off are counted by [lost] so an incremental consumer can
-   tell; the next cursor is [total]. *)
-type op_tag = Start | End | Fail
-
-let lost t cursor =
-  let oldest_kept = t.total - min t.total t.capacity in
-  max 0 (oldest_kept - max 0 cursor)
-
-let iter_ops t cursor f =
-  let n = min (t.total - max 0 cursor) (min t.total t.capacity) in
-  let i = ref ((t.next - n + t.capacity) mod t.capacity) in
-  for _ = 1 to n do
-    let s = !i in
-    let tag = t.c_tag.(s) in
-    if tag >= tag_op_start then
-      f
-        (if tag = tag_op_start then Start
-         else if tag = tag_op_end then End
-         else Fail)
-        ~at:t.c_at.(s) ~task_id:t.c_task_id.(s) ~op:t.c_op.(s)
-        ~node:t.c_node.(s) ~func:t.c_func.(s) ~dur:t.c_dur.(s)
-        ~note:t.c_note.(s);
-    i := if s + 1 = t.capacity then 0 else s + 1
-  done
 
 let kind_name = function
   | Spawned -> "spawned"

@@ -1,6 +1,7 @@
-(** Execution tracing: a bounded ring buffer of scheduler events, opt-in
-    via {!Sched.set_trace}. The recent window before a watchdog detection
-    is a ready-made postmortem timeline.
+(** Execution tracing: a bounded ring buffer of scheduler events. Each
+    scheduler owns at most one, created by the first {!Sched.trace} call.
+    The recent window before a watchdog detection is a ready-made
+    postmortem timeline.
 
     Besides scheduler events, Main-mode interpreters emit operation-level
     events ([Op_start]/[Op_end]/[Op_fail]) for every environment operation
@@ -11,8 +12,13 @@
     Storage is columnar (struct-of-arrays) with interned op identifiers:
     the zero-allocation recorders below take {!Site.id}s and plain fields;
     the boxed {!event} view ({!recent}, {!dump}) is materialised only on
-    read, byte-identical to what the recorders were given, and
-    {!iter_ops} reads op slots in place. *)
+    read, byte-identical to what the recorders were given, and a
+    {!cursor} reads op slots in place.
+
+    Consumers read the ring through cursors. The ring never overwrites an
+    event a registered cursor has not read: just before it would, it
+    drains that cursor. A ring with no cursor overwrites its oldest event
+    and keeps the newest [capacity] for {!recent} and {!dump}. *)
 
 type kind =
   | Spawned
@@ -31,7 +37,7 @@ type event = { at : int64; task_id : int; task_name : string; kind : kind }
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : capacity:int -> t
 
 val record : t -> at:int64 -> task_id:int -> task_name:string -> kind -> unit
 (** Boxed-kind entry point (tests, synthetic traces); op identifier strings
@@ -88,21 +94,12 @@ val total : t -> int
 val recent : t -> int -> event list
 (** Most recent [n] events, oldest first. *)
 
-(** {2 Reading op events in place}
-
-    The incremental consumers' reader. [cursor] is a global event index;
-    pass {!total} as the next cursor. *)
+(** {2 Cursors} *)
 
 type op_tag = Start | End | Fail
 
-val lost : t -> int -> int
-(** [lost t cursor] = how many events with global index >= [cursor] the
-    ring already overwrote. *)
-
-val iter_ops :
-  t ->
-  int ->
-  (op_tag ->
+type op_fold =
+  op_tag ->
   at:int ->
   task_id:int ->
   op:Site.id ->
@@ -110,12 +107,21 @@ val iter_ops :
   func:Site.id ->
   dur:int ->
   note:string ->
-  unit) ->
   unit
-(** [iter_ops t cursor f] calls [f] on every op event with global index >=
-    [cursor] that is still in the ring, oldest first, skipping scheduler
-    events. [at] and [dur] are virtual ns; [dur] is meaningful on [End]
-    only and [note] (the error) on [Fail] only. Allocates nothing. *)
+(** A consumer's per-event callback. [at] and [dur] are virtual ns; [dur]
+    is meaningful on [End] only and [note] (the error) on [Fail] only. *)
+
+type cursor
+
+val cursor : t -> op_fold -> cursor
+(** Register a consumer at the ring's head. Its fold sees every op event
+    pushed from now on exactly once, oldest first, skipping scheduler
+    events: on {!drain}, or from inside the push that would otherwise
+    overwrite the oldest event it has not read. The fold must not push
+    (asserted). *)
+
+val drain : cursor -> unit
+(** Fold every op event the cursor has not read. Allocates nothing. *)
 
 val kind_name : kind -> string
 val dump : ?n:int -> Format.formatter -> t -> unit

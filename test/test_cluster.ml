@@ -304,14 +304,14 @@ let test_e19_hetero_grid () =
 (* Pinned fleet boot fingerprints: uniform zkmini and cstore fleets and a
    mixed one, booted through [Sim.boot] and run for 10 virtual seconds.
    The digest covers the scheduler's counters, the scheduler trace of the
-   run (which task ran when, by id and name), each node's checker ids in
-   registration order and each node's workload counters, so a node boot
-   that spawns, registers or orders anything differently moves it. *)
+   run (which task ran when, by id and name; under 2^16 events, so the
+   ring keeps all of them), each node's checker ids in registration order
+   and each node's workload counters, so a node boot that spawns,
+   registers or orders anything differently moves it. *)
 let fleet_fingerprint topology =
   let w = Sim.boot ~seed:42 ~topology () in
   let sched = Sim.world_sched w in
-  let trace = Wd_sim.Trace.create ~capacity:(1 lsl 18) () in
-  Wd_sim.Sched.set_trace sched trace;
+  let trace = Wd_sim.Sched.trace sched in
   ignore (Wd_sim.Sched.run ~until:(Wd_sim.Time.sec 10) sched);
   let spawned, switches, events = Wd_sim.Sched.stats sched in
   let timeline =

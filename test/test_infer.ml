@@ -16,39 +16,46 @@ module Systems = Wd_harness.Systems
 let ms = Wd_sim.Time.ms
 let sec = Wd_sim.Time.sec
 
-(* --- Trace.iter_ops cursor ---------------------------------------------- *)
+(* --- Trace cursors ------------------------------------------------------ *)
 
-(* Op events read in place from [cursor]: how many, how many lost, and the
-   next cursor. Scheduler events in the window are skipped. *)
-let read_ops t cursor =
-  let n = ref 0 in
-  Trace.iter_ops t cursor (fun _ ~at:_ ~task_id:_ ~op:_ ~node:_ ~func:_ ~dur:_
-                               ~note:_ -> incr n);
-  (!n, Trace.lost t cursor, Trace.total t)
-
+(* A cursor on a 4-slot ring reads only what was pushed after it
+   registered, skips scheduler events, and loses nothing when more than
+   the ring's capacity arrives between two of its reads. A fold that
+   pushes trips an assertion. *)
 let test_trace_since () =
-  let t = Trace.create ~capacity:4 () in
+  let t = Trace.create ~capacity:4 in
   let ev i = Trace.record t ~at:(Int64.of_int i) ~task_id:i ~task_name:"t"
       (Trace.Op_start { op = "disk_read:d:x"; node = "n"; func = "f" }) in
+  ev 0;
+  let seen = ref [] in
+  let c =
+    Trace.cursor t (fun _ ~at ~task_id:_ ~op:_ ~node:_ ~func:_ ~dur:_ ~note:_ ->
+        seen := at :: !seen)
+  in
+  let read () =
+    Trace.drain c;
+    let got = List.rev !seen in
+    seen := [];
+    got
+  in
   ev 1; ev 2;
-  let es, dropped, cur = read_ops t 0 in
-  Alcotest.(check int) "two events" 2 es;
-  Alcotest.(check int) "none dropped" 0 dropped;
-  Alcotest.(check int) "cursor" 2 cur;
-  ev 3; ev 4; ev 5; ev 6;
-  (* ring holds 4: events 3..6; cursor 2 means event index 2 (3rd) onward *)
-  let es, dropped, cur = read_ops t cur in
-  Alcotest.(check int) "ring window" 4 es;
-  Alcotest.(check int) "still none dropped" 0 dropped;
-  Alcotest.(check int) "cursor advanced" 6 cur;
-  ev 7; ev 8; ev 9; ev 10; ev 11;
-  let es, dropped, _ = read_ops t cur in
-  Alcotest.(check int) "only ring window" 4 es;
-  Alcotest.(check int) "one overwritten" 1 dropped;
+  Alcotest.(check (list int)) "two events" [ 1; 2 ] (read ());
+  Alcotest.(check (list int)) "nothing new" [] (read ());
+  for i = 3 to 11 do ev i done;
+  Alcotest.(check (list int)) "drained before each overwrite"
+    (List.init 9 (fun i -> i + 3)) (read ());
   Trace.record t ~at:12L ~task_id:12 ~task_name:"t" Trace.Resumed;
-  let es, dropped, _ = read_ops t 11 in
-  Alcotest.(check int) "scheduler events skipped" 0 es;
-  Alcotest.(check int) "nothing lost at the head" 0 dropped
+  Alcotest.(check (list int)) "scheduler events skipped" [] (read ());
+  Alcotest.(check (list int64)) "ring keeps the newest 4" [ 9L; 10L; 11L; 12L ]
+    (List.map (fun (e : Trace.event) -> e.Trace.at) (Trace.recent t 10));
+  let pushing =
+    Trace.cursor t (fun _ ~at:_ ~task_id:_ ~op:_ ~node:_ ~func:_ ~dur:_ ~note:_ ->
+        Trace.record t ~at:13L ~task_id:13 ~task_name:"t" Trace.Resumed)
+  in
+  ev 13;
+  match Trace.drain pushing with
+  | exception Assert_failure _ -> ()
+  | () -> Alcotest.fail "a fold that pushes must be caught"
 
 (* --- interpreter emission ---------------------------------------------- *)
 
@@ -118,7 +125,7 @@ let steady_run ~n ~period ~dur op seed =
     events := end_ (Int64.add t dur) 1 op dur :: start_ t 1 op :: !events
   done;
   { Mine.ro_id = Fmt.str "run%d" seed; ro_seed = seed; ro_span = Int64.mul (Int64.of_int n) period;
-    ro_ops = Mine.ops_of_events (List.rev !events); ro_dropped = 0 }
+    ro_ops = Mine.ops_of_events (List.rev !events) }
 
 let test_synth_thresholds () =
   let op = "disk_write:d:seg/" in
@@ -170,7 +177,7 @@ let test_synth_ordering () =
                [ start_ t 2 a; end_ (Int64.add t (ms 1)) 2 a (ms 1) ]))
     in
     { Mine.ro_id = Fmt.str "r%d" seed; ro_seed = seed; ro_span = sec 5;
-      ro_ops = Mine.ops_of_events events; ro_dropped = 0 }
+      ro_ops = Mine.ops_of_events events }
   in
   let m = Synth.synthesize ~system:"t" (Mine.aggregate [ run 1; run 2; run 3 ]) in
   let precedes =
@@ -188,7 +195,7 @@ let test_synth_ordering () =
 let test_monitor_checkers () =
   let sched = Wd_sim.Sched.create ~seed:1 () in
   let monitor = Monitor.create sched in
-  let trace = Option.get (Wd_sim.Sched.trace sched) in
+  let trace = Wd_sim.Sched.trace sched in
   let op = "disk_write:d:seg/" in
   (* a completed op then one that hangs in flight *)
   Trace.record trace ~at:(ms 100) ~task_id:1 ~task_name:"w"
@@ -244,32 +251,18 @@ let test_monitor_checkers () =
 
 (* --- differentials against the boxed-list consumers ------------------- *)
 
-(* The boxed window the consumers read before they moved onto
-   [Trace.iter_ops]: every event still in the ring from [cursor], the
-   number already overwritten, and the next cursor. *)
-let boxed_since ~capacity t cursor =
-  let total = Trace.total t in
-  let cursor = max 0 cursor in
-  let available = min total capacity in
-  let oldest_kept = total - available in
-  let dropped = max 0 (oldest_kept - cursor) in
-  let n = max 0 (total - max cursor oldest_kept) in
-  (Trace.recent t n, dropped, total)
-
 (* The string-keyed monitor fold over boxed events, kept as the oracle for
    [Monitor.drain]. *)
 module Old_monitor = struct
   type t = {
-    capacity : int;
     trace : Trace.t;
     mutable cursor : int;
-    mutable dropped : int;
     keys : (string, Monitor.key_state) Hashtbl.t;
     overlaps : (string * string, int64) Hashtbl.t;
   }
 
-  let create ~capacity trace =
-    { capacity; trace; cursor = 0; dropped = 0; keys = Hashtbl.create 64;
+  let create trace =
+    { trace; cursor = Trace.total trace; keys = Hashtbl.create 64;
       overlaps = Hashtbl.create 16 }
 
   let state t key =
@@ -284,15 +277,12 @@ module Old_monitor = struct
         Hashtbl.add t.keys key st;
         st
 
+  (* Every event since the last drain; the stream never outruns the
+     scheduler's 2^16-slot ring. *)
   let drain t =
-    let events, dropped, cursor =
-      boxed_since ~capacity:t.capacity t.trace t.cursor
-    in
-    t.cursor <- cursor;
-    if dropped > 0 then begin
-      t.dropped <- t.dropped + dropped;
-      Hashtbl.iter (fun _ st -> st.Monitor.st_inflight <- []) t.keys
-    end;
+    let total = Trace.total t.trace in
+    let events = Trace.recent t.trace (total - t.cursor) in
+    t.cursor <- total;
     List.iter
       (fun (e : Trace.event) ->
         let open Monitor in
@@ -340,7 +330,7 @@ end
 
 (* The string-keyed [Mine.aggregate] over boxed events, kept as its
    oracle. *)
-let old_aggregate (runs : (Trace.event list * int) list) : Mine.observations =
+let old_aggregate (runs : Trace.event list list) : Mine.observations =
   let target_of_key = Mine.target_of_key in
   let is_sync_key key = String.length key >= 5 && String.sub key 0 5 = "sync:" in
   let inter a b = List.filter (fun x -> List.mem x b) a in
@@ -354,11 +344,10 @@ let old_aggregate (runs : (Trace.event list * int) list) : Mine.observations =
         Hashtbl.add keys key a;
         a
   in
-  let orders = ref [] and events = ref 0 and dropped = ref 0 in
+  let orders = ref [] and events = ref 0 in
   List.iteri
-    (fun run_idx (evs, ro_dropped) ->
+    (fun run_idx evs ->
       events := !events + List.length evs;
-      dropped := !dropped + ro_dropped;
       let first_order = ref [] in
       let seen_first = Hashtbl.create 64 and last_start = Hashtbl.create 64 in
       let inflight : (int, string list) Hashtbl.t = Hashtbl.create 8 in
@@ -446,7 +435,7 @@ let old_aggregate (runs : (Trace.event list * int) list) : Mine.observations =
   in
   { Mine.obs_runs = List.length runs; obs_keys; obs_orders = List.rev !orders;
     obs_overlaps = Hashtbl.fold (fun p () l -> p :: l) overlaps [] |> List.sort compare;
-    obs_events = !events; obs_dropped = !dropped }
+    obs_events = !events }
 
 (* Random op streams: a few tasks over keys on two disk targets, one net
    target and two locks, with nested sync sections, ends and fails of ops
@@ -512,17 +501,15 @@ let prop_monitor_matches_boxed =
     ~count:300
     (QCheck.make ~print:print_stream gen_stream)
     (fun stream ->
-      let capacity = 8 in
       let sched = Wd_sim.Sched.create ~seed:1 () in
-      let monitor = Monitor.create ~capacity sched in
-      let trace = Option.get (Wd_sim.Sched.trace sched) in
-      let old = Old_monitor.create ~capacity trace in
+      let monitor = Monitor.create sched in
+      let trace = Wd_sim.Sched.trace sched in
+      let old = Old_monitor.create trace in
       let agree () =
         Monitor.drain monitor;
         Old_monitor.drain old;
         let keys = Array.to_list diff_keys in
         Monitor.keys_tracked monitor = Hashtbl.length old.Old_monitor.keys
-        && Monitor.dropped monitor = old.Old_monitor.dropped
         && List.for_all
              (fun k ->
                Monitor.view monitor k = Hashtbl.find_opt old.Old_monitor.keys k)
@@ -563,27 +550,115 @@ let prop_aggregate_matches_boxed =
         List.mapi
           (fun i stream ->
             let events = events_of_stream stream in
-            let dropped = List.length stream mod 3 in
             ( { Mine.ro_id = Fmt.str "r%d" i; ro_seed = i; ro_span = 0L;
-                ro_ops = Mine.ops_of_events events; ro_dropped = dropped },
-              (List.filter
-                 (fun (e : Trace.event) ->
-                   match e.Trace.kind with
-                   | Trace.Op_start _ | Trace.Op_end _ | Trace.Op_fail _ -> true
-                   | _ -> false)
-                 events,
-               dropped) ))
+                ro_ops = Mine.ops_of_events events },
+              List.filter
+                (fun (e : Trace.event) ->
+                  match e.Trace.kind with
+                  | Trace.Op_start _ | Trace.Op_end _ | Trace.Op_fail _ -> true
+                  | _ -> false)
+                events ))
           streams
       in
       Mine.aggregate (List.map fst runs) = old_aggregate (List.map snd runs))
 
+let default_mined = lazy (Inference.mine_and_synth ())
+
 (* The default mining pass, pinned: the model digest and op-event count
    E21 reports. *)
 let test_default_mining_pinned () =
-  let m = Inference.mine_and_synth () in
+  let m = Lazy.force default_mined in
   Alcotest.(check string) "model digest" "c74a7ff8ad4501311f18b83e37b74d4d"
     m.Inference.md_digest;
   Alcotest.(check int) "op events" 527_494 m.Inference.md_events
+
+(* --- two consumers on one ring under load ------------------------------ *)
+
+(* cstore's client reads when i mod 3 = 2 and writes otherwise, on key
+   i mod 128: nine reads, then one write. *)
+let cs_request j =
+  (3 * (j * 37 mod 128)) + if j mod 10 = 9 then j / 10 mod 2 else 2
+
+(* cstore with its mimic and mined inferred checkers (the default model),
+   open loop at 8,000 req/s, [cs-compaction-stuck] injected at 2 s. A
+   counting cursor shares the scheduler's ring with the monitor. The load
+   pushes far more events than the ring holds between checker ticks, so the
+   ring drains both consumers before it overwrites anything: they must
+   agree on every key's count, and the monitor, with its in-flight table
+   intact, reports the stuck compaction's envelope first. *)
+let test_two_consumers_under_load () =
+  let model =
+    Option.get (Inference.model_for (Lazy.force default_mined) "cstore")
+  in
+  let sched = Wd_sim.Sched.create ~seed:78 () in
+  let reg = Wd_env.Faultreg.create () in
+  let counts = Hashtbl.create 64 and seen = ref 0 in
+  let counter =
+    Trace.cursor (Wd_sim.Sched.trace sched)
+      (fun _ ~at:_ ~task_id:_ ~op ~node:_ ~func:_ ~dur:_ ~note:_ ->
+        incr seen;
+        Hashtbl.replace counts op
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts op)))
+  in
+  let monitor = Monitor.create sched in
+  let b = Systems.boot ~sched ~reg ~mode:Systems.Wd_generated "cstore" in
+  let driver = b.Systems.b_driver in
+  List.iter (Wd_watchdog.Driver.add_checker driver)
+    (Checkers.compile ~model ~monitor ());
+  let g =
+    Wd_harness.Loadgen.spawn_open ~label:"cstore" ~sched ~rate_rps:8000
+      ~max_inflight:512 ~requests:1_000_000_000
+      ~op:(fun j -> b.Systems.b_client (cs_request j))
+      ()
+  in
+  Wd_watchdog.Schedule.set_load_probe
+    (Wd_watchdog.Driver.schedule driver)
+    (fun () -> Wd_harness.Loadgen.inflight g);
+  let run_to t = ignore (Wd_sim.Sched.run ~until:t sched) in
+  run_to (sec 2);
+  let inject_at = Wd_sim.Sched.now sched in
+  ignore
+    (Wd_faults.Catalog.inject reg
+       (Wd_faults.Catalog.find "cs-compaction-stuck")
+       ~at:inject_at);
+  let first () =
+    List.find_opt
+      (fun (r : Wd_watchdog.Report.t) -> r.Wd_watchdog.Report.at >= inject_at)
+      (Wd_watchdog.Driver.reports driver)
+  in
+  let deadline = Int64.add inject_at (sec 4) in
+  let rec wait () =
+    match first () with
+    | Some r -> Some r
+    | None when Wd_sim.Sched.now sched >= deadline -> None
+    | None ->
+        run_to (Int64.add (Wd_sim.Sched.now sched) (ms 100));
+        wait ()
+  in
+  let found = wait () in
+  Monitor.drain monitor;
+  Trace.drain counter;
+  Alcotest.(check bool) "the ring wrapped" true (!seen > 1 lsl 16);
+  Alcotest.(check int) "same keys" (Hashtbl.length counts)
+    (Monitor.keys_tracked monitor);
+  let folded = ref 0 in
+  Hashtbl.iter
+    (fun op n ->
+      match Monitor.view monitor (Wd_sim.Site.str op) with
+      | Some st ->
+          let m = st.Monitor.st_started + st.st_completed + st.st_failed in
+          folded := !folded + m;
+          if m <> n then
+            Alcotest.failf "%s: monitor folded %d, counter saw %d"
+              (Wd_sim.Site.str op) m n
+      | None -> Alcotest.failf "%s: not tracked" (Wd_sim.Site.str op))
+    counts;
+  Alcotest.(check int) "monitor folded what the counter saw" !seen !folded;
+  match found with
+  | Some r ->
+      Alcotest.(check string) "first report" "inferred:envelope:cstore"
+        r.Wd_watchdog.Report.checker_id
+  | None -> Alcotest.fail "no report within 4 s of the injection"
 
 (* --- end-to-end: inferred-only race ------------------------------------ *)
 
@@ -692,6 +767,8 @@ let () =
         [
           Alcotest.test_case "checker eval" `Quick test_monitor_checkers;
           QCheck_alcotest.to_alcotest prop_monitor_matches_boxed;
+          Alcotest.test_case "two consumers under load" `Quick
+            test_two_consumers_under_load;
         ] );
       ( "race",
         [

@@ -549,8 +549,7 @@ let string_of_result = function
 
 let run_program (tasks, cuts) =
   let s = Sched.create ~seed:3 () in
-  let tr = Trace.create ~capacity:8192 () in
-  Sched.set_trace s tr;
+  let tr = Sched.trace s in
   let out = Buffer.create 1024 in
   let note fmt = Printf.bprintf out (fmt ^^ "\n") in
   let conds = Array.init 2 (fun i -> Cond.create (string_of_int i)) in
@@ -1090,8 +1089,7 @@ let test_channel_close () =
 
 let test_trace_records_lifecycle () =
   let s = Sched.create () in
-  let tr = Trace.create ~capacity:64 () in
-  Sched.set_trace s tr;
+  let tr = Sched.trace s in
   ignore
     (Sched.spawn ~name:"traced" s (fun () ->
          Sched.sleep (Time.ms 5);
@@ -1119,20 +1117,95 @@ let test_trace_records_lifecycle () =
      in
      mono events)
 
+(* A small ring driven by pushes (op or scheduler events), cursor reads
+   and cursor registrations (at most 3). Every cursor must see every op
+   event pushed after it registered exactly once, in order, whether it
+   drained itself or the ring drained it before an overwrite; and the ring
+   must keep exactly the newest [capacity] events for [recent]. Event [n]
+   is stamped [at = n]. *)
+type ring_step = Push_op of int | Push_sched | Read of int | Register
+
+let ring_loses_nothing (capacity, steps) =
+  let tr = Trace.create ~capacity in
+  let n = ref 0 and pushed = ref [] (* newest first *) in
+  let cursors = ref [] (* (cursor, seen, owed), oldest first, lists newest first *) in
+  let ok = ref true in
+  let read (c, seen, owed) =
+    Trace.drain c;
+    if !seen <> !owed then ok := false
+  in
+  let push kind =
+    incr n;
+    Trace.record tr ~at:(Int64.of_int !n) ~task_id:!n
+      ~task_name:(Fmt.str "t%d" !n) kind;
+    pushed := !n :: !pushed
+  in
+  List.iter
+    (function
+      | Push_op k ->
+          let op = "disk_write:d:x" and node = "n" and func = "f" in
+          push
+            (match k with
+            | 0 -> Trace.Op_start { op; node; func }
+            | 1 -> Trace.Op_end { op; node; func; dur = 1L }
+            | _ -> Trace.Op_fail { op; node; func; err = "e" });
+          List.iter (fun (_, _, owed) -> owed := !n :: !owed) !cursors
+      | Push_sched -> push Trace.Spawned
+      | Read i -> (
+          match !cursors with
+          | [] -> ()
+          | cs -> read (List.nth cs (i mod List.length cs)))
+      | Register ->
+          if List.length !cursors < 3 then begin
+            let seen = ref [] in
+            let c =
+              Trace.cursor tr
+                (fun _ ~at ~task_id:_ ~op:_ ~node:_ ~func:_ ~dur:_ ~note:_ ->
+                  seen := at :: !seen)
+            in
+            cursors := !cursors @ [ (c, seen, ref []) ]
+          end)
+    steps;
+  List.iter read !cursors;
+  let kept = List.filteri (fun i _ -> i < capacity) !pushed in
+  !ok
+  && Trace.total tr = !n
+  && List.map (fun (e : Trace.event) -> Int64.to_int e.Trace.at)
+       (Trace.recent tr max_int)
+     = List.rev kept
+
+(* An 8-slot ring with no cursor after 40 scheduler events (20 spawns and
+   exits) keeps the newest 8. *)
 let test_trace_ring_bounds () =
-  let s = Sched.create () in
-  let tr = Trace.create ~capacity:8 () in
-  Sched.set_trace s tr;
-  for i = 1 to 20 do
-    ignore (Sched.spawn ~name:(Fmt.str "t%d" i) s (fun () -> ()))
-  done;
-  ignore (Sched.run s);
-  check "total counts everything" true (Trace.total tr >= 40);
-  check_int "recent bounded by capacity" 8 (List.length (Trace.recent tr 100));
-  (* the survivors are the newest events *)
-  match List.rev (Trace.recent tr 100) with
-  | (e : Trace.event) :: _ -> check_str "newest last spawn" "t20" e.Trace.task_name
-  | [] -> Alcotest.fail "empty"
+  check "newest 8 of 40 kept" true
+    (ring_loses_nothing (8, List.init 40 (fun _ -> Push_sched)))
+
+let prop_ring_loses_nothing =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 8)
+        (list_size (int_range 0 60)
+           (frequency
+              [
+                (6, map (fun k -> Push_op k) (int_bound 2));
+                (2, return Push_sched);
+                (2, map (fun i -> Read i) (int_bound 2));
+                (1, return Register);
+              ])))
+  in
+  let print (capacity, steps) =
+    Fmt.str "capacity %d: %s" capacity
+      (String.concat " "
+         (List.map
+            (function
+              | Push_op k -> Fmt.str "op%d" k
+              | Push_sched -> "s"
+              | Read i -> Fmt.str "r%d" i
+              | Register -> "C")
+            steps))
+  in
+  QCheck.Test.make ~name:"cursors lose nothing" ~count:1000
+    (QCheck.make ~print gen) ring_loses_nothing
 
 let () =
   Alcotest.run "wd_sim"
@@ -1224,6 +1297,7 @@ let () =
         [
           Alcotest.test_case "lifecycle" `Quick test_trace_records_lifecycle;
           Alcotest.test_case "ring bounds" `Quick test_trace_ring_bounds;
+          QCheck_alcotest.to_alcotest prop_ring_loses_nothing;
         ] );
       ( "channel",
         [
