@@ -182,10 +182,11 @@ let scenario_cmd =
         (* asked for before boot, so the ring records the whole run *)
         let tr = Wd_sim.Sched.trace sched in
         let booted =
-          Wd_harness.Campaign.boot
+          Wd_harness.Systems.boot
             ~schedule:cfg.Wd_harness.Campaign.schedule ~sched
+            ~reg:(Wd_env.Faultreg.create ())
             ~mode:cfg.Wd_harness.Campaign.mode
-            ~infer:cfg.Wd_harness.Campaign.infer
+            ?infer:cfg.Wd_harness.Campaign.infer
             ?special:scenario.Wd_faults.Catalog.special
             scenario.Wd_faults.Catalog.system
         in

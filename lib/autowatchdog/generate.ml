@@ -251,12 +251,16 @@ let attach ?progress g ~sched ~main ~driver =
 (* Cheap-recovery wiring (§5.2): register each of the node's entry tasks as
    a microreboot component owning every function reachable from its entry
    point, so that a pinpointed report maps back to the daemon to reboot.
-   Call after [Interp.start]; pass the tasks it returned, in order. *)
+   Call after the node starts and pass its tasks in start order: [entries]
+   pair with the leading ones. *)
 let register_components recovery ~sched ~main ~entries ~tasks =
   let prog = Interp.program main in
   let cg = Wd_analysis.Callgraph.build prog in
-  List.iter2
-    (fun entry_name task ->
+  if List.compare_lengths tasks entries < 0 then
+    invalid_arg "register_components: fewer tasks than entries";
+  List.iteri
+    (fun i entry_name ->
+      let task = List.nth tasks i in
       let entry =
         List.find
           (fun e -> e.Wd_ir.Ast.entry_name = entry_name)
@@ -269,7 +273,7 @@ let register_components recovery ~sched ~main ~entries ~tasks =
           | [ task ] -> task
           | _ -> invalid_arg "register_components: entry did not respawn")
         ~task)
-    entries tasks
+    entries
 
 (* Figure-3-style rendering of a generated checker, for demos and docs. *)
 let render_checker_source (u : Reduction.unit_) =

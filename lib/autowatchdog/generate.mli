@@ -62,9 +62,10 @@ val register_components :
   tasks:Wd_sim.Sched.task list ->
   unit
 (** §5.2 wiring: register each entry task as a microreboot component owning
-    every function reachable from its entry point. [entries] and [tasks]
-    must correspond pairwise (program-entry order, as {!Wd_ir.Interp.start}
-    returns them). *)
+    every function reachable from its entry point. [tasks] are the node's
+    tasks in start order; each of [entries] pairs with the task at its
+    position, and tasks past the last entry are ignored. Raises
+    [Invalid_argument] when there are fewer tasks than entries. *)
 
 val render_checker_source : Wd_analysis.Reduction.unit_ -> string
 (** Figure-3-style pseudo-Java rendering of a generated checker. *)

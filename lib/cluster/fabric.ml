@@ -97,5 +97,3 @@ let send t ~src ~dst m =
 
 let recv_timeout t endpoint ~timeout =
   Wd_env.Net.recv_timeout t.net endpoint ~timeout
-
-let stats t = Wd_env.Net.stats t.net

@@ -56,6 +56,3 @@ val send : t -> src:string -> dst:string -> msg -> unit
 
 val recv_timeout :
   t -> string -> timeout:int64 -> msg Wd_env.Net.envelope option
-
-val stats : t -> int * int * int
-(** [(sent, delivered, dropped)]. *)

@@ -77,8 +77,7 @@ let boot ?schedule ~sched ~system ~index () =
         wstats));
   let tasks = p.Target.start () in
   Generate.register_components recovery ~sched ~main:p.Target.main
-    ~entries:fleet.Target.entries
-    ~tasks:(take (List.length fleet.Target.entries) tasks);
+    ~entries:fleet.Target.entries ~tasks;
   Driver.start driver;
   {
     id;

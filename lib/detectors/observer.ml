@@ -6,20 +6,19 @@
 
 type evidence = Success | Failure of string | Timeout
 
+let window = Wd_sim.Time.sec 5 (* evidence older than this is discarded *)
+let threshold = 0.5 (* failure ratio that flips the verdict *)
+let min_samples = 3
+
 type t = {
   sched : Wd_sim.Sched.t;
-  window : int64;              (* evidence older than this is discarded *)
-  threshold : float;           (* failure ratio that flips the verdict *)
-  min_samples : int;
   log : (int64 * bool) Queue.t; (* (at, bad), oldest first *)
   mutable bad : int;            (* bad entries in [log] *)
   mutable first_suspect_at : int64 option;
 }
 
-let create ?(window = Wd_sim.Time.sec 5) ?(threshold = 0.5) ?(min_samples = 3)
-    sched =
-  { sched; window; threshold; min_samples; log = Queue.create (); bad = 0;
-    first_suspect_at = None }
+let create sched =
+  { sched; log = Queue.create (); bad = 0; first_suspect_at = None }
 
 (* Sliding window, O(1) amortised per observation: virtual time never
    decreases, so entries leave the window oldest first and pruning from the
@@ -31,14 +30,14 @@ let observe t evidence =
   if bad then t.bad <- t.bad + 1;
   while
     (not (Queue.is_empty t.log))
-    && Int64.sub now (fst (Queue.peek t.log)) > t.window
+    && Int64.sub now (fst (Queue.peek t.log)) > window
   do
     if snd (Queue.pop t.log) then t.bad <- t.bad - 1
   done;
   let total = Queue.length t.log in
   if
-    total >= t.min_samples
-    && float_of_int t.bad /. float_of_int total >= t.threshold
+    total >= min_samples
+    && float_of_int t.bad /. float_of_int total >= threshold
     && t.first_suspect_at = None
   then t.first_suspect_at <- Some now
 

@@ -8,8 +8,9 @@ type evidence = Success | Failure of string | Timeout
 
 type t
 
-val create :
-  ?window:int64 -> ?threshold:float -> ?min_samples:int -> Wd_sim.Sched.t -> t
+val create : Wd_sim.Sched.t -> t
+(** Suspects the process once at least 3 observations sit in the last 5
+    virtual seconds and half or more of them are failures or timeouts. *)
 
 val observe : t -> evidence -> unit
 val suspected : t -> bool

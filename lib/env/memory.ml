@@ -17,12 +17,12 @@ type t = {
   mutable frees : int;
   mutable pauses : int;
   mutable total_pause_ns : int64;
-  pause_threshold : float;      (* utilisation above which stalls begin *)
-  max_pause : int64;            (* stall at 100% utilisation *)
 }
 
-let create ?(pause_threshold = 0.80) ?(max_pause = Wd_sim.Time.ms 400) ~reg
-    ~capacity name =
+let pause_threshold = 0.80 (* utilisation above which stalls begin *)
+let max_pause = Wd_sim.Time.ms 400 (* stall at 100% utilisation *)
+
+let create ~reg ~capacity name =
   if capacity <= 0 then invalid_arg "Memory.create: capacity must be positive";
   {
     name;
@@ -35,8 +35,6 @@ let create ?(pause_threshold = 0.80) ?(max_pause = Wd_sim.Time.ms 400) ~reg
     frees = 0;
     pauses = 0;
     total_pause_ns = 0L;
-    pause_threshold;
-    max_pause;
   }
 
 let name m = m.name
@@ -49,10 +47,10 @@ let stats m = (m.allocs, m.frees, m.peak, m.pauses, m.total_pause_ns)
    quadratic growth up to [max_pause] at full capacity. *)
 let pause_for m =
   let u = utilisation m in
-  if u <= m.pause_threshold then 0L
+  if u <= pause_threshold then 0L
   else
-    let x = (u -. m.pause_threshold) /. (1.0 -. m.pause_threshold) in
-    Int64.of_float (Int64.to_float m.max_pause *. x *. x)
+    let x = (u -. pause_threshold) /. (1.0 -. pause_threshold) in
+    Int64.of_float (Int64.to_float max_pause *. x *. x)
 
 let alloc m size =
   if size < 0 then invalid_arg "Memory.alloc: negative size";

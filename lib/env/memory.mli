@@ -1,20 +1,14 @@
 (** Simulated memory accountant with GC-pause behaviour under pressure.
 
-    Above [pause_threshold] utilisation, allocations stall (quadratically up
-    to [max_pause]); a leaking component therefore degrades every task that
+    Above 80% utilisation, allocations stall (quadratically up to 400 ms at
+    full capacity); a leaking component therefore degrades every task that
     allocates — the gray failure a sleep-overshoot signal checker detects. *)
 
 exception Out_of_memory of string
 
 type t
 
-val create :
-  ?pause_threshold:float ->
-  ?max_pause:int64 ->
-  reg:Faultreg.t ->
-  capacity:int ->
-  string ->
-  t
+val create : reg:Faultreg.t -> capacity:int -> string -> t
 
 val name : t -> string
 val used : t -> int

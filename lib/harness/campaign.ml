@@ -128,22 +128,6 @@ let default_config =
     schedule = Wd_watchdog.Schedule.fixed;
   }
 
-(* Every single-node world boots here. The monitor must register its
-   trace cursor before the system boots so startup ops (recovery reads,
-   first writes) are part of its ordering state, exactly as they were
-   during mining. *)
-let boot ?schedule ~sched ~mode ~infer ?special system =
-  let reg = Wd_env.Faultreg.create () in
-  match infer with
-  | None -> Systems.boot ?schedule ~sched ~reg ~mode ?special system
-  | Some model ->
-      let monitor = Wd_infer.Monitor.create sched in
-      let booted = Systems.boot ?schedule ~sched ~reg ~mode ?special system in
-      List.iter
-        (Driver.add_checker booted.Systems.b_driver)
-        (Wd_infer.Checkers.compile ~model ~monitor ());
-      booted
-
 let inject (booted : Systems.booted) (s : Catalog.scenario) =
   let at = Wd_sim.Sched.now booted.Systems.b_sched in
   ignore (Catalog.inject booted.Systems.b_reg s ~at);
@@ -153,7 +137,8 @@ let inject (booted : Systems.booted) (s : Catalog.scenario) =
 let run_raw cfg ~system ~scenario () =
   let sched = Wd_sim.Sched.create ~seed:cfg.seed () in
   let booted =
-    boot ~schedule:cfg.schedule ~sched ~mode:cfg.mode ~infer:cfg.infer
+    Systems.boot ~schedule:cfg.schedule ~sched ~reg:(Wd_env.Faultreg.create ())
+      ~mode:cfg.mode ?infer:cfg.infer
       ?special:(Option.bind scenario (fun s -> s.Catalog.special))
       system
   in

@@ -62,20 +62,6 @@ type config = {
 
 val default_config : config
 
-val boot :
-  ?schedule:Wd_watchdog.Schedule.policy ->
-  sched:Wd_sim.Sched.t ->
-  mode:Systems.watchdog_mode ->
-  infer:Wd_infer.Synth.model option ->
-  ?special:string ->
-  string ->
-  Systems.booted
-(** Boot one system into a caller-made scheduler with a fresh fault
-    registry ([b_reg]). With [infer], a {!Wd_infer.Monitor} takes the
-    scheduler's trace before the system boots (startup ops are part of its
-    ordering state, as during mining) and the checkers compiled from the
-    model join the booted driver. *)
-
 val inject : Systems.booted -> Wd_faults.Catalog.scenario -> unit
 (** Inject a scenario at the current virtual instant: its catalog faults
     into [b_reg] and, for the ["crash"] special, the whole-process crash. *)
@@ -86,7 +72,7 @@ val run_raw :
   scenario:Wd_faults.Catalog.scenario option ->
   unit ->
   Systems.booted * int64
-(** Low-level: {!boot}, warm up, {!inject} (if a scenario is given), observe.
+(** Low-level: {!Systems.boot} with a fresh fault registry, warm up, {!inject} (if a scenario is given), observe.
     Returns the booted system and the injection instant, for experiments
     that need raw access. *)
 

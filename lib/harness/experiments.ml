@@ -373,69 +373,26 @@ let e6_text () =
 (* E7 — §3.1: concurrent watchdog vs in-place checking overhead.       *)
 (* ------------------------------------------------------------------ *)
 
-(* In-place emulation: the hook sink synchronously executes the unit body in
-   the main task before the operation proceeds — checking as part of the
-   main execution flow (what §3.1 argues against). *)
-let attach_inplace g ~main =
+(* In-place emulation: Generate.attach binds the hooks (its driver never
+   starts), and after each delivery the hook's unit runs in the main task
+   before the operation proceeds — checking as part of the main execution
+   flow (what §3.1 argues against). *)
+let attach_inplace g ~sched ~main =
   let module I = Wd_ir.Interp in
-  let res = I.resources main in
-  let node = I.node main in
+  let wctx = Generate.attach g ~sched ~main ~driver:(Driver.create sched) in
   let ci =
-    I.create ~mode:I.Checker ~node ~res g.Generate.watchdog_prog
+    I.create ~mode:I.Checker ~node:(I.node main) ~res:(I.resources main)
+      g.Generate.watchdog_prog
   in
-  let by_hook = Hashtbl.create 16 in
-  List.iter
-    (fun (h : Reduction.hook_insertion) ->
-      Hashtbl.replace by_hook h.Reduction.hi_hook_id h;
-      I.register_hook main ~id:h.Reduction.hi_hook_id
-        {
-          I.hook_checker = h.Reduction.hi_unit;
-          hook_vars = List.map (fun (_, tmp, _) -> tmp) h.Reduction.hi_captures;
-        })
-    g.Generate.red.Reduction.hooks;
   I.set_hook_sink main (fun hook_id spec ->
-      match Hashtbl.find_opt by_hook hook_id with
-      | None -> None
-      | Some h -> (
-          match
-            List.find_opt
-              (fun (u : Reduction.unit_) ->
-                u.Reduction.unit_id = h.Reduction.hi_unit)
-              g.Generate.units
-          with
-          | None -> None
-          | Some u ->
-              (* Per param, in order: the buffer indices of the variables
-                 that capture it; the first bound one supplies the arg. *)
-              let vars = Array.of_list spec.I.hook_vars in
-              let index tmp =
-                let rec go j =
-                  if j = Array.length vars then -1
-                  else if vars.(j) = tmp then j
-                  else go (j + 1)
-                in
-                go 0
-              in
-              let params = u.Reduction.ufunc.Wd_ir.Ast.params in
-              let sources =
-                List.map
-                  (fun p ->
-                    List.filter_map
-                      (fun (pp, tmp, _) ->
-                        if pp = p then Some (index tmp) else None)
-                      h.Reduction.hi_captures)
-                  params
-              in
-              Some
-                (fun vals ->
-                  let args =
-                    List.filter_map
-                      (List.find_map (fun j -> if j < 0 then None else vals.(j)))
-                      sources
-                  in
-                  if List.length args = List.length params then
-                    try ignore (I.call ci u.Reduction.ufunc.Wd_ir.Ast.fname args)
-                    with _ -> ())))
+      Option.map
+        (fun c vals ->
+          Wd_watchdog.Wcontext.deliver c ~now:(Wd_sim.Sched.now sched) vals;
+          match Wd_watchdog.Wcontext.args wctx spec.I.hook_checker with
+          | Some args -> (
+              try ignore (I.call ci spec.I.hook_checker args) with _ -> ())
+          | None -> ())
+        (Wd_watchdog.Wcontext.capture wctx ~hook_id ~vars:spec.I.hook_vars))
 
 (* One table row: the mode and its client-side measurements. *)
 let e7_row mode_name =
@@ -452,7 +409,7 @@ let e7_row mode_name =
   (if mode_name = "concurrent watchdog" then
      ignore (Generate.attach g ~sched ~main:t.Wd_targets.Kvs.leader ~driver)
    else if mode_name = "in-place checks" then
-     attach_inplace g ~main:t.Wd_targets.Kvs.leader);
+     attach_inplace g ~sched ~main:t.Wd_targets.Kvs.leader);
   let wstats = Wd_targets.Workload.create_stats () in
   ignore
     (Wd_targets.Workload.spawn ~name:"bench-client" ~sched
@@ -583,15 +540,11 @@ type e10_result = {
 
 let e10_run () =
   let sched = Wd_sim.Sched.create ~seed:5 () in
-  let reg = Wd_env.Faultreg.create () in
-  let prog = Wd_targets.Kvs.program () in
-  let g = Generate.analyze prog in
-  let t =
-    Wd_targets.Kvs.boot ~sched ~reg
-      ~prog:g.Generate.red.Reduction.instrumented ()
+  let b =
+    Systems.boot ~sched ~reg:(Wd_env.Faultreg.create ())
+      ~mode:Systems.Wd_generated "kvs"
   in
-  let driver = Driver.create sched in
-  ignore (Generate.attach g ~sched ~main:t.Wd_targets.Kvs.leader ~driver);
+  let driver = b.Systems.b_driver in
   (* A deliberately buggy checker: crashes on every execution. *)
   let crashes = ref 0 in
   Driver.add_checker driver
@@ -599,16 +552,10 @@ let e10_run () =
        (fun ~now:_ ->
          incr crashes;
          failwith "checker bug: wild failure"));
-  let wstats = Wd_targets.Workload.create_stats () in
-  ignore
-    (Wd_targets.Workload.spawn ~name:"client" ~sched ~period:(Wd_sim.Time.ms 30)
-       ~op:(fun i ->
-         Wd_targets.Kvs.set t ~key:(Fmt.str "k%d" (i mod 20)) ~value:"v")
-       wstats);
-  ignore (Wd_targets.Kvs.start t);
-  Driver.start driver;
   ignore (Wd_sim.Sched.run ~until:(Wd_sim.Time.sec 20) sched);
-  let paths = Wd_env.Disk.paths t.Wd_targets.Kvs.disk in
+  let paths =
+    Wd_env.Disk.paths (Wd_ir.Runtime.disk b.Systems.b_res "kvs.disk")
+  in
   let main_paths, scratch_paths =
     List.partition
       (fun p -> not (String.length p >= 5 && String.sub p 0 5 = "__wd/"))
@@ -627,7 +574,7 @@ let e10_run () =
       main_paths
     && scratch_paths <> []
   in
-  let mimic_execs =
+  let other_execs =
     List.fold_left
       (fun n (s : Driver.checker_stats) ->
         if s.Driver.cs_id <> "buggy-checker" then n + s.Driver.cs_executions else n)
@@ -635,8 +582,9 @@ let e10_run () =
   in
   {
     e10_scratch_disjoint = scratch_disjoint;
-    e10_driver_survives = !crashes > 10 && mimic_execs > 0;
-    e10_main_unperturbed = Wd_targets.Workload.success_ratio wstats > 0.99;
+    e10_driver_survives = !crashes > 10 && other_execs > 0;
+    e10_main_unperturbed =
+      Wd_targets.Workload.success_ratio b.Systems.b_workload > 0.99;
     e10_crashing_runs = !crashes;
   }
 
@@ -673,20 +621,13 @@ let e11_row ~with_recovery =
   in
   let driver = Driver.create sched in
   ignore (Generate.attach g ~sched ~main:t.Wd_targets.Kvs.leader ~driver);
-  let leader_tasks =
-    Wd_ir.Interp.start ~entries:Wd_targets.Kvs.leader_entries
-      t.Wd_targets.Kvs.leader sched
-  in
-  ignore
-    (Wd_ir.Interp.start ~entries:Wd_targets.Kvs.replica_entries
-       t.Wd_targets.Kvs.replica sched);
-  ignore (Wd_targets.Rpcq.spawn_dispatcher t.Wd_targets.Kvs.rpc);
+  let tasks = Wd_targets.Kvs.start t in
   let recovery =
     Wd_watchdog.Recovery.create ~backoff:(Wd_sim.Time.sec 3) sched
   in
   if with_recovery then begin
     Generate.register_components recovery ~sched ~main:t.Wd_targets.Kvs.leader
-      ~entries:Wd_targets.Kvs.leader_entries ~tasks:leader_tasks;
+      ~entries:Wd_targets.Kvs.leader_entries ~tasks;
     Driver.on_report driver (Wd_watchdog.Recovery.action recovery);
     ignore (Wd_watchdog.Recovery.supervise recovery)
   end;
@@ -921,15 +862,7 @@ let e15_row (period, lock_timeout) =
     ignore (Wd_sim.Sched.run ~until:(Wd_sim.Time.sec 8) sched);
     let inject_at = Wd_sim.Sched.now sched in
     if with_fault then
-      Wd_env.Faultreg.inject reg
-        {
-          Wd_env.Faultreg.id = "zk2201";
-          site_pattern = "net:zk.net:send:zkL:zkF1";
-          behaviour = Wd_env.Faultreg.Hang;
-          start_at = inject_at;
-          stop_at = Wd_sim.Time.never;
-          once = false;
-        };
+      ignore (Catalog.inject reg (Catalog.find "zk-2201") ~at:inject_at);
     ignore (Wd_sim.Sched.run ~until:(Wd_sim.Time.sec 40) sched);
     let reports = Driver.reports driver in
     if with_fault then
@@ -1685,7 +1618,10 @@ let e22_spawn ~label ~requests ~gen (booted : Systems.booted) =
 let e22_perf ?schedule ?(hooks_only = false) ~requests ~gen ~mode ~infer
     system =
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-  let booted = Campaign.boot ?schedule ~sched ~mode ~infer system in
+  let booted =
+    Systems.boot ?schedule ~sched ~reg:(Wd_env.Faultreg.create ()) ~mode
+      ?infer system
+  in
   if hooks_only then Driver.stop booted.Systems.b_driver;
   let r = Loadgen.drive (e22_spawn ~label:system ~requests ~gen booted) in
   let _, _, events = Wd_sim.Sched.stats sched in
@@ -1702,7 +1638,10 @@ let e22_perf ?schedule ?(hooks_only = false) ~requests ~gen ~mode ~infer
    first driver report at or after the injection instant. *)
 let e22_detect ?schedule ~requests ~gen ~mode ~infer ~sid system =
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-  let booted = Campaign.boot ?schedule ~sched ~mode ~infer system in
+  let booted =
+    Systems.boot ?schedule ~sched ~reg:(Wd_env.Faultreg.create ()) ~mode
+      ?infer system
+  in
   let g = e22_spawn ~label:(system ^ "+fault") ~requests ~gen booted in
   let step u =
     match Wd_sim.Sched.run ~until:u sched with
@@ -1844,7 +1783,9 @@ let e22_alloc () =
       if with_infer then None
       else
         let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-        let booted = Campaign.boot ~sched ~mode ~infer:None "zkmini" in
+        let booted =
+          Systems.boot ~sched ~reg:(Wd_env.Faultreg.create ()) ~mode "zkmini"
+        in
         let g = e22_spawn ~label:"zkmini" ~requests ~gen:`Closed booted in
         let w0 = Gc.minor_words () in
         let r = Loadgen.drive g in

@@ -40,7 +40,9 @@ let default_cfg =
 let mine_run ~warmup ~observe ~seed system =
   let sched = Wd_sim.Sched.create ~seed () in
   let recorder = Mine.attach sched in
-  ignore (Campaign.boot ~sched ~mode:Systems.Wd_generated ~infer:None system);
+  ignore
+    (Systems.boot ~sched ~reg:(Wd_env.Faultreg.create ())
+       ~mode:Systems.Wd_generated system);
   (match Wd_sim.Sched.run ~until:(Int64.add warmup observe) sched with
   | Wd_sim.Sched.Time_limit | Wd_sim.Sched.Quiescent -> ()
   | Wd_sim.Sched.Deadlock tasks ->

@@ -104,9 +104,14 @@ let attach_watchdog ~mode ~sched ~driver ~res ~main g =
 (* The one single-node boot skeleton: validate and analyse the program,
    boot the target's description on the (maybe instrumented) program,
    then driver, watchdog, baseline checkers, heartbeat, observer,
-   workload, burst spawn, start — in that order, which every pinned
-   schedule depends on. *)
-let boot ?schedule ~sched ~reg ~mode ?special system =
+   workload, burst spawn, start, inferred checkers — in that order, which
+   every pinned schedule depends on. The monitor registers its trace
+   cursor before the target boots, so startup ops (recovery reads, first
+   writes) are part of its ordering state, exactly as during mining. *)
+let boot ?schedule ~sched ~reg ~mode ?infer ?special system =
+  let inferred =
+    Option.map (fun model -> (model, Wd_infer.Monitor.create sched)) infer
+  in
   let prog, boot_target = Target.find system special in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
@@ -137,6 +142,11 @@ let boot ?schedule ~sched ~reg ~mode ?special system =
       ~every:(Wd_sim.Time.sec 2) p;
   let tasks = p.Target.start () in
   Driver.start driver;
+  Option.iter
+    (fun (model, monitor) ->
+      List.iter (Driver.add_checker driver)
+        (Wd_infer.Checkers.compile ~model ~monitor ()))
+    inferred;
   let crash () =
     List.iter (Wd_sim.Sched.kill sched) tasks;
     Driver.stop driver

@@ -33,6 +33,7 @@ val boot :
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->
   mode:watchdog_mode ->
+  ?infer:Wd_infer.Synth.model ->
   ?special:string ->
   string ->
   booted
@@ -43,8 +44,11 @@ val boot :
     description reads them, and "burst", which floods the request queue
     with 2,000 requests every 2 s ({!Wd_targets.Target.spawn_burst}); other
     values boot the plain system. [schedule] is the checker scheduling policy (default
-    {!Wd_watchdog.Schedule.fixed}). Raises [Invalid_argument] on an
-    unknown system name. *)
+    {!Wd_watchdog.Schedule.fixed}). With [infer], a {!Wd_infer.Monitor}
+    takes a cursor on the scheduler's trace before the system boots
+    (startup ops are part of its ordering state, as during mining), and
+    the checkers compiled from the model join the driver after it starts.
+    Raises [Invalid_argument] on an unknown system name. *)
 
 val all_systems : string list
 (** {!Wd_targets.Target.names}. *)

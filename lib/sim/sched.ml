@@ -200,12 +200,7 @@ let finish s t status =
   let hooks = t.exit_hooks in
   t.exit_hooks <- [];
   List.iter (fun h -> h status) hooks;
-  s.current <- None;
-  match status with
-  | Failed e when not t.daemon ->
-      Logs.debug (fun m ->
-          m "task %s failed: %s" t.name (Printexc.to_string e))
-  | Exited | Failed _ | Killed -> ()
+  s.current <- None
 
 (* Re-queue a blocked task. [gen] guards against stale wakers. The
    continuation stays in [kont] until the task's job resumes it. *)

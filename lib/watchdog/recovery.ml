@@ -26,14 +26,15 @@ type event = {
 type t = {
   sched : Wd_sim.Sched.t;
   backoff : int64;        (* minimum interval between reboots of one component *)
-  max_restarts : int;     (* per component; beyond this, give up (escalate) *)
   mutable components : component list;
   mutable events : event list;
   mutable escalations : string list; (* components that exhausted their budget *)
 }
 
-let create ?(backoff = Wd_sim.Time.sec 5) ?(max_restarts = 10) sched =
-  { sched; backoff; max_restarts; components = []; events = []; escalations = [] }
+let max_restarts = 10 (* per component; beyond this, give up (escalate) *)
+
+let create ?(backoff = Wd_sim.Time.sec 5) sched =
+  { sched; backoff; components = []; events = []; escalations = [] }
 
 let register t ~name ~funcs ~respawn ~task =
   t.components <-
@@ -66,7 +67,7 @@ let restarts t ~name =
 let microreboot t c ~reason =
   let now = Wd_sim.Sched.now t.sched in
   if Int64.sub now c.last_restart_at < t.backoff then ()
-  else if c.restarts >= t.max_restarts then begin
+  else if c.restarts >= max_restarts then begin
     if not (List.mem c.comp_name t.escalations) then
       t.escalations <- c.comp_name :: t.escalations
   end

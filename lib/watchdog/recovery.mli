@@ -12,7 +12,9 @@ type t
 
 type event = { ev_at : int64; ev_component : string; ev_reason : string }
 
-val create : ?backoff:int64 -> ?max_restarts:int -> Wd_sim.Sched.t -> t
+val create : ?backoff:int64 -> Wd_sim.Sched.t -> t
+(** [backoff] (default 5 s) is the least time between two reboots of one
+    component; after 10 reboots a component escalates instead. *)
 
 val register :
   t ->

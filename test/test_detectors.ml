@@ -147,7 +147,7 @@ let test_signal_sleep_overshoot () =
      elapsed time, exposing GC-pause-like stalls *)
   let s = Sched.create ~seed:8 () in
   let reg = Wd_env.Faultreg.create () in
-  let mem = Wd_env.Memory.create ~reg ~capacity:10_000 ~pause_threshold:0.05 ~max_pause:(Time.sec 1) "m" in
+  let mem = Wd_env.Memory.create ~reg ~capacity:100_000 "m" in
   let c =
     Wd_detectors.Signalmon.sleep_overshoot ~id:"signal:pause" ~mem
       ~expected:(Time.ms 50) ~tolerance:(Time.ms 100)
@@ -155,9 +155,9 @@ let test_signal_sleep_overshoot () =
   (match run_checker_once s c with
   | Wd_watchdog.Checker.Pass -> ()
   | _ -> Alcotest.fail "no pressure, no alarm");
-  (* fill the pool so allocations stall *)
+  (* fill the pool to 95%: an allocation stalls for 225 ms *)
   let s2 = Sched.create ~seed:8 () in
-  ignore (Sched.spawn s2 (fun () -> Wd_env.Memory.alloc mem 8_000));
+  ignore (Sched.spawn s2 (fun () -> Wd_env.Memory.alloc mem 95_000));
   ignore (Sched.run s2);
   let s3 = Sched.create ~seed:8 () in
   match run_checker_once s3 c with
@@ -170,25 +170,35 @@ let test_signal_sleep_overshoot () =
 
 (* --- observer --- *)
 
+(* The observer's constants: a 5 s window, suspicion at half bad, at
+   least 3 samples. *)
+let observer_window = Time.sec 5
+let observer_threshold = 0.5
+let observer_min_samples = 3
+
 let test_observer_threshold () =
   let s = Sched.create ~seed:8 () in
-  let o = Wd_detectors.Observer.create ~threshold:0.5 ~min_samples:4 s in
-  List.iter
-    (fun e -> Wd_detectors.Observer.observe o e)
-    [ Wd_detectors.Observer.Success; Wd_detectors.Observer.Success ];
-  check "healthy" false (Wd_detectors.Observer.suspected o);
-  List.iter
-    (fun e -> Wd_detectors.Observer.observe o e)
-    [ Wd_detectors.Observer.Timeout; Wd_detectors.Observer.Failure "e" ];
+  let o = Wd_detectors.Observer.create s in
+  let observe = List.iter (Wd_detectors.Observer.observe o) in
+  observe [ Wd_detectors.Observer.Failure "e"; Wd_detectors.Observer.Timeout ];
+  check "all bad but under min samples" false (Wd_detectors.Observer.suspected o);
+  let s = Sched.create ~seed:8 () in
+  let o = Wd_detectors.Observer.create s in
+  let observe = List.iter (Wd_detectors.Observer.observe o) in
+  observe
+    [ Wd_detectors.Observer.Success; Wd_detectors.Observer.Success;
+      Wd_detectors.Observer.Timeout ];
+  check "one bad in three is under half" false (Wd_detectors.Observer.suspected o);
+  observe [ Wd_detectors.Observer.Failure "e" ];
   check "half bad over min samples" true (Wd_detectors.Observer.suspected o)
 
 let test_observer_window_prunes () =
   let s = Sched.create ~seed:8 () in
-  let o = Wd_detectors.Observer.create ~window:(Time.sec 1) ~min_samples:2 s in
+  let o = Wd_detectors.Observer.create s in
   ignore
     (Sched.spawn s (fun () ->
          Wd_detectors.Observer.observe o (Wd_detectors.Observer.Failure "old");
-         Sched.sleep (Time.sec 5);
+         Sched.sleep (Int64.succ observer_window);
          (* the old failure fell out of the window *)
          Wd_detectors.Observer.observe o Wd_detectors.Observer.Success;
          check_int "only fresh evidence" 1 (Wd_detectors.Observer.observations o)));
@@ -238,11 +248,9 @@ end
    nanosecond of the window edge (measured from the previous observation),
    so entries sit exactly on, just inside and just outside the window. *)
 let prop_observer_matches_list_oracle =
+  let window = Int64.to_int observer_window in
   let gen =
     QCheck.Gen.(
-      let* window = int_range 1 50 in
-      let* threshold = oneofl [ 0.25; 0.5; 0.75; 1.0 ] in
-      let* min_samples = int_range 1 5 in
       let gap =
         frequency
           [
@@ -256,15 +264,16 @@ let prop_observer_matches_list_oracle =
         oneofl
           [ Wd_detectors.Observer.Success; Failure "f"; Timeout ]
       in
-      let+ steps = list_size (int_range 0 60) (pair gap evidence) in
-      (window, threshold, min_samples, steps))
+      list_size (int_range 0 60) (pair gap evidence))
   in
   QCheck.Test.make ~name:"observer window matches the list oracle" ~count:300
-    (QCheck.make gen) (fun (window, threshold, min_samples, steps) ->
+    (QCheck.make gen) (fun steps ->
       let s = Sched.create ~seed:1 () in
-      let window = Int64.of_int window in
-      let o = Wd_detectors.Observer.create ~window ~threshold ~min_samples s in
-      let r = Observer_oracle.create ~window ~threshold ~min_samples s in
+      let o = Wd_detectors.Observer.create s in
+      let r =
+        Observer_oracle.create ~window:observer_window
+          ~threshold:observer_threshold ~min_samples:observer_min_samples s
+      in
       let ok = ref true in
       ignore
         (Sched.spawn s (fun () ->

@@ -486,17 +486,18 @@ let test_memory_oom () =
 
 let test_memory_pause_under_pressure () =
   in_sim (fun s reg ->
-      let m = Memory.create ~reg ~capacity:1000 ~pause_threshold:0.5 "m" in
-      Memory.alloc m 400;
+      (* allocations stall above 80% utilisation *)
+      let m = Memory.create ~reg ~capacity:1000 "m" in
+      Memory.alloc m 800;
       let t0 = Sched.now s in
-      Memory.alloc m 1; (* still below threshold: 401/1000 < 0.5 *)
-      check "no pause below threshold" true (Int64.sub (Sched.now s) t0 = 0L);
-      Memory.alloc m 400;
+      Memory.alloc m 1; (* at the threshold: 800/1000 = 0.8 *)
+      check "no pause up to threshold" true (Int64.sub (Sched.now s) t0 = 0L);
+      Memory.alloc m 50;
       let t1 = Sched.now s in
-      Memory.alloc m 10; (* now well above the threshold *)
+      Memory.alloc m 10; (* now above the threshold: 851/1000 *)
       check "pauses above threshold" true (Int64.sub (Sched.now s) t1 > 0L);
       let _, _, peak, pauses, _ = Memory.stats m in
-      check "peak tracked" true (peak >= 811);
+      check "peak tracked" true (peak >= 861);
       check "pauses counted" true (pauses >= 1))
 
 let () =

@@ -77,20 +77,58 @@ let test_recovery_backoff () =
 
 let test_recovery_escalation () =
   let sched = Sched.create ~seed:1 () in
-  let recovery = Recovery.create ~backoff:(Time.ms 1) ~max_restarts:3 sched in
+  let recovery = Recovery.create ~backoff:(Time.ms 1) sched in
   let _, register = mk_component sched ~name:"w" (fun () -> Sched.sleep (Time.sec 99)) in
   register recovery;
   ignore
     (Sched.spawn sched (fun () ->
-         for _ = 1 to 6 do
+         for _ = 1 to 14 do
            Sched.sleep (Time.ms 10);
            Recovery.action recovery
              (Report.make ~at:(Sched.now sched) ~checker_id:"c" ~fkind:Report.Hang
                 ~loc:(Wd_ir.Loc.make ~func:"w" ~path:[] ~uid:4) ())
          done));
   ignore (Sched.run ~until:(Time.sec 2) sched);
-  check_int "capped at max_restarts" 3 (List.length (Recovery.events recovery));
+  (* the restart budget is 10 per component *)
+  check_int "capped at max_restarts" 10 (List.length (Recovery.events recovery));
   check "escalated" true (Recovery.escalations recovery = [ "w" ])
+
+(* [register_components] pairs each entry with the task at its position in
+   start order. Tasks past the last entry (kvs's replica entry) are not
+   components; fewer tasks than entries is an error. *)
+let test_register_components_pairs_leading_tasks () =
+  let module Kvs = Wd_targets.Kvs in
+  let sched = Sched.create ~seed:1 () in
+  let reg = Wd_env.Faultreg.create () in
+  let prog = Kvs.program () in
+  let t = Kvs.boot ~sched ~reg ~prog () in
+  let tasks = Kvs.start t in
+  let entries = Kvs.leader_entries in
+  let n = List.length entries in
+  check "more tasks than entries" true (List.length tasks > n);
+  let recovery = Recovery.create sched in
+  Alcotest.check_raises "fewer tasks than entries"
+    (Invalid_argument "register_components: fewer tasks than entries")
+    (fun () ->
+      Generate.register_components recovery ~sched ~main:t.Kvs.leader ~entries
+        ~tasks:(List.filteri (fun i _ -> i < n - 1) tasks));
+  Generate.register_components recovery ~sched ~main:t.Kvs.leader ~entries
+    ~tasks;
+  List.iter
+    (fun name ->
+      let e = List.find (fun e -> e.Wd_ir.Ast.entry_name = name) prog.entries in
+      check (name ^ " is a component") true
+        (Recovery.recover_function recovery ~func:e.Wd_ir.Ast.entry_func
+           ~reason:"test"))
+    entries;
+  ignore (Sched.run ~until:(Time.ms 1) sched);
+  List.iteri
+    (fun i task ->
+      check
+        (Sched.task_name task ^ (if i < n then " rebooted" else " untouched"))
+        (i < n)
+        (Sched.task_status task = Some Sched.Killed))
+    tasks
 
 let test_recovery_supervisor_restarts_dead_task () =
   let sched = Sched.create ~seed:1 () in
@@ -200,6 +238,8 @@ let () =
           Alcotest.test_case "escalation" `Quick test_recovery_escalation;
           Alcotest.test_case "supervisor" `Quick
             test_recovery_supervisor_restarts_dead_task;
+          Alcotest.test_case "components pair with leading tasks" `Quick
+            test_register_components_pairs_leading_tasks;
         ] );
       ( "reproduce",
         [
