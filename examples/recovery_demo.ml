@@ -28,7 +28,7 @@ let () =
   ignore (Wd_ir.Interp.start ~entries:Kvs.replica_entries kvs.Kvs.replica sched);
   ignore (Wd_targets.Rpcq.spawn_dispatcher kvs.Kvs.rpc);
   let recovery = Recovery.create ~backoff:(Wd_sim.Time.sec 3) sched in
-  Generate.register_components recovery ~sched ~main:kvs.Kvs.leader
+  Generate.register_components recovery g ~sched ~main:kvs.Kvs.leader
     ~entries:Kvs.leader_entries ~tasks:leader_tasks;
   Wd_watchdog.Driver.on_report driver (fun r ->
       Fmt.pr "ALARM  %a@." Wd_watchdog.Report.pp r;

@@ -253,9 +253,8 @@ let attach ?progress g ~sched ~main ~driver =
    point, so that a pinpointed report maps back to the daemon to reboot.
    Call after the node starts and pass its tasks in start order: [entries]
    pair with the leading ones. *)
-let register_components recovery ~sched ~main ~entries ~tasks =
+let register_components recovery g ~sched ~main ~entries ~tasks =
   let prog = Interp.program main in
-  let cg = Wd_analysis.Callgraph.build prog in
   if List.compare_lengths tasks entries < 0 then
     invalid_arg "register_components: fewer tasks than entries";
   List.iteri
@@ -266,7 +265,9 @@ let register_components recovery ~sched ~main ~entries ~tasks =
           (fun e -> e.Wd_ir.Ast.entry_name = entry_name)
           prog.Wd_ir.Ast.entries
       in
-      let funcs = Wd_analysis.Callgraph.reachable cg entry.Wd_ir.Ast.entry_func in
+      let funcs =
+        Wd_analysis.Callgraph.reachable g.callgraph entry.Wd_ir.Ast.entry_func
+      in
       Wd_watchdog.Recovery.register recovery ~name:entry_name ~funcs
         ~respawn:(fun () ->
           match Interp.start ~entries:[ entry_name ] main sched with

@@ -56,13 +56,16 @@ val attach :
 
 val register_components :
   Wd_watchdog.Recovery.t ->
+  generated ->
   sched:Wd_sim.Sched.t ->
   main:Wd_ir.Interp.t ->
   entries:string list ->
   tasks:Wd_sim.Sched.task list ->
   unit
 (** §5.2 wiring: register each entry task as a microreboot component owning
-    every function reachable from its entry point. [tasks] are the node's
+    every function reachable from its entry point, read from the
+    analysis-time call graph (instrumentation adds no call edge, so it
+    agrees with one built from the running program). [tasks] are the node's
     tasks in start order; each of [entries] pairs with the task at its
     position, and tasks past the last entry are ignored. Raises
     [Invalid_argument] when there are fewer tasks than entries. *)

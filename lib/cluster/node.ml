@@ -76,7 +76,7 @@ let boot ?schedule ~sched ~system ~index () =
      (Wd_targets.Workload.spawn ~name:(id ^ "-client") ~sched ~period ~op
         wstats));
   let tasks = p.Target.start () in
-  Generate.register_components recovery ~sched ~main:p.Target.main
+  Generate.register_components recovery g ~sched ~main:p.Target.main
     ~entries:fleet.Target.entries ~tasks;
   Driver.start driver;
   {

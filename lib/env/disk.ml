@@ -89,7 +89,9 @@ let site_id d ~op ~path =
       id
 
 (* Model the cost of touching [len] bytes, then apply injected behaviours.
-   Returns [corrupt] so the caller can damage the payload silently. *)
+   Returns [corrupt] so the caller can damage the payload silently. With
+   no behaviour matched there is nothing to apply and the latency factor
+   is 1.0, so the op draws and sleeps exactly what the folds would give. *)
 let perform d ~op ~path ~len =
   let s = Wd_sim.Sched.get () in
   let now = Wd_sim.Sched.now s in
@@ -98,23 +100,27 @@ let perform d ~op ~path ~len =
       Faultreg.consult d.reg ~site:(Wd_sim.Site.str (site_id d ~op ~path)) ~now
     else []
   in
-  let factor = Faultreg.slow_factor behaviours in
   let modelled =
     Int64.add seek_ns (Int64.mul per_byte_ns (Int64.of_int len))
   in
   let jitter =
     Wd_sim.Rng.exponential d.rng ~mean:(Int64.to_float seek_ns /. 4.0)
   in
-  let cost =
-    Int64.of_float ((Int64.to_float modelled +. jitter) *. factor)
-  in
-  Wd_sim.Sched.sleep cost;
-  match
-    Faultreg.apply_common behaviours ~now ~stop_of:(Faultreg.stop_of d.reg)
-  with
-  | Result.Error msg ->
-      raise (Io_error (Fmt.str "%s %s %s: %s" d.name op path msg))
-  | Result.Ok (corrupt, _drop) -> corrupt
+  let base = Int64.to_float modelled +. jitter in
+  match behaviours with
+  | [] ->
+      Wd_sim.Sched.sleep (Int64.of_float base);
+      false
+  | _ -> (
+      Wd_sim.Sched.sleep
+        (Int64.of_float (base *. Faultreg.slow_factor behaviours));
+      match
+        Faultreg.apply_common behaviours ~now
+          ~stop_of:(Faultreg.stop_of d.reg)
+      with
+      | Result.Error msg ->
+          raise (Io_error (Fmt.str "%s %s %s: %s" d.name op path msg))
+      | Result.Ok (corrupt, _drop) -> corrupt)
 
 let corrupt_bytes rng b =
   if Bytes.length b > 0 then begin

@@ -61,11 +61,15 @@ let alloc m size =
       Faultreg.consult m.reg ~site:m.alloc_site ~now
     else []
   in
-  (match
-     Faultreg.apply_common behaviours ~now ~stop_of:(Faultreg.stop_of m.reg)
-   with
-  | Result.Error msg -> raise (Out_of_memory msg)
-  | Result.Ok _ -> ());
+  (match behaviours with
+  | [] -> ()
+  | _ -> (
+      match
+        Faultreg.apply_common behaviours ~now
+          ~stop_of:(Faultreg.stop_of m.reg)
+      with
+      | Result.Error msg -> raise (Out_of_memory msg)
+      | Result.Ok _ -> ()));
   if m.used + size > m.capacity then
     raise (Out_of_memory (Fmt.str "%s: %d + %d > %d" m.name m.used size m.capacity));
   let pause = pause_for m in

@@ -102,6 +102,10 @@ let site_id n ~src ~sdst =
         Hashtbl.add n.site_ids (src, sdst) id;
       id
 
+(* With no behaviour matched (always, while the registry is unarmed) the
+   folds below have nothing to fold: the message is delivered uncorrupted
+   with no extra delay and a latency factor of 1.0, so they are skipped
+   and the op draws and schedules exactly what they would give. *)
 let send ?site_dst ?(size = 0) n ~src ~dst payload =
   let s = Wd_sim.Sched.get () in
   let now = Wd_sim.Sched.now s in
@@ -111,43 +115,45 @@ let send ?site_dst ?(size = 0) n ~src ~dst payload =
       Faultreg.consult n.reg ~site:(Wd_sim.Site.str (site_id n ~src ~sdst)) ~now
     else []
   in
-  (* Sender-side consequences: hang and error block/fail the caller. *)
-  List.iter
-    (fun (id, b) ->
-      match b with
-      | Faultreg.Hang ->
-          let stop = Faultreg.stop_of n.reg id in
-          if stop = Wd_sim.Time.never then
-            Wd_sim.Sched.suspend
-              ~reason:(Fmt.str "net fault %s hang" id)
-              ~register:(fun _waker -> ())
-          else
-            Wd_sim.Sched.suspend
-              ~reason:(Fmt.str "net fault %s hang" id)
-              ~register:(fun waker -> Wd_sim.Sched.at s stop waker)
-      | Faultreg.Error m -> raise (Net_error m)
-      | Faultreg.Delay _ | Faultreg.Slow_factor _ | Faultreg.Corrupt
-      | Faultreg.Drop ->
-          ())
-    behaviours;
-  let dropped =
-    List.exists (fun (_, b) -> b = Faultreg.Drop) behaviours
+  let dropped, corrupted, extra, factor =
+    match behaviours with
+    | [] -> (false, false, 0L, 1.0)
+    | _ ->
+        (* Sender-side consequences: hang and error block/fail the
+           caller. *)
+        List.iter
+          (fun (id, b) ->
+            match b with
+            | Faultreg.Hang ->
+                let stop = Faultreg.stop_of n.reg id in
+                if stop = Wd_sim.Time.never then
+                  Wd_sim.Sched.suspend
+                    ~reason:(Fmt.str "net fault %s hang" id)
+                    ~register:(fun _waker -> ())
+                else
+                  Wd_sim.Sched.suspend
+                    ~reason:(Fmt.str "net fault %s hang" id)
+                    ~register:(fun waker -> Wd_sim.Sched.at s stop waker)
+            | Faultreg.Error m -> raise (Net_error m)
+            | Faultreg.Delay _ | Faultreg.Slow_factor _ | Faultreg.Corrupt
+            | Faultreg.Drop ->
+                ())
+          behaviours;
+        ( List.exists (fun (_, b) -> b = Faultreg.Drop) behaviours,
+          List.exists (fun (_, b) -> b = Faultreg.Corrupt) behaviours,
+          List.fold_left
+            (fun acc (_, b) ->
+              match b with Faultreg.Delay d -> Int64.add acc d | _ -> acc)
+            0L behaviours,
+          Faultreg.slow_factor behaviours )
   in
-  let corrupted =
-    List.exists (fun (_, b) -> b = Faultreg.Corrupt) behaviours
-  in
-  let extra =
-    List.fold_left
-      (fun acc (_, b) ->
-        match b with Faultreg.Delay d -> Int64.add acc d | _ -> acc)
-      0L behaviours
-  in
-  let factor = Faultreg.slow_factor behaviours in
   n.sent <- n.sent + 1;
   if dropped then n.dropped <- n.dropped + 1
   else begin
     let ch = inbox n dst in
-    let profile = Hashtbl.find_opt n.links (src, dst) in
+    (* one key for every per-link table *)
+    let link = (src, dst) in
+    let profile = Hashtbl.find_opt n.links link in
     let base =
       match profile with
       | Some { lp_latency = Some l; _ } -> l
@@ -168,7 +174,7 @@ let send ?site_dst ?(size = 0) n ~src ~dst payload =
       match profile with
       | Some { lp_bytes_per_sec = Some rate; _ } when size > 0 && rate > 0 ->
           let busy =
-            Option.value ~default:0L (Hashtbl.find_opt n.busy_until (src, dst))
+            Option.value ~default:0L (Hashtbl.find_opt n.busy_until link)
           in
           let start = if busy > now then busy else now in
           let tx =
@@ -176,17 +182,17 @@ let send ?site_dst ?(size = 0) n ~src ~dst payload =
               (Float.ceil (float_of_int size *. 1e9 /. float_of_int rate))
           in
           let done_ = Int64.add start tx in
-          Hashtbl.replace n.busy_until (src, dst) done_;
+          Hashtbl.replace n.busy_until link done_;
           done_
       | Some _ | None -> now
     in
     let at =
       let natural = Int64.add tx_done latency in
-      match Hashtbl.find_opt n.last_delivery (src, dst) with
-      | Some prev when prev >= natural -> Int64.add prev 1L
-      | Some _ | None -> natural
+      match Hashtbl.find n.last_delivery link with
+      | prev when prev >= natural -> Int64.add prev 1L
+      | _ | (exception Not_found) -> natural
     in
-    Hashtbl.replace n.last_delivery (src, dst) at;
+    Hashtbl.replace n.last_delivery link at;
     let env = { src; dst; payload; sent_at = now; corrupted } in
     Wd_sim.Sched.at s at (fun () ->
         if Wd_sim.Channel.try_send ch env then

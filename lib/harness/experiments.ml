@@ -626,7 +626,8 @@ let e11_row ~with_recovery =
     Wd_watchdog.Recovery.create ~backoff:(Wd_sim.Time.sec 3) sched
   in
   if with_recovery then begin
-    Generate.register_components recovery ~sched ~main:t.Wd_targets.Kvs.leader
+    Generate.register_components recovery g ~sched
+      ~main:t.Wd_targets.Kvs.leader
       ~entries:Wd_targets.Kvs.leader_entries ~tasks;
     Driver.on_report driver (Wd_watchdog.Recovery.action recovery);
     ignore (Wd_watchdog.Recovery.supervise recovery)

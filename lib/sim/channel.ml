@@ -11,22 +11,38 @@ type 'a t = {
   mutable closed : bool;
   mutable sent : int;
   mutable received : int;
+  (* the wait predicates, built once by [create] so a blocking wait builds
+     none *)
+  mutable can_recv : unit -> bool;
+  mutable can_send : unit -> bool;
 }
 
 exception Closed of string
 
+let unbuilt () = false
+
 let create ?(capacity = max_int) name =
   if capacity <= 0 then invalid_arg "Channel.create: capacity must be positive";
-  {
-    name;
-    capacity;
-    items = Queue.create ();
-    not_empty = Cond.create ~prefix:"chan " name ~suffix:" not_empty";
-    not_full = Cond.create ~prefix:"chan " name ~suffix:" not_full";
-    closed = false;
-    sent = 0;
-    received = 0;
-  }
+  (* The predicates are set after the record is built: a recursive
+     record definition would go through the runtime's dummy-block
+     calls on every create. *)
+  let c =
+    {
+      name;
+      capacity;
+      items = Queue.create ();
+      not_empty = Cond.create ~prefix:"chan " name ~suffix:" not_empty";
+      not_full = Cond.create ~prefix:"chan " name ~suffix:" not_full";
+      closed = false;
+      sent = 0;
+      received = 0;
+      can_recv = unbuilt;
+      can_send = unbuilt;
+    }
+  in
+  c.can_recv <- (fun () -> c.closed || not (Queue.is_empty c.items));
+  c.can_send <- (fun () -> c.closed || Queue.length c.items < c.capacity);
+  c
 
 let length c = Queue.length c.items
 let stats c = (c.sent, c.received)
@@ -37,8 +53,7 @@ let close c =
   Cond.broadcast c.not_full
 
 let send c v =
-  Cond.await c.not_full (fun () ->
-      c.closed || Queue.length c.items < c.capacity);
+  Cond.await c.not_full c.can_send;
   if c.closed then raise (Closed c.name);
   Queue.push v c.items;
   c.sent <- c.sent + 1;
@@ -55,7 +70,7 @@ let try_send c v =
   end
 
 let recv c =
-  Cond.await c.not_empty (fun () -> c.closed || not (Queue.is_empty c.items));
+  Cond.await c.not_empty c.can_recv;
   if Queue.is_empty c.items then raise (Closed c.name)
   else begin
     let v = Queue.pop c.items in
@@ -74,12 +89,7 @@ let try_recv c =
   end
 
 let recv_timeout c ~timeout =
-  let ok =
-    Cond.await_timeout c.not_empty
-      (fun () -> c.closed || not (Queue.is_empty c.items))
-      ~timeout
-  in
-  if not ok then None
+  if not (Cond.await_timeout c.not_empty c.can_recv ~timeout) then None
   else if Queue.is_empty c.items then raise (Closed c.name)
   else begin
     let v = Queue.pop c.items in

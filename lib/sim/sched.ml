@@ -1,7 +1,7 @@
 (* Deterministic discrete-event scheduler built on OCaml 5 effect handlers.
 
-   Tasks are cooperative fibers. A fiber gives up control by performing
-   [Suspend], which hands the scheduler a [register] function; [register]
+   Tasks are cooperative fibers. A fiber gives up control by parking a
+   [register] function in its task and performing [Suspend]; [register]
    receives a waker that, when invoked, re-queues the fiber. Wakers are
    guarded by a per-task generation counter so a stale waker (e.g. a timer
    that fires after the condition it was racing already woke the task) is a
@@ -27,8 +27,8 @@ type task = {
   mutable blocked_since : int64;
   mutable gen : int;
   mutable kont : (unit, unit) Effect.Deep.continuation option;
-  (* the payload of the [Suspend] being handled, parked here by the effect
-     handler for the task's prebuilt suspend closure *)
+  (* what the [Suspend] being performed waits on, parked here by [suspend]
+     so the effect itself carries no payload *)
   mutable pending_reason : string;
   mutable pending_register : (unit -> unit) -> unit;
   mutable body : unit -> unit; (* the task's function, until it starts *)
@@ -50,7 +50,7 @@ type t = {
   mutable now : int64;
   mutable until : int64; (* the current [run]'s time limit *)
   timers : (unit -> unit) Heap.t;
-  runq : (unit -> unit) Queue.t;
+  runq : (unit -> unit) Ring.t;
   mutable current : task option;
   mutable next_id : int;
   live : (int, task) Hashtbl.t;
@@ -61,10 +61,11 @@ type t = {
   mutable spawned : int;
   mutable events_fired : int;
   mutable trace : Trace.t option;
+  yield_register : (unit -> unit) -> unit; (* re-queues its waker *)
 }
 
-type _ Effect.t +=
-  | Suspend : { reason : string; register : (unit -> unit) -> unit } -> unit Effect.t
+(* Constant: performing it allocates nothing. *)
+type _ Effect.t += Suspend : unit Effect.t
 
 (* Domain-local, so independent simulations can run on separate domains
    (one self-contained world per domain) without observing each other. *)
@@ -76,11 +77,12 @@ let get () =
   | None -> failwith "Sched: no simulation is running"
 
 let create ?(seed = 42) () =
+  let runq = Ring.create ~dummy:ignore in
   {
     now = 0L;
     until = Time.never;
     timers = Heap.create ~dummy_payload:(fun () -> ());
-    runq = Queue.create ();
+    runq;
     current = None;
     next_id = 0;
     live = Hashtbl.create 64;
@@ -89,6 +91,7 @@ let create ?(seed = 42) () =
     spawned = 0;
     events_fired = 0;
     trace = None;
+    yield_register = Ring.push runq;
   }
 
 let now s = s.now
@@ -98,6 +101,8 @@ let self s =
   match s.current with
   | Some t -> t
   | None -> failwith "Sched.self: called outside a task"
+
+let current s = s.current
 
 let task_name t = t.name
 let task_id t = t.id
@@ -112,7 +117,7 @@ let stats s = (s.spawned, s.switches, s.events_fired)
    reads of scheduler state at the instant of the call, so a sampling task
    sees a deterministic value: the runq contents and timer heap at any
    point of a run are a function of the seed alone. *)
-let runq_depth s = Queue.length s.runq
+let runq_depth s = Ring.length s.runq
 
 let timer_slack s =
   if Heap.is_empty s.timers then Int64.max_int
@@ -207,14 +212,15 @@ let finish s t status =
 let wake s t gen =
   if t.gen = gen && t.state = Blocked then begin
     t.state <- Ready;
-    Queue.push t.job s.runq
+    Ring.push s.runq t.job
   end
 
 let no_register (_ : unit -> unit) = ()
 
 (* Built once per task, when it starts: the handler and the closure it
-   hands every [Suspend]. The effect's payload reaches that closure
-   through the task record, so a suspend allocates only its waker. *)
+   hands every [Suspend]. What the task waits on reaches that closure
+   through the task record, so a suspend allocates only its waker and its
+   continuation. *)
 let handler s t =
   let on_suspend =
     Some
@@ -241,12 +247,7 @@ let handler s t =
     effc =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
-        match eff with
-        | Suspend { reason; register } ->
-            t.pending_reason <- reason;
-            t.pending_register <- register;
-            on_suspend
-        | _ -> None);
+        match eff with Suspend -> on_suspend | _ -> None);
   }
 
 let run_job s t =
@@ -296,11 +297,18 @@ let spawn ?(name = "task") ?(daemon = false) s f =
   s.spawned <- s.spawned + 1;
   if not daemon then Hashtbl.replace s.live t.id t;
   emit_spawned s t;
-  Queue.push t.job s.runq;
+  Ring.push s.runq t.job;
   t
 
+(* Outside a task nothing handles [Suspend], so the perform raises
+   [Effect.Unhandled]. *)
 let suspend ~reason ~register =
-  Effect.perform (Suspend { reason; register })
+  (match Domain.DLS.get ambient with
+  | Some { current = Some t; _ } ->
+      t.pending_reason <- reason;
+      t.pending_register <- register
+  | Some { current = None; _ } | None -> ());
+  Effect.perform Suspend
 
 let at s time f =
   let time = if time < s.now then s.now else time in
@@ -347,7 +355,7 @@ let sleep delay =
   | Some t
     when t.state = Running
          && (not t.cancel_requested)
-         && Queue.is_empty s.runq
+         && Ring.is_empty s.runq
          && wake_at <= s.until
          && (Heap.is_empty s.timers || Heap.min_time s.timers > wake_at)
          && not (Atomic.get Reference.active) ->
@@ -364,7 +372,7 @@ let sleep delay =
 
 let yield () =
   let s = get () in
-  suspend ~reason:"yield" ~register:(fun waker -> Queue.push waker s.runq)
+  suspend ~reason:"yield" ~register:s.yield_register
 
 let kill s t =
   match t.state with
@@ -383,12 +391,10 @@ let kill s t =
       | Some k ->
           t.kont <- None;
           t.gen <- t.gen + 1;
-          Queue.push
-            (fun () ->
+          Ring.push s.runq (fun () ->
               t.state <- Running;
               s.current <- t.as_current;
-              Effect.Deep.discontinue k Cancelled)
-            s.runq)
+              Effect.Deep.discontinue k Cancelled))
 
 let on_exit t hook =
   match t.status with
@@ -576,8 +582,8 @@ let run ?(until = Time.never) s =
     Domain.DLS.set ambient saved
   in
   let rec loop () =
-    if not (Queue.is_empty s.runq) then begin
-      let job = Queue.pop s.runq in
+    if not (Ring.is_empty s.runq) then begin
+      let job = Ring.pop s.runq in
       s.events_fired <- s.events_fired + 1;
       job ();
       s.current <- None;

@@ -27,6 +27,11 @@ val spawn : ?name:string -> ?daemon:bool -> t -> (unit -> unit) -> task
     not count toward deadlock detection. *)
 
 val self : t -> task
+
+val current : t -> task option
+(** The running task, [None] outside a task. A task's [Some] is built once,
+    at spawn, so keeping it allocates nothing. *)
+
 val task_name : task -> string
 val task_id : task -> int
 val task_state : task -> state
@@ -36,7 +41,11 @@ val task_blocked_since : task -> int64
 
 val suspend : reason:string -> register:((unit -> unit) -> unit) -> unit
 (** Core blocking primitive. [register waker] must arrange for [waker] to be
-    called when the task should resume; extra or late calls are ignored. *)
+    called when the task should resume; extra or late calls are ignored.
+    [reason] and [register] are parked in the running task, so a suspend
+    allocates nothing beyond its waker and continuation; a prebuilt
+    [register] makes it allocate no closure either. Outside a task it
+    raises [Effect.Unhandled]. *)
 
 val sleep : int64 -> unit
 (** Block the current task for a virtual duration. An uncontended sleep

@@ -8,18 +8,23 @@ type t = {
   name : string;
   mutable owner : Sched.task option;
   cond : Cond.t;
+  is_free : unit -> bool; (* built once, for [lock]'s wait *)
   mutable acquisitions : int;
   mutable contended : int;
 }
 
 let create name =
-  {
-    name;
-    owner = None;
-    cond = Cond.create (Fmt.str "mutex %s" name);
-    acquisitions = 0;
-    contended = 0;
-  }
+  let rec m =
+    {
+      name;
+      owner = None;
+      cond = Cond.create (Fmt.str "mutex %s" name);
+      is_free = (fun () -> m.owner = None);
+      acquisitions = 0;
+      contended = 0;
+    }
+  in
+  m
 
 let owner m = m.owner
 let locked m = m.owner <> None
@@ -34,8 +39,9 @@ let lock m =
       failwith (Fmt.str "Smutex.lock %s: non-reentrant, already held" m.name)
   | Some _ | None -> ());
   if m.owner <> None then m.contended <- m.contended + 1;
-  Cond.await m.cond (fun () -> m.owner = None);
-  m.owner <- Some me;
+  Cond.await m.cond m.is_free;
+  (* the task's own [Some], so taking the lock allocates nothing *)
+  m.owner <- Sched.current s;
   m.acquisitions <- m.acquisitions + 1
 
 let try_lock m =

@@ -116,14 +116,14 @@ let test_load () =
 
 (* --- allocation --------------------------------------------------------- *)
 
-let alloc_row ?(requests = 20_000) ?(bytes = 30_000.) deploy =
+let alloc_row ?(requests = 20_000) ?(bytes = 10_000.) deploy =
   { E.e22a_deploy = deploy; e22a_requests = requests;
     e22a_words_per_req = bytes /. 8.; e22a_bytes_per_req = bytes }
 
 let test_alloc () =
-  all_pass "30000 B" (Check.alloc [ alloc_row "wd-off"; alloc_row "wd-on" ]);
+  all_pass "10000 B" (Check.alloc [ alloc_row "wd-off"; alloc_row "wd-on" ]);
   trips "one byte over" [ "alloc.wd-on.bytes_per_req" ]
-    (Check.alloc [ alloc_row "wd-off"; alloc_row ~bytes:30_001. "wd-on" ]);
+    (Check.alloc [ alloc_row "wd-off"; alloc_row ~bytes:10_001. "wd-on" ]);
   trips "no requests" [ "alloc.wd-off.requests" ]
     (Check.alloc [ alloc_row ~requests:0 "wd-off"; alloc_row "wd-on" ]);
   trips "wd-off missing" [ "alloc.wd-off" ] (Check.alloc [ alloc_row "wd-on" ])
@@ -172,7 +172,7 @@ let test_reports_every_failure () =
       [ ("boom", fun () -> failwith "boom");
         ( "alloc",
           fun () ->
-            Check.alloc [ alloc_row "wd-off"; alloc_row ~bytes:30_001. "wd-on" ]
+            Check.alloc [ alloc_row "wd-off"; alloc_row ~bytes:10_001. "wd-on" ]
         );
         ("e23", fun () -> Check.frontier (frontier ())) ]
       (fun _ -> incr seen)

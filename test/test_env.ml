@@ -500,6 +500,168 @@ let test_memory_pause_under_pressure () =
       check "peak tracked" true (peak >= 861);
       check "pauses counted" true (pauses >= 1))
 
+(* --- allocation budgets (see [Budget]) --- *)
+
+module Budget = Wd_testgen.Budget
+
+let test_disk_append_budget () =
+  let words =
+    Budget.words_per_iter (fun s mark ->
+        let d = Disk.create ~reg:(Faultreg.create ()) ~rng:(Sched.rng s) "d" in
+        let data = Bytes.make 100 'x' in
+        ignore
+          (Sched.spawn s (fun () ->
+               for i = 0 to 2 * Budget.n do
+                 mark i;
+                 Disk.append d ~path:"/log" data
+               done)))
+  in
+  Budget.check "unarmed 100 B Disk.append" ~budget:37 words
+
+let test_net_roundtrip_budget () =
+  let words =
+    Budget.words_per_iter (fun s mark ->
+        let n = Net.create ~reg:(Faultreg.create ()) ~rng:(Sched.rng s) "n" in
+        Net.register n "a";
+        Net.register n "b";
+        ignore
+          (Sched.spawn s (fun () ->
+               for i = 0 to 2 * Budget.n do
+                 mark i;
+                 Net.send n ~src:"a" ~dst:"b" i;
+                 (* a short deadline keeps few stale timers armed *)
+                 match Net.recv_timeout n "b" ~timeout:(Time.ms 5) with
+                 | Some _ -> ()
+                 | None -> Alcotest.fail "no delivery"
+               done)))
+  in
+  Budget.check "Net.send + delivery + receive" ~budget:64 words
+
+(* --- the no-fault path --- *)
+
+(* Random disk, net and memory ops, run against three registries: one with
+   nothing injected, one armed by a fault on a site no op touches, and one
+   armed by a [Slow_factor 1.0] that matches every site, so every op takes
+   the behaviour folds and [apply_common]. A factor of 1.0 changes nothing,
+   so all three runs must see the same clock after every op, the same
+   outcomes and delivered envelopes, the same file bytes, the same
+   scheduler stats and the same RNG state. *)
+type env_op =
+  | E_write of int * int
+  | E_append of int * int
+  | E_read of int
+  | E_delete of int
+  | E_sync
+  | E_send of int * int * int
+  | E_recv of int
+  | E_alloc of int
+  | E_free of int
+
+let gen_env_op =
+  QCheck.Gen.(
+    let path = int_bound 3 and node = int_bound 2 in
+    frequency
+      [
+        (3, map2 (fun p l -> E_write (p, l)) path (int_bound 300));
+        (3, map2 (fun p l -> E_append (p, l)) path (int_bound 300));
+        (3, map (fun p -> E_read p) path);
+        (1, map (fun p -> E_delete p) path);
+        (1, return E_sync);
+        ( 4,
+          map3 (fun a b sz -> E_send (a, b, sz)) node node (int_bound 4000) );
+        (3, map (fun e -> E_recv e) node);
+        (2, map (fun sz -> E_alloc sz) (int_bound 300));
+        (1, map (fun sz -> E_free sz) (int_bound 300));
+      ])
+
+let run_env_ops ~arm ops =
+  let s = Sched.create ~seed:5 () in
+  let reg = Faultreg.create () in
+  arm reg;
+  let disk_rng = Wd_sim.Rng.create ~seed:11
+  and net_rng = Wd_sim.Rng.create ~seed:12 in
+  let d = Disk.create ~reg ~rng:disk_rng "d" in
+  let n = Net.create ~reg ~rng:net_rng "n" in
+  let m = Memory.create ~reg ~capacity:1000 "m" in
+  let nodes = [| "a"; "b"; "c" |] in
+  Array.iter (Net.register n) nodes;
+  (* one bandwidth-bounded link, so sends also take the store-and-forward
+     path *)
+  Net.set_link_profile n ~src:"a" ~dst:"b"
+    { Net.lp_latency = Some (Time.us 200); lp_bytes_per_sec = Some 1_000_000 };
+  let log = Buffer.create 256 in
+  let path i = "/f" ^ string_of_int i in
+  let attempt f =
+    match f () with
+    | s -> s
+    | exception Disk.Io_error m -> "io_error " ^ m
+    | exception Memory.Out_of_memory m -> "oom " ^ m
+  in
+  let step = function
+    | E_write (p, l) ->
+        Disk.write d ~path:(path p) (Bytes.make l 'w');
+        "w"
+    | E_append (p, l) ->
+        Disk.append d ~path:(path p) (Bytes.make l 'a');
+        "a"
+    | E_read p -> Bytes.to_string (Disk.read d ~path:(path p))
+    | E_delete p ->
+        Disk.delete d ~path:(path p);
+        "d"
+    | E_sync ->
+        Disk.sync d;
+        "s"
+    | E_send (a, b, size) ->
+        Net.send ~size n ~src:nodes.(a) ~dst:nodes.(b) (a + b);
+        "n"
+    | E_recv e -> (
+        match Net.recv_timeout n nodes.(e) ~timeout:(Time.ms 2) with
+        | Some env ->
+            Printf.sprintf "%s>%s %d %Ld %b" env.Net.src env.Net.dst
+              env.Net.payload env.Net.sent_at env.Net.corrupted
+        | None -> "none")
+    | E_alloc sz ->
+        Memory.alloc m sz;
+        "m"
+    | E_free sz ->
+        Memory.free m sz;
+        "f"
+  in
+  ignore
+    (Sched.spawn s (fun () ->
+         List.iter
+           (fun op ->
+             let out = attempt (fun () -> step op) in
+             Printf.bprintf log "%s @%Ld\n" out (Sched.now s))
+           ops));
+  ignore (Sched.run s);
+  let files =
+    List.map (fun p -> (p, Option.map Bytes.to_string (Disk.peek d ~path:p)))
+      (Disk.paths d)
+  in
+  ( Buffer.contents log,
+    files,
+    Sched.stats s,
+    Sched.now s,
+    Net.stats n,
+    Memory.stats m,
+    (Wd_sim.Rng.next_int64 disk_rng, Wd_sim.Rng.next_int64 net_rng) )
+
+let prop_no_fault_path =
+  QCheck.Test.make ~name:"the no-fault path equals the full path" ~count:100
+    QCheck.(make Gen.(list_size (int_range 0 60) gen_env_op))
+    (fun ops ->
+      let unarmed = run_env_ops ~arm:ignore ops in
+      let elsewhere =
+        run_env_ops ops ~arm:(fun reg ->
+            Faultreg.inject reg (fault "disk:nowhere:write:/x" (Faultreg.Error "x")))
+      in
+      let matched =
+        run_env_ops ops ~arm:(fun reg ->
+            Faultreg.inject reg (fault "*" (Faultreg.Slow_factor 1.0)))
+      in
+      unarmed = elsewhere && unarmed = matched)
+
 let () =
   Alcotest.run "wd_env"
     [
@@ -556,5 +718,13 @@ let () =
           Alcotest.test_case "out of memory" `Quick test_memory_oom;
           Alcotest.test_case "pause under pressure" `Quick
             test_memory_pause_under_pressure;
+        ] );
+      ( "no-fault path",
+        [
+          QCheck_alcotest.to_alcotest prop_no_fault_path;
+          Alcotest.test_case "unarmed 100 B append allocation" `Quick
+            test_disk_append_budget;
+          Alcotest.test_case "send, delivery and receive allocation" `Quick
+            test_net_roundtrip_budget;
         ] );
     ]

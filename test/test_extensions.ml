@@ -101,6 +101,7 @@ let test_register_components_pairs_leading_tasks () =
   let sched = Sched.create ~seed:1 () in
   let reg = Wd_env.Faultreg.create () in
   let prog = Kvs.program () in
+  let g = Generate.analyze prog in
   let t = Kvs.boot ~sched ~reg ~prog () in
   let tasks = Kvs.start t in
   let entries = Kvs.leader_entries in
@@ -110,9 +111,9 @@ let test_register_components_pairs_leading_tasks () =
   Alcotest.check_raises "fewer tasks than entries"
     (Invalid_argument "register_components: fewer tasks than entries")
     (fun () ->
-      Generate.register_components recovery ~sched ~main:t.Kvs.leader ~entries
-        ~tasks:(List.filteri (fun i _ -> i < n - 1) tasks));
-  Generate.register_components recovery ~sched ~main:t.Kvs.leader ~entries
+      Generate.register_components recovery g ~sched ~main:t.Kvs.leader
+        ~entries ~tasks:(List.filteri (fun i _ -> i < n - 1) tasks));
+  Generate.register_components recovery g ~sched ~main:t.Kvs.leader ~entries
     ~tasks;
   List.iter
     (fun name ->
@@ -145,6 +146,32 @@ let test_recovery_supervisor_restarts_dead_task () =
   ignore (Sched.run ~until:(Time.sec 5) sched);
   check_int "respawned until stable" 3 !lives;
   check_int "two supervisor reboots" 2 (List.length (Recovery.events recovery))
+
+(* [register_components] reads reachability from the analysis-time call
+   graph of the original program while the node runs the instrumented one:
+   for every entry of every system, both graphs must reach the same
+   functions. *)
+let test_callgraph_matches_instrumented () =
+  let module Callgraph = Wd_analysis.Callgraph in
+  let checked =
+    List.fold_left
+      (fun n system ->
+        let prog = Wd_targets.Target.program system in
+        let g = Generate.analyze prog in
+        let cg =
+          Callgraph.build g.Generate.red.Wd_analysis.Reduction.instrumented
+        in
+        List.fold_left
+          (fun n (e : Wd_ir.Ast.entry) ->
+            Alcotest.(check (list string))
+              (system ^ " " ^ e.entry_name)
+              (Callgraph.reachable cg e.entry_func)
+              (Callgraph.reachable g.Generate.callgraph e.entry_func);
+            n + 1)
+          n prog.Wd_ir.Ast.entries)
+      0 Wd_targets.Target.names
+  in
+  check_int "entries of the five systems" 27 checked
 
 (* --- reproduce --- *)
 
@@ -240,6 +267,8 @@ let () =
             test_recovery_supervisor_restarts_dead_task;
           Alcotest.test_case "components pair with leading tasks" `Quick
             test_register_components_pairs_leading_tasks;
+          Alcotest.test_case "analysis call graph matches the instrumented"
+            `Quick test_callgraph_matches_instrumented;
         ] );
       ( "reproduce",
         [

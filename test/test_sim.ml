@@ -1207,6 +1207,113 @@ let prop_ring_loses_nothing =
   QCheck.Test.make ~name:"cursors lose nothing" ~count:1000
     (QCheck.make ~print gen) ring_loses_nothing
 
+(* --- ring --- *)
+
+type rop = R_push of int | R_pop
+
+(* The ring against a stdlib [Queue]: long runs of pushes grow it past
+   every capacity, pops wrap the head round the buffer. *)
+let prop_ring_fifo =
+  QCheck.Test.make ~name:"ring pops what a Queue pops" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 0 300)
+            (frequency
+               [ (3, map (fun i -> R_push i) small_nat); (2, return R_pop) ])))
+    (fun ops ->
+      let r = Ring.create ~dummy:(-1) and q = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | R_push i ->
+              Ring.push r i;
+              Queue.push i q;
+              true
+          | R_pop -> (
+              match Queue.take_opt q with
+              | Some v -> Ring.pop r = v
+              | None -> (
+                  match Ring.pop r with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true)))
+          && Ring.length r = Queue.length q
+          && Ring.is_empty r = Queue.is_empty q)
+        ops)
+
+let test_ring_no_alloc () =
+  let r = Ring.create ~dummy:0 in
+  for i = 1 to 100 do
+    Ring.push r i
+  done;
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Ring.push r i;
+    sink := !sink + Ring.pop r
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "length unchanged" 100 (Ring.length r);
+  Alcotest.(check (float 0.)) "push/pop allocate 0 words" 0. words;
+  ignore (Sys.opaque_identity !sink)
+
+(* --- allocation budgets ---
+
+   Minor words per iteration of a wait pattern (see [Budget]). Each budget
+   is the figure this code measures; a change that puts a closure, an
+   effect payload or a queue cell back on one of these paths exceeds it. *)
+
+module Budget = Wd_testgen.Budget
+
+let test_yield_budget () =
+  let words =
+    Budget.words_per_iter (fun s mark ->
+        ignore
+          (Sched.spawn s (fun () ->
+               for i = 0 to 2 * Budget.n do
+                 mark i;
+                 Sched.yield ()
+               done)))
+  in
+  Budget.check "Sched.yield" ~budget:10 words
+
+let test_ready_recv_budget () =
+  let words =
+    Budget.words_per_iter (fun s mark ->
+        let ch : int Channel.t = Channel.create "ch" in
+        ignore
+          (Sched.spawn s (fun () ->
+               for i = 0 to 2 * Budget.n do
+                 mark i;
+                 Channel.send ch i;
+                 ignore (Channel.recv_timeout ch ~timeout:(Time.ms 1))
+               done)))
+  in
+  Budget.check "send then ready recv_timeout" ~budget:8 words
+
+(* The receiver blocks on every call and its peer's send wakes it; the
+   peer's sleep keeps a bounded population of stale deadline timers. *)
+let test_blocking_recv_budget () =
+  let words =
+    Budget.words_per_iter (fun s mark ->
+        let ch : int Channel.t = Channel.create "ch" in
+        ignore
+          (Sched.spawn ~name:"recv" s (fun () ->
+               for i = 0 to 2 * Budget.n do
+                 mark i;
+                 match Channel.recv_timeout ch ~timeout:(Time.us 10) with
+                 | Some _ -> ()
+                 | None -> Alcotest.fail "recv_timeout timed out"
+               done));
+        ignore
+          (Sched.spawn ~name:"peer" s (fun () ->
+               for i = 0 to 2 * Budget.n do
+                 Sched.sleep (Time.us 1);
+                 Channel.send ch i
+               done)))
+  in
+  Budget.check "blocking recv_timeout with its peer" ~budget:48 words
+
 let () =
   Alcotest.run "wd_sim"
     [
@@ -1308,5 +1415,19 @@ let () =
           Alcotest.test_case "try ops and stats" `Quick test_channel_try_ops_and_stats;
           Alcotest.test_case "close" `Quick test_channel_close;
           Alcotest.test_case "wait reasons" `Quick test_channel_wait_reasons;
+        ] );
+      ( "ring",
+        [
+          QCheck_alcotest.to_alcotest prop_ring_fifo;
+          Alcotest.test_case "push/pop allocate nothing" `Quick
+            test_ring_no_alloc;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "yield" `Quick test_yield_budget;
+          Alcotest.test_case "send then ready recv_timeout" `Quick
+            test_ready_recv_budget;
+          Alcotest.test_case "blocking recv_timeout with its peer" `Quick
+            test_blocking_recv_budget;
         ] );
     ]
