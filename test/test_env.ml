@@ -719,7 +719,7 @@ let () =
           Alcotest.test_case "pause under pressure" `Quick
             test_memory_pause_under_pressure;
         ] );
-      ( "no-fault path",
+      ( "no-fault",
         [
           QCheck_alcotest.to_alcotest prop_no_fault_path;
           Alcotest.test_case "unarmed 100 B append allocation" `Quick

@@ -1422,7 +1422,7 @@ let () =
           Alcotest.test_case "push/pop allocate nothing" `Quick
             test_ring_no_alloc;
         ] );
-      ( "allocation",
+      ( "alloc",
         [
           Alcotest.test_case "yield" `Quick test_yield_budget;
           Alcotest.test_case "send then ready recv_timeout" `Quick
