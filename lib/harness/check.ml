@@ -21,7 +21,7 @@ let render g =
 let min_speedup = 1.2
 let min_ok_ratio = 0.99
 let min_workload_requests = 1_000_000
-let max_alloc_bytes_per_req = 10_000.
+let max_alloc_bytes_per_req = 8_500.
 let min_sched_cut_pct = 30.
 
 (* --- runs across domain-pool widths ---------------------------------- *)

@@ -91,16 +91,25 @@ let charge c cost =
     else c.cx_acc <- acc
   end
 
+(* One [Op] statement of a compiled program. [os_id] is dense per
+   compiled program (ops and [Sync]s share the numbering), so an
+   interpreter can keep what it resolves for the site in an array; the
+   reference walker, which has no compiled form, passes [-1]. *)
+type op_site = {
+  os_id : int;
+  os_loc : Loc.t;
+  os_kind : op_kind;
+  os_target : string;
+  os_desc : string;
+}
+
 type 'i rt = {
-  exec_op :
-    'i ->
-    Loc.t ->
-    desc:string ->
-    kind:op_kind ->
-    target:string ->
-    value list ->
-    value;
-  exec_sync : 'i -> Loc.t -> lock:string -> desc:string -> (unit -> unit) -> unit;
+  exec_op0 : 'i -> op_site -> value;
+  exec_op1 : 'i -> op_site -> value -> value;
+  exec_op2 : 'i -> op_site -> value -> value -> value;
+  exec_opn : 'i -> op_site -> value list -> value;
+  exec_sync :
+    'i -> site:int -> Loc.t -> lock:string -> desc:string -> (unit -> unit) -> unit;
   exec_hook : 'i -> int -> (string, int) Hashtbl.t -> value array -> unit;
 }
 
@@ -200,7 +209,11 @@ type 'i cfunc = {
   mutable cf_pool_hits : int;
 }
 
-type 'i t = { cp_prog : program; cp_funcs : (string, 'i cfunc) Hashtbl.t }
+type 'i t = {
+  cp_prog : program;
+  cp_funcs : (string, 'i cfunc) Hashtbl.t;
+  cp_sites : int; (* op and sync sites, numbered from 0 *)
+}
 
 let pool_cap = 32
 
@@ -640,6 +653,15 @@ and cbool fenv loc (bad : value -> bool) e : value array -> bool =
 
 let clist fenv loc args = cargs (List.map (cexpr fenv loc) args)
 
+(* Where an [Op] or [Call] result goes: its bound variable's slot, or
+   nowhere. *)
+let cbind fenv bind : value array -> value -> unit =
+  match bind with
+  | None -> fun _f _v -> ()
+  | Some x ->
+      let i = slot fenv x in
+      fun f v -> Array.unsafe_set f i v
+
 (* --- statement and program compilation --- *)
 
 let compile ~rt prog =
@@ -662,6 +684,12 @@ let compile ~rt prog =
             cf_pool_hits = 0;
           })
     prog.funcs;
+  let sites = ref 0 in
+  let new_site () =
+    let id = !sites in
+    incr sites;
+    id
+  in
   (* [cstmt fenv st k] compiles one statement against its continuation:
      the returned closure does the statement's work, then tail-calls [k].
      [cblock] folds a block into one such chain. *)
@@ -676,21 +704,46 @@ let compile ~rt prog =
           Array.unsafe_set f i (ce f);
           k t c f d
     | Op { kind; target; args; bind } -> (
-        let ka = clist fenv loc args in
-        let desc = op_desc kind target in
-        match bind with
-        | None ->
+        (* Arguments are passed by arity: the common 0-2 argument ops
+           build no argument list. No op takes three or more, so that
+           shape only reaches the arity violation, inside the probe
+           bracket, through [exec_opn]. *)
+        let site =
+          {
+            os_id = new_site ();
+            os_loc = loc;
+            os_kind = kind;
+            os_target = target;
+            os_desc = op_desc kind target;
+          }
+        in
+        let cs = List.map (cexpr fenv loc) args in
+        let store = cbind fenv bind in
+        match cs with
+        | [] ->
             fun t c f d ->
               charge_stmt c;
-              let vs = ka f in
-              ignore (rt.exec_op t loc ~desc ~kind ~target vs : value);
+              store f (rt.exec_op0 t site);
               k t c f d
-        | Some x ->
-            let i = slot fenv x in
+        | [ a0 ] ->
+            fun t c f d ->
+              charge_stmt c;
+              let v0 = a0 f in
+              store f (rt.exec_op1 t site v0);
+              k t c f d
+        | [ a0; a1 ] ->
+            fun t c f d ->
+              charge_stmt c;
+              let v0 = a0 f in
+              let v1 = a1 f in
+              store f (rt.exec_op2 t site v0 v1);
+              k t c f d
+        | cs ->
+            let ka = cargs cs in
             fun t c f d ->
               charge_stmt c;
               let vs = ka f in
-              Array.unsafe_set f i (rt.exec_op t loc ~desc ~kind ~target vs);
+              store f (rt.exec_opn t site vs);
               k t c f d)
     | Call { func; args; bind } -> ccall fenv loc func args bind k
     | If (cnd, th, el) ->
@@ -732,9 +785,10 @@ let compile ~rt prog =
            the continuation runs after release. *)
         let cb = cblock fenv body halt in
         let desc = "lock(" ^ lockname ^ ")" in
+        let site = new_site () in
         fun t c f d ->
           charge_stmt c;
-          rt.exec_sync t loc ~lock:lockname ~desc (fun () -> cb t c f d);
+          rt.exec_sync t ~site loc ~lock:lockname ~desc (fun () -> cb t c f d);
           k t c f d
     | Try (body, exn, handler) ->
         (* Interior and handler both run to [halt]; the continuation runs
@@ -787,13 +841,7 @@ let compile ~rt prog =
           k t c f d
   and cblock fenv block k = List.fold_right (cstmt fenv) block k
   and ccall fenv loc func args bind k =
-    let store =
-      match bind with
-      | None -> fun _f (_v : value) -> ()
-      | Some x ->
-          let i = slot fenv x in
-          fun f v -> Array.unsafe_set f i v
-    in
+    let store = cbind fenv bind in
     match Hashtbl.find_opt funcs func with
     | None ->
         (* Unknown target: compile the tree-walker's behaviour — arguments
@@ -929,9 +977,10 @@ let compile ~rt prog =
         cf.cf_body <- body
       end)
     prog.funcs;
-  { cp_prog = prog; cp_funcs = funcs }
+  { cp_prog = prog; cp_funcs = funcs; cp_sites = !sites }
 
 let program cp = cp.cp_prog
+let sites cp = cp.cp_sites
 
 let frame_pool_stats cp fname =
   Option.map

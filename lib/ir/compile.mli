@@ -23,6 +23,9 @@
     - binops, unops, comparisons and conditions are specialised per operand
       shape (notably Var/Const-int and Var/Var integer arithmetic), keeping
       the generic [Violation] path only as the fallback;
+    - each [Op] passes its 0, 1 or 2 arguments by arity, with no argument
+      list, and carries a numbered {!op_site} so the interpreter can bind
+      the site's resource once;
     - each [Prim] node is bound to its {!Prims.impl} at compile time and
       called with its arguments directly, with no argument list or name
       dispatch; [Op]/[Call] argument evaluation is flattened for small
@@ -88,18 +91,31 @@ val charge : ctx -> int64 -> unit
 (** Extra CPU work ([Compute]); handles degenerate huge costs with int64
     precision. *)
 
+type op_site = {
+  os_id : int;
+      (** dense per compiled program, from 0, shared with [Sync] sites:
+          an interpreter keys what it resolves for the site by it; [-1]
+          from the reference walker, which resolves on every execution *)
+  os_loc : Loc.t;
+  os_kind : op_kind;
+  os_target : string;
+  os_desc : string;  (** ["kind(target)"], see {!op_desc} *)
+}
+(** One compiled [Op] statement, built once at compile time. *)
+
 type 'i rt = {
-  exec_op :
-    'i ->
-    Loc.t ->
-    desc:string ->
-    kind:op_kind ->
-    target:string ->
-    value list ->
-    value;
-      (** effectful op with pre-evaluated arguments (probe + env) *)
-  exec_sync : 'i -> Loc.t -> lock:string -> desc:string -> (unit -> unit) -> unit;
-      (** run the body thunk under the named lock's mode-specific protocol *)
+  exec_op0 : 'i -> op_site -> value;
+  exec_op1 : 'i -> op_site -> value -> value;
+  exec_op2 : 'i -> op_site -> value -> value -> value;
+      (** effectful op with its pre-evaluated arguments, by arity (probe
+          + env); the compiled engine builds no argument list *)
+  exec_opn : 'i -> op_site -> value list -> value;
+      (** the same with a list: three or more arguments, which only reach
+          the arity violation, and the reference walker's calls *)
+  exec_sync :
+    'i -> site:int -> Loc.t -> lock:string -> desc:string -> (unit -> unit) -> unit;
+      (** run the body thunk under the named lock's mode-specific
+          protocol; [site] is numbered like {!op_site.os_id} *)
   exec_hook : 'i -> int -> (string, int) Hashtbl.t -> value array -> unit;
       (** fire hook [id] from a frame; the table is the firing function's
           layout (variable name to frame slot), one physical table per
@@ -157,6 +173,10 @@ val compile : rt:'i rt -> program -> 'i t
     first binding, matching [Ast.find_func]. *)
 
 val program : 'i t -> program
+
+val sites : 'i t -> int
+(** How many op and sync sites the program has: their ids run from 0 to
+    [sites cp - 1]. *)
 
 val frame_pool_stats : 'i t -> string -> (int * int) option
 (** [(pooled_frames, pool_hits)] for a compiled function: current free-list

@@ -104,6 +104,31 @@ type t = {
   trace_keys : (string * string * string, Wd_sim.Site.id) Hashtbl.t;
   node_site : Wd_sim.Site.id;
   compiled : t Compile.t;
+  (* What each op and sync site of [compiled] resolved in this
+     interpreter, by [Compile.op_site.os_id]; [unbound_site] until the
+     site first runs. Per interpreter, not in the compiled form: the
+     compile cache shares one compiled program across worlds. *)
+  bindings : binding array;
+}
+
+(* A site's resource handle, bound on the site's first run that needs it,
+   at the instant the unbound lookup happened: an auto-created lock or
+   queue appears exactly when it did before. *)
+and handle =
+  | No_handle
+  | Disk of Wd_env.Disk.t
+  | Net of value Wd_env.Net.t
+  | Mem of Wd_env.Memory.t
+  | Queue of value Wd_sim.Channel.t
+  | Lock of Wd_sim.Smutex.t
+
+and binding = {
+  mutable b_handle : handle;
+  mutable b_func : Wd_sim.Site.id; (* interned [Loc.func]; -1 = not yet *)
+  (* the trace key last interned here and the operand prefix it was
+     interned for; -1 = none yet *)
+  mutable b_tkey : Wd_sim.Site.id;
+  mutable b_prefix : string;
 }
 
 (* --- accessors --- *)
@@ -310,34 +335,126 @@ let lock_desc_memo t lockname =
       Hashtbl.add t.lock_descs lockname d;
       d
 
+(* --- per-site bindings --- *)
+
+let fresh_binding () =
+  { b_handle = No_handle; b_func = -1; b_tkey = -1; b_prefix = "" }
+let unbound_site = fresh_binding ()
+
+(* The binding of site [id], made on its first run; a reference-walker
+   site ([id] < 0) gets a fresh one, so it resolves everything each time. *)
+let binding t id =
+  if id < 0 then fresh_binding ()
+  else
+    let b = t.bindings.(id) in
+    if b != unbound_site then b
+    else begin
+      let b = fresh_binding () in
+      t.bindings.(id) <- b;
+      b
+    end
+
+let func_site b loc =
+  if b.b_func >= 0 then b.b_func
+  else begin
+    let id = Wd_sim.Site.intern (Loc.func loc) in
+    b.b_func <- id;
+    id
+  end
+
+let bound_disk t b target =
+  match b.b_handle with
+  | Disk d -> d
+  | _ ->
+      let d = Runtime.disk t.res target in
+      b.b_handle <- Disk d;
+      d
+
+let bound_net t b target =
+  match b.b_handle with
+  | Net n -> n
+  | _ ->
+      let n = Runtime.net t.res target in
+      b.b_handle <- Net n;
+      n
+
+let bound_mem t b target =
+  match b.b_handle with
+  | Mem m -> m
+  | _ ->
+      let m = Runtime.mem t.res target in
+      b.b_handle <- Mem m;
+      m
+
+(* A checker's queue is the target's shadow, "__wd:<target>"; its name
+   is built once per site, on the first run. *)
+let bound_queue t b target =
+  match b.b_handle with
+  | Queue q -> q
+  | _ ->
+      let name =
+        match t.mode with Main -> target | Checker -> "__wd:" ^ target
+      in
+      let q = Runtime.queue t.res name in
+      b.b_handle <- Queue q;
+      q
+
+let bound_lock t b lockname =
+  match b.b_handle with
+  | Lock l -> l
+  | _ ->
+      let l = Runtime.lock t.res lockname in
+      b.b_handle <- Lock l;
+      l
+
 (* Runtime analogue of [Wd_analysis.Vulnerable]'s op key: the first string
    operand truncated after its first path segment, so mined trace keys line
    up with the statically derived "kind:target:operand-prefix" families.
    Only computed when the run is traced and the node executes in Main mode
    (checker-mode mimics must not pollute the passing-run observations).
    Returns an interned {!Wd_sim.Site.id}, or [no_tkey] when untraced — the
-   key string is built once per distinct (opname, target, prefix) family. *)
+   key string is built once per distinct (opname, target, prefix) family.
+   A site remembers the key it last used: when the operand's prefix is the
+   one it was interned for, nothing is looked up or allocated. *)
 let no_tkey = -1
 
-let trace_key t s ~opname ~target vargs =
+(* length of the operand prefix from [i] on: through the first '/', else
+   all of it *)
+let rec prefix_len s i =
+  if i = String.length s then i
+  else if s.[i] = '/' then i + 1
+  else prefix_len s (i + 1)
+
+let rec same_prefix p s i =
+  i < 0 || (p.[i] = s.[i] && same_prefix p s (i - 1))
+
+let trace_key t s b ~opname ~target operand =
   if t.mode <> Main || not (Wd_sim.Sched.traced s) then no_tkey
   else
-    let prefix =
-      match vargs with
-      | VStr s :: _ -> (
-          match String.index_opt s '/' with
-          | Some i -> String.sub s 0 (i + 1)
-          | None -> s)
-      | _ -> ""
-    in
-    let key = (opname, target, prefix) in
-    match Hashtbl.find_opt t.trace_keys key with
-    | Some id -> id
-    | None ->
-        let id = Wd_sim.Site.intern (opname ^ ":" ^ target ^ ":" ^ prefix) in
-        if Hashtbl.length t.trace_keys < 8192 then
-          Hashtbl.add t.trace_keys key id;
-        id
+    let len = prefix_len operand 0 in
+    if
+      b.b_tkey >= 0
+      && String.length b.b_prefix = len
+      && same_prefix b.b_prefix operand (len - 1)
+    then b.b_tkey
+    else
+      let prefix =
+        if len = String.length operand then operand
+        else String.sub operand 0 len
+      in
+      let key = (opname, target, prefix) in
+      let id =
+        match Hashtbl.find_opt t.trace_keys key with
+        | Some id -> id
+        | None ->
+            let id = Wd_sim.Site.intern (opname ^ ":" ^ target ^ ":" ^ prefix) in
+            if Hashtbl.length t.trace_keys < 8192 then
+              Hashtbl.add t.trace_keys key id;
+            id
+      in
+      b.b_tkey <- id;
+      b.b_prefix <- prefix;
+      id
 
 let trace_err = function
   | Violation { vkind; _ } -> "violation:" ^ vkind
@@ -353,10 +470,11 @@ let trace_err = function
    a lock wait out of [op_ns] (excluded from slowness assessment); the
    call site knows, so no description sniffing. [tkey],
    when not [no_tkey], additionally emits Op_start/Op_end/Op_fail trace
-   events keyed by it — the raw material for trace-inferred checkers. The
+   events keyed by it — the raw material for trace-inferred checkers —
+   attributed to the site's function, interned once per binding [b]. The
    bracket is pure field stores and plain calls: nothing is boxed and no
    closure is built per op. *)
-let probe_enter t s loc ~tkey desc =
+let probe_enter t s b loc ~tkey desc =
   let p = t.probe in
   (* The start time is returned, not only stored: the probe record is
      shared by every task of this interpreter, so a concurrent op
@@ -369,10 +487,10 @@ let probe_enter t s loc ~tkey desc =
   p.op_started <- started;
   if tkey >= 0 then
     Wd_sim.Sched.trace_op_start s ~op:tkey ~node:t.node_site
-      ~func:(Wd_sim.Site.intern (Loc.func loc));
+      ~func:(func_site b loc);
   started
 
-let probe_exit t s loc ~is_lock ~tkey started =
+let probe_exit t s b loc ~is_lock ~tkey started =
   let p = t.probe in
   let elapsed = Int64.to_int (Wd_sim.Sched.now s) - started in
   p.op_active <- false;
@@ -380,16 +498,14 @@ let probe_exit t s loc ~is_lock ~tkey started =
   if not is_lock then p.op_ns <- p.op_ns + elapsed;
   if tkey >= 0 then
     Wd_sim.Sched.trace_op_end s ~op:tkey ~node:t.node_site
-      ~func:(Wd_sim.Site.intern (Loc.func loc))
-      ~dur:(Int64.of_int elapsed)
+      ~func:(func_site b loc) ~dur:elapsed
 
 (* Leave the in-flight op set on failure: it is the pinpoint. *)
-let probe_fail t s loc ~tkey e =
+let probe_fail t s b loc ~tkey e =
   t.probe.last_loc <- loc;
   if tkey >= 0 then
     Wd_sim.Sched.trace_op_fail s ~op:tkey ~node:t.node_site
-      ~func:(Wd_sim.Site.intern (Loc.func loc))
-      ~err:(trace_err e)
+      ~func:(func_site b loc) ~err:(trace_err e)
 
 (* checker-mode disk writes land under this prefix *)
 let scratch_prefix = "__wd/"
@@ -401,29 +517,31 @@ let scratch path = scratch_prefix ^ path
    one shared constant is indistinguishable from a fresh allocation. *)
 let vmap_miss = VMap [ ("ok", VBool false) ]
 
-(* The effect of an op over pre-evaluated arguments, outside its probe
-   bracket. *)
-let op_body t loc ~kind ~target vargs =
-  match (kind, vargs) with
-  | Disk_write, [ p; data ] ->
-      let d = Runtime.disk t.res target in
-      let path = arg_str loc p and data = arg_bytes loc data in
+(* The effect of an op over its [n] pre-evaluated arguments, the first two
+   in [a0] and [a1] (unused ones are [VUnit]), outside its probe bracket.
+   Handles come from the site's binding [b]. *)
+let op_body t b (site : Compile.op_site) n a0 a1 =
+  let loc = site.os_loc and target = site.os_target in
+  match (site.os_kind, n) with
+  | Disk_write, 2 ->
+      let d = bound_disk t b target in
+      let path = arg_str loc a0 and data = arg_bytes loc a1 in
       (match t.mode with
       | Main -> Wd_env.Disk.write d ~path data
       | Checker ->
           Wd_env.Disk.write ~as_path:path d ~path:(scratch path) data);
       VUnit
-  | Disk_append, [ p; data ] ->
-      let d = Runtime.disk t.res target in
-      let path = arg_str loc p and data = arg_bytes loc data in
+  | Disk_append, 2 ->
+      let d = bound_disk t b target in
+      let path = arg_str loc a0 and data = arg_bytes loc a1 in
       (match t.mode with
       | Main -> Wd_env.Disk.append d ~path data
       | Checker ->
           Wd_env.Disk.append ~as_path:path d ~path:(scratch path) data);
       VUnit
-  | Disk_read, [ p ] ->
-      let d = Runtime.disk t.res target in
-      let path = arg_str loc p in
+  | Disk_read, 1 ->
+      let d = bound_disk t b target in
+      let path = arg_str loc a0 in
       (match t.mode with
       | Main -> VBytes (Wd_env.Disk.read d ~path)
       | Checker ->
@@ -436,39 +554,39 @@ let op_body t loc ~kind ~target vargs =
             else path
           in
           VBytes (Wd_env.Disk.read ~as_path:path d ~path:phys))
-  | Disk_sync, [] ->
-      Wd_env.Disk.sync (Runtime.disk t.res target);
+  | Disk_sync, 0 ->
+      Wd_env.Disk.sync (bound_disk t b target);
       VUnit
-  | Disk_delete, [ p ] ->
-      let d = Runtime.disk t.res target in
-      let path = arg_str loc p in
+  | Disk_delete, 1 ->
+      let d = bound_disk t b target in
+      let path = arg_str loc a0 in
       (match t.mode with
       | Main -> Wd_env.Disk.delete d ~path
       | Checker -> Wd_env.Disk.delete ~as_path:path d ~path:(scratch path));
       VUnit
-  | Disk_exists, [ p ] ->
-      VBool (Wd_env.Disk.exists (Runtime.disk t.res target) ~path:(arg_str loc p))
-  | Disk_list, [ p ] ->
+  | Disk_exists, 1 ->
+      VBool (Wd_env.Disk.exists (bound_disk t b target) ~path:(arg_str loc a0))
+  | Disk_list, 1 ->
       let files =
-        Wd_env.Disk.list (Runtime.disk t.res target) ~prefix:(arg_str loc p)
+        Wd_env.Disk.list (bound_disk t b target) ~prefix:(arg_str loc a0)
       in
       VList (List.map (fun f -> VStr f) files)
-  | Net_send, [ dst; payload ] ->
-      let n = Runtime.net t.res target in
-      let dst = arg_str loc dst in
+  | Net_send, 2 ->
+      let n = bound_net t b target in
+      let dst = arg_str loc a0 in
       (match t.mode with
-      | Main -> Wd_env.Net.send n ~src:t.node ~dst payload
+      | Main -> Wd_env.Net.send n ~src:t.node ~dst a1
       | Checker ->
           (* Same src/dst fault site (fate sharing) but delivery lands in
              the destination's shadow inbox, invisible to the main
              program. *)
           let shadow = "__wd:" ^ dst in
           Wd_env.Net.ensure_registered n shadow;
-          Wd_env.Net.send ~site_dst:dst n ~src:t.node ~dst:shadow payload);
+          Wd_env.Net.send ~site_dst:dst n ~src:t.node ~dst:shadow a1);
       VUnit
-  | Net_recv, [ timeout ] -> (
-      let n = Runtime.net t.res target in
-      let timeout = Wd_sim.Time.ms (arg_int loc timeout) in
+  | Net_recv, 1 -> (
+      let n = bound_net t b target in
+      let timeout = Wd_sim.Time.ms (arg_int loc a0) in
       match t.mode with
       | Main -> (
           match Wd_env.Net.recv_timeout n t.node ~timeout with
@@ -485,53 +603,49 @@ let op_body t loc ~kind ~target vargs =
           (* Receiving is not mimicked against live traffic; a checker
              poll returns an empty mailbox marker. *)
           vmap_miss)
-  | Queue_put, [ data ] ->
-      let q =
-        Runtime.queue t.res
-          (match t.mode with Main -> target | Checker -> "__wd:" ^ target)
-      in
-      Wd_sim.Channel.send q data;
+  | Queue_put, 1 ->
+      Wd_sim.Channel.send (bound_queue t b target) a0;
       VUnit
-  | Queue_get, [ timeout ] -> (
+  | Queue_get, 1 -> (
       match t.mode with
       | Main -> (
-          let q = Runtime.queue t.res target in
-          let timeout = Wd_sim.Time.ms (arg_int loc timeout) in
+          let q = bound_queue t b target in
+          let timeout = Wd_sim.Time.ms (arg_int loc a0) in
           match Wd_sim.Channel.recv_timeout q ~timeout with
           | Some v -> VMap [ ("ok", VBool true); ("payload", v) ]
           | None -> vmap_miss)
       | Checker -> vmap_miss)
-  | Mem_alloc, [ size ] ->
-      let m = Runtime.mem t.res target in
-      let size = arg_int loc size in
+  | Mem_alloc, 1 ->
+      let m = bound_mem t b target in
+      let size = arg_int loc a0 in
       Wd_env.Memory.alloc m size;
       (* A checker must experience allocation stalls without leaking. *)
       (match t.mode with Checker -> Wd_env.Memory.free m size | Main -> ());
       VUnit
-  | Mem_free, [ size ] ->
+  | Mem_free, 1 ->
       (match t.mode with
-      | Main -> Wd_env.Memory.free (Runtime.mem t.res target) (arg_int loc size)
+      | Main -> Wd_env.Memory.free (bound_mem t b target) (arg_int loc a0)
       | Checker -> ());
       VUnit
-  | State_get, [] -> (
+  | State_get, 0 -> (
       match t.mode with
       | Main -> Runtime.global t.res target
       | Checker -> (
           match Hashtbl.find_opt t.shadow_globals target with
           | Some v -> v
           | None -> copy_value (Runtime.global t.res target)))
-  | State_set, [ v ] ->
+  | State_set, 1 ->
       (match t.mode with
-      | Main -> Runtime.set_global t.res target v
-      | Checker -> Hashtbl.replace t.shadow_globals target v);
+      | Main -> Runtime.set_global t.res target a0
+      | Checker -> Hashtbl.replace t.shadow_globals target a0);
       VUnit
-  | Sleep_op, [ ms ] ->
-      Wd_sim.Sched.sleep (Wd_sim.Time.ms (arg_int loc ms));
+  | Sleep_op, 1 ->
+      Wd_sim.Sched.sleep (Wd_sim.Time.ms (arg_int loc a0));
       VUnit
-  | Log_op, [ msg ] ->
-      Runtime.log t.res ~node:t.node (value_to_string msg);
+  | Log_op, 1 ->
+      Runtime.log t.res ~node:t.node (value_to_string a0);
       VUnit
-  | _, _ ->
+  | kind, _ ->
       raise
         (Violation
            {
@@ -540,19 +654,35 @@ let op_body t loc ~kind ~target vargs =
              msg = Fmt.str "%s: bad arguments" (op_kind_name kind);
            })
 
-(* Effectful op over pre-evaluated arguments; shared with the reference
-   walker. *)
-let exec_op_v t loc ~desc ~kind ~target vargs =
+(* Effectful op over its pre-evaluated arguments, by arity (see
+   [op_body]). [a0] is also the operand the trace key is cut from. *)
+let exec_op t (site : Compile.op_site) n a0 a1 =
   let s = Wd_sim.Sched.get () in
-  let tkey = trace_key t s ~opname:(op_kind_name kind) ~target vargs in
-  let started = probe_enter t s loc ~tkey desc in
-  match op_body t loc ~kind ~target vargs with
+  let b = binding t site.os_id in
+  let tkey =
+    trace_key t s b ~opname:(op_kind_name site.os_kind) ~target:site.os_target
+      (match a0 with VStr o when n >= 1 -> o | _ -> "")
+  in
+  let started = probe_enter t s b site.os_loc ~tkey site.os_desc in
+  match op_body t b site n a0 a1 with
   | v ->
-      probe_exit t s loc ~is_lock:false ~tkey started;
+      probe_exit t s b site.os_loc ~is_lock:false ~tkey started;
       v
   | exception e ->
-      probe_fail t s loc ~tkey e;
+      probe_fail t s b site.os_loc ~tkey e;
       raise e
+
+let exec_op0 t site = exec_op t site 0 VUnit VUnit
+let exec_op1 t site a0 = exec_op t site 1 a0 VUnit
+let exec_op2 t site a0 a1 = exec_op t site 2 a0 a1
+
+(* The list seam: the reference walker's calls, and the compiled engine's
+   three-or-more-argument ops, which [op_body] rejects by arity. *)
+let exec_opn t site = function
+  | [] -> exec_op0 t site
+  | [ a0 ] -> exec_op1 t site a0
+  | [ a0; a1 ] -> exec_op2 t site a0 a1
+  | a0 :: _ as vargs -> exec_op t site (List.length vargs) a0 VUnit
 
 (* Checker-mode acquisition: poll [try_lock] every 50 ms until [deadline]. *)
 let rec try_lock_until s lock deadline =
@@ -565,17 +695,18 @@ let rec try_lock_until s lock deadline =
 
 (* Mode-specific lock protocol around a body thunk; shared with the
    reference walker. Only the acquisition is inside the probe bracket. *)
-let exec_sync_v t loc ~lock:lockname ~desc body =
-  let lock = Runtime.lock t.res lockname in
+let exec_sync_v t ~site loc ~lock:lockname ~desc body =
+  let b = binding t site in
+  let lock = bound_lock t b lockname in
   match t.mode with
   | Main -> (
       let s = Wd_sim.Sched.get () in
-      let tkey = trace_key t s ~opname:"sync" ~target:lockname [] in
-      let started = probe_enter t s loc ~tkey desc in
+      let tkey = trace_key t s b ~opname:"sync" ~target:lockname "" in
+      let started = probe_enter t s b loc ~tkey desc in
       (match Wd_sim.Smutex.lock lock with
-      | () -> probe_exit t s loc ~is_lock:true ~tkey started
+      | () -> probe_exit t s b loc ~is_lock:true ~tkey started
       | exception e ->
-          probe_fail t s loc ~tkey e;
+          probe_fail t s b loc ~tkey e;
           raise e);
       match body () with
       | () -> Wd_sim.Smutex.unlock lock
@@ -591,16 +722,16 @@ let exec_sync_v t loc ~lock:lockname ~desc body =
          hanging) operation would let the watchdog wedge the main program,
          the §3.2 isolation failure. *)
       let s = Wd_sim.Sched.get () in
-      let started = probe_enter t s loc ~tkey:no_tkey desc in
+      let started = probe_enter t s b loc ~tkey:no_tkey desc in
       let acquired =
         match
           try_lock_until s lock (Int64.add (Wd_sim.Sched.now s) t.lock_timeout)
         with
         | acquired ->
-            probe_exit t s loc ~is_lock:true ~tkey:no_tkey started;
+            probe_exit t s b loc ~is_lock:true ~tkey:no_tkey started;
             acquired
         | exception e ->
-            probe_fail t s loc ~tkey:no_tkey e;
+            probe_fail t s b loc ~tkey:no_tkey e;
             raise e
       in
       if not acquired then
@@ -702,8 +833,16 @@ and exec_stmt t frame depth st =
   | Let (x, e) | Assign (x, e) -> Hashtbl.replace frame x (eval t frame loc e)
   | Op { kind; target; args; bind } -> (
       let vargs = List.map (eval t frame loc) args in
-      let desc = op_desc_memo t kind target in
-      let v = exec_op_v t loc ~desc ~kind ~target vargs in
+      let site =
+        {
+          Compile.os_id = -1;
+          os_loc = loc;
+          os_kind = kind;
+          os_target = target;
+          os_desc = op_desc_memo t kind target;
+        }
+      in
+      let v = exec_opn t site vargs in
       match bind with Some x -> Hashtbl.replace frame x v | None -> ())
   | Call { func; args; bind } -> (
       let vargs = List.map (eval t frame loc) args in
@@ -727,7 +866,7 @@ and exec_stmt t frame depth st =
       | v -> Compile.err_foreach loc v)
   | Sync (lockname, body) ->
       let desc = lock_desc_memo t lockname in
-      exec_sync_v t loc ~lock:lockname ~desc (fun () ->
+      exec_sync_v t ~site:(-1) loc ~lock:lockname ~desc (fun () ->
           exec_block t frame depth body)
   | Try (body, exn, handler) -> (
       try exec_block t frame depth body with
@@ -768,7 +907,14 @@ and exec_call t depth fname vargs =
 (* --- compiled engine: runtime interface and program cache --- *)
 
 let rt : t Compile.rt =
-  { Compile.exec_op = exec_op_v; exec_sync = exec_sync_v; exec_hook = exec_hook_v }
+  {
+    Compile.exec_op0;
+    exec_op1;
+    exec_op2;
+    exec_opn;
+    exec_sync = exec_sync_v;
+    exec_hook = exec_hook_v;
+  }
 
 type compiled = t Compile.t
 
@@ -887,6 +1033,7 @@ let create ?compiled ?(mode = Main) ?(lock_timeout = Wd_sim.Time.sec 5) ~node
     trace_keys = Hashtbl.create 32;
     node_site = Wd_sim.Site.intern node;
     compiled;
+    bindings = Array.make (Compile.sites compiled) unbound_site;
   }
 
 let call t fname args =

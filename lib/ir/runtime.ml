@@ -35,46 +35,42 @@ let add_disk r d = Hashtbl.replace r.disks (Wd_env.Disk.name d) d
 let add_net r n = Hashtbl.replace r.nets (Wd_env.Net.name n) n
 let add_mem r m = Hashtbl.replace r.mems (Wd_env.Memory.name m) m
 
+(* Lookups match on [Not_found] rather than [find_opt]: a hit allocates
+   no [Some]. *)
 let disk r name =
-  match Hashtbl.find_opt r.disks name with
-  | Some d -> d
-  | None -> raise (Ir_error (Fmt.str "no disk %s registered" name))
+  match Hashtbl.find r.disks name with
+  | d -> d
+  | exception Not_found -> raise (Ir_error (Fmt.str "no disk %s registered" name))
 
 let net r name =
-  match Hashtbl.find_opt r.nets name with
-  | Some n -> n
-  | None -> raise (Ir_error (Fmt.str "no net %s registered" name))
+  match Hashtbl.find r.nets name with
+  | n -> n
+  | exception Not_found -> raise (Ir_error (Fmt.str "no net %s registered" name))
 
 let mem r name =
-  match Hashtbl.find_opt r.mems name with
-  | Some m -> m
-  | None -> raise (Ir_error (Fmt.str "no memory pool %s registered" name))
+  match Hashtbl.find r.mems name with
+  | m -> m
+  | exception Not_found ->
+      raise (Ir_error (Fmt.str "no memory pool %s registered" name))
 
 let lock r name =
-  match Hashtbl.find_opt r.locks name with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find r.locks name with
+  | l -> l
+  | exception Not_found ->
       let l = Wd_sim.Smutex.create name in
       Hashtbl.replace r.locks name l;
       l
 
 let queue r name =
-  match Hashtbl.find_opt r.queues name with
-  | Some q -> q
-  | None ->
+  match Hashtbl.find r.queues name with
+  | q -> q
+  | exception Not_found ->
       let q = Wd_sim.Channel.create name in
       Hashtbl.replace r.queues name q;
       q
 
-let find_queue r name = Hashtbl.find_opt r.queues name
-
-(* Reclaim a queue that will never be used again (e.g. a per-request reply
-   queue): load runs mint millions of them and the table must not grow
-   without bound. A later [queue] call on the same name just re-creates it. *)
-let drop_queue r name = Hashtbl.remove r.queues name
-
 let global r name =
-  match Hashtbl.find_opt r.globals name with Some v -> v | None -> VUnit
+  match Hashtbl.find r.globals name with v -> v | exception Not_found -> VUnit
 
 let set_global r name v = Hashtbl.replace r.globals name v
 

@@ -34,13 +34,6 @@ val lock : resources -> string -> Wd_sim.Smutex.t
 
 val queue : resources -> string -> Ast.value Wd_sim.Channel.t
 
-val find_queue : resources -> string -> Ast.value Wd_sim.Channel.t option
-(** The queue named [name] if it exists; unlike {!queue}, never creates it. *)
-
-val drop_queue : resources -> string -> unit
-(** Forget a queue that will never be touched again (per-request reply
-    queues under load). The next {!queue} on the name re-creates it. *)
-
 val global : resources -> string -> Ast.value
 (** [VUnit] when unset. *)
 

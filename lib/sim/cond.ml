@@ -9,10 +9,12 @@
    reasons are only built when first needed, then cached ([""] = not yet;
    a built reason is never empty). The registers handed to
    [Sched.suspend] are cached the same way, so a steady stream of waits
-   on one cond builds no closure. *)
+   on one cond builds no closure. [rename] swaps the base and clears
+   the cached reasons, so a cond reused under another name reads as a
+   fresh one would. *)
 type t = {
   prefix : string;
-  base : string;
+  mutable base : string;
   suffix : string;
   mutable reason : string;
   mutable reason_timed : string;
@@ -40,6 +42,11 @@ let create ?(prefix = "") ?(suffix = "") base =
   }
 
 let name c = c.prefix ^ c.base ^ c.suffix
+
+let rename c base =
+  c.base <- base;
+  c.reason <- "";
+  c.reason_timed <- ""
 let waiter_count c = Ring.length c.waiters
 
 let reason c =

@@ -12,6 +12,12 @@ val create : ?prefix:string -> ?suffix:string -> string -> t
     never waited on formats no string. *)
 
 val name : t -> string
+
+val rename : t -> string -> unit
+(** [rename c base] gives [c] the name [prefix ^ base ^ suffix]; its wait
+    reasons are rebuilt from the new name on the next wait. Waiters and
+    the cached wait registers are kept. *)
+
 val waiter_count : t -> int
 
 val wait : t -> unit

@@ -32,10 +32,11 @@ type task = {
   mutable pending_reason : string;
   mutable pending_register : (unit -> unit) -> unit;
   mutable body : unit -> unit; (* the task's function, until it starts *)
-  job : unit -> unit;
-      (* the run-queue job, built at spawn: its first run starts [body],
+  mutable job : unit -> unit;
+      (* the run-queue job, set at spawn: its first run starts [body],
          every later one resumes [kont] *)
-  as_current : task option; (* [Some] of this task, for [current] *)
+  mutable as_current : task option;
+      (* [Some] of this task, for [current]; set at spawn *)
   mutable exit_hooks : (exit_status -> unit) list;
   mutable cancel_requested : bool;
   daemon : bool;
@@ -62,6 +63,8 @@ type t = {
   mutable events_fired : int;
   mutable trace : Trace.t option;
   yield_register : (unit -> unit) -> unit; (* re-queues its waker *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (* installed around every task's body; set by [create] *)
 }
 
 (* Constant: performing it allocates nothing. *)
@@ -75,24 +78,6 @@ let get () =
   match Domain.DLS.get ambient with
   | Some s -> s
   | None -> failwith "Sched: no simulation is running"
-
-let create ?(seed = 42) () =
-  let runq = Ring.create ~dummy:ignore in
-  {
-    now = 0L;
-    until = Time.never;
-    timers = Heap.create ~dummy_payload:(fun () -> ());
-    runq;
-    current = None;
-    next_id = 0;
-    live = Hashtbl.create 64;
-    rng = Rng.create ~seed;
-    switches = 0;
-    spawned = 0;
-    events_fired = 0;
-    trace = None;
-    yield_register = Ring.push runq;
-  }
 
 let now s = s.now
 let rng s = s.rng
@@ -164,30 +149,31 @@ let emit_finished s t how =
   | Some tr -> Trace.finished tr ~at:s.now ~task_id:t.id ~task_name:t.name ~how
 
 (* Interned op-event emitters for the interpreter's traced fast path: the
-   caller resolves Site ids once per op site, and nothing here allocates. *)
-let current_ident s =
-  match s.current with Some t -> (t.id, t.name) | None -> (0, "<sched>")
+   caller resolves Site ids once per op site, and nothing here allocates
+   (the running task's id and name are read separately, not as a pair). *)
+let current_id s = match s.current with Some t -> t.id | None -> 0
+let current_name s = match s.current with Some t -> t.name | None -> "<sched>"
 
 let trace_op_start s ~op ~node ~func =
   match s.trace with
   | None -> ()
   | Some tr ->
-      let task_id, task_name = current_ident s in
-      Trace.op_start tr ~at:s.now ~task_id ~task_name ~op ~node ~func
+      Trace.op_start tr ~at:s.now ~task_id:(current_id s)
+        ~task_name:(current_name s) ~op ~node ~func
 
 let trace_op_end s ~op ~node ~func ~dur =
   match s.trace with
   | None -> ()
   | Some tr ->
-      let task_id, task_name = current_ident s in
-      Trace.op_end tr ~at:s.now ~task_id ~task_name ~op ~node ~func ~dur
+      Trace.op_end tr ~at:s.now ~task_id:(current_id s)
+        ~task_name:(current_name s) ~op ~node ~func ~dur
 
 let trace_op_fail s ~op ~node ~func ~err =
   match s.trace with
   | None -> ()
   | Some tr ->
-      let task_id, task_name = current_ident s in
-      Trace.op_fail tr ~at:s.now ~task_id ~task_name ~op ~node ~func ~err
+      Trace.op_fail tr ~at:s.now ~task_id:(current_id s)
+        ~task_name:(current_name s) ~op ~node ~func ~err
 
 let finish s t status =
   (match s.trace with
@@ -217,14 +203,19 @@ let wake s t gen =
 
 let no_register (_ : unit -> unit) = ()
 
-(* Built once per task, when it starts: the handler and the closure it
-   hands every [Suspend]. What the task waits on reaches that closure
-   through the task record, so a suspend allocates only its waker and its
-   continuation. *)
-let handler s t =
+let running s =
+  match s.current with Some t -> t | None -> assert false
+
+(* The one handler every task's body runs under, built with its
+   scheduler: the task it serves is [s.current], set by [run_job] before
+   it starts or resumes a task, so nothing here is per task. What the task
+   waits on reaches [on_suspend] through the task record, so a suspend
+   allocates only its waker and its continuation. *)
+let handler s =
   let on_suspend =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let t = running s in
         let reason = t.pending_reason and register = t.pending_register in
         t.pending_register <- no_register;
         emit_blocked s t reason;
@@ -238,17 +229,43 @@ let handler s t =
         s.current <- None)
   in
   {
-    Effect.Deep.retc = (fun () -> finish s t Exited);
+    Effect.Deep.retc = (fun () -> finish s (running s) Exited);
     exnc =
       (fun e ->
         match e with
-        | Cancelled -> finish s t Killed
-        | e -> finish s t (Failed e));
+        | Cancelled -> finish s (running s) Killed
+        | e -> finish s (running s) (Failed e));
     effc =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with Suspend -> on_suspend | _ -> None);
   }
+
+let placeholder_handler : (unit, unit) Effect.Deep.handler =
+  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
+
+let create ?(seed = 42) () =
+  let runq = Ring.create ~dummy:ignore in
+  let s =
+    {
+      now = 0L;
+      until = Time.never;
+      timers = Heap.create ~dummy_payload:(fun () -> ());
+      runq;
+      current = None;
+      next_id = 0;
+      live = Hashtbl.create 64;
+      rng = Rng.create ~seed;
+      switches = 0;
+      spawned = 0;
+      events_fired = 0;
+      trace = None;
+      yield_register = Ring.push runq;
+      handler = placeholder_handler;
+    }
+  in
+  s.handler <- handler s;
+  s
 
 let run_job s t =
   match t.kont with
@@ -268,11 +285,14 @@ let run_job s t =
         t.state <- Running;
         s.current <- t.as_current;
         s.switches <- s.switches + 1;
-        Effect.Deep.match_with f () (handler s t)
+        Effect.Deep.match_with f () s.handler
       end
 
+(* [job] and [as_current] are set after the record is built: a recursive
+   record definition would go through the runtime's dummy-block calls on
+   every spawn. *)
 let spawn ?(name = "task") ?(daemon = false) s f =
-  let rec t =
+  let t =
     {
       id = s.next_id;
       name;
@@ -285,14 +305,16 @@ let spawn ?(name = "task") ?(daemon = false) s f =
       pending_reason = "";
       pending_register = no_register;
       body = f;
-      job = (fun () -> run_job s t);
-      as_current = Some t;
+      job = ignore;
+      as_current = None;
       exit_hooks = [];
       cancel_requested = false;
       daemon;
       join_reason = "";
     }
   in
+  t.job <- (fun () -> run_job s t);
+  t.as_current <- Some t;
   s.next_id <- s.next_id + 1;
   s.spawned <- s.spawned + 1;
   if not daemon then Hashtbl.replace s.live t.id t;

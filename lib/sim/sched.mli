@@ -152,7 +152,7 @@ val traced : t -> bool
 val trace_op_start : t -> op:Site.id -> node:Site.id -> func:Site.id -> unit
 
 val trace_op_end :
-  t -> op:Site.id -> node:Site.id -> func:Site.id -> dur:int64 -> unit
+  t -> op:Site.id -> node:Site.id -> func:Site.id -> dur:int -> unit
 
 val trace_op_fail :
   t -> op:Site.id -> node:Site.id -> func:Site.id -> err:string -> unit

@@ -169,7 +169,7 @@ let op_end t ~at ~task_id ~task_name ~op ~node ~func ~dur =
   t.c_op.(i) <- op;
   t.c_node.(i) <- node;
   t.c_func.(i) <- func;
-  t.c_dur.(i) <- Int64.to_int dur
+  t.c_dur.(i) <- dur
 
 let op_fail t ~at ~task_id ~task_name ~op ~node ~func ~err =
   let i = push t ~at ~task_id ~task_name in
@@ -191,7 +191,8 @@ let record t ~at ~task_id ~task_name kind =
         ~node:(Site.intern node) ~func:(Site.intern func)
   | Op_end { op; node; func; dur } ->
       op_end t ~at ~task_id ~task_name ~op:(Site.intern op)
-        ~node:(Site.intern node) ~func:(Site.intern func) ~dur
+        ~node:(Site.intern node) ~func:(Site.intern func)
+        ~dur:(Int64.to_int dur)
   | Op_fail { op; node; func; err } ->
       op_fail t ~at ~task_id ~task_name ~op:(Site.intern op)
         ~node:(Site.intern node) ~func:(Site.intern func) ~err

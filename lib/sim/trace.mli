@@ -75,8 +75,9 @@ val op_end :
   op:Site.id ->
   node:Site.id ->
   func:Site.id ->
-  dur:int64 ->
+  dur:int ->
   unit
+(** [dur] in virtual ns, unboxed: a traced op's end allocates nothing. *)
 
 val op_fail :
   t ->

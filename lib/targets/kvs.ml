@@ -6,8 +6,8 @@
    The whole system is written in the IR so AutoWatchdog can analyse it.
    Two nodes run the same program: "kvs1" (leader: listener + background
    services) and "kvs2" (replica: apply loop). Clients talk to the leader
-   through the "kvs.requests" queue and per-request reply queues, which is
-   what probe checkers use as the public API. *)
+   through the "kvs.requests" queue and per-request reply mailboxes, which
+   is what probe checkers use as the public API. *)
 
 open Wd_ir
 module B = Builder
@@ -344,11 +344,11 @@ let replica_loop =
         ];
     ]
 
-(* Queue names are fixed strings in [Op] targets; the reply queue is chosen
-   per request, so [handle_request] routes replies through a level of
-   indirection: the IR writes to the well-known "kvs.replies" queue tagged
-   with the reply id, and the [Rpcq] dispatcher below forwards each reply
-   to its request's queue. *)
+(* Queue names are fixed strings in [Op] targets; the reply mailbox is
+   chosen per request, so [handle_request] routes replies through a level
+   of indirection: the IR writes to the well-known "kvs.replies" queue
+   tagged with the reply id, and the [Rpcq] dispatcher below forwards each
+   reply to its request's mailbox. *)
 
 let leader_entries = [ "listener"; "flusher"; "compactor"; "snapshotter"; "heartbeat" ]
 let replica_entries = [ "replica" ]

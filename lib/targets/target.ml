@@ -35,6 +35,33 @@ let expect_str ~prefix = function
   | Wd_ir.Ast.VStr s -> String.starts_with ~prefix s
   | _ -> false
 
+(* Request keys are formatted once per process, not per request: the
+   workload and burst builders index these tables and append a decimal
+   with [string_of_int], giving the bytes [Printf] would. The tables are
+   immutable, so every world and domain shares them. *)
+let kvs_keys = Array.init 50 (Printf.sprintf "k%03d")
+let kvs_burst_keys = Array.init 500 (Printf.sprintf "burst%04d")
+let kvs_load_keys = Array.init 256 (fun k -> "lk" ^ string_of_int k)
+let zk_paths = Array.init 20 (Printf.sprintf "/node%02d")
+let zk_burst_paths = Array.init 8 (Printf.sprintf "/burst%d")
+let zk_load_paths = Array.init 64 (fun k -> "/l" ^ string_of_int k)
+let dfs_load_blkids = Array.init 128 (fun k -> "lb" ^ string_of_int k)
+let cs_keys = Array.init 40 (Printf.sprintf "row%03d")
+let cs_burst_keys = Array.init 8 (Printf.sprintf "burst%d")
+let cs_load_keys = Array.init 128 (fun k -> "lrow" ^ string_of_int k)
+
+(* [Printf.sprintf "%04d" i], without the format interpreter for the
+   workloads' non-negative counters *)
+let zero_pad4 i =
+  if i < 0 then Printf.sprintf "%04d" i
+  else
+    let d = string_of_int i in
+    match String.length d with
+    | 1 -> "000" ^ d
+    | 2 -> "00" ^ d
+    | 3 -> "0" ^ d
+    | _ -> d
+
 (* A burst request carries an empty reply id: nobody waits for it. *)
 let burst_request fields =
   Wd_ir.Ast.VMap (List.map (fun (k, v) -> (k, Wd_ir.Ast.VStr v)) fields)
@@ -55,10 +82,6 @@ let kvs special =
         K.boot ~in_memory:(special = Some "in_memory") ~mem_capacity ~sched
           ~reg ~prog ()
       in
-      (* Bounded key space: build the 256 key strings once, not per
-         request (payload strings stay per-request — they must be
-         unique). *)
-      let keys = Array.init 256 (fun k -> "lk" ^ string_of_int k) in
       {
         res = t.K.res;
         mem = t.K.mem;
@@ -81,14 +104,14 @@ let kvs special =
           ( "kvs-client",
             Wd_sim.Time.ms 40,
             fun i ->
-              let key = Fmt.str "k%03d" (i mod 50) in
+              let key = kvs_keys.(i mod 50) in
               match i mod 3 with
-              | 0 -> K.set t ~key ~value:(Fmt.str "v%d" i)
+              | 0 -> K.set t ~key ~value:("v" ^ string_of_int i)
               | 1 -> K.get t ~key
               | _ -> K.append t ~key ~value:"+" );
         client =
           (fun i ->
-            let key = keys.(i mod 256) in
+            let key = kvs_load_keys.(i mod 256) in
             match i mod 3 with
             | 0 -> K.set t ~key ~value:("lv" ^ string_of_int i)
             | 1 -> K.get t ~key
@@ -98,7 +121,7 @@ let kvs special =
           Some
             (fun i ->
               burst_request
-                [ ("op", "set"); ("key", Fmt.str "burst%04d" (i mod 500));
+                [ ("op", "set"); ("key", kvs_burst_keys.(i mod 500));
                   ("value", String.make 64 'x'); ("reply", "") ]);
         fleet = None;
         start = (fun () -> K.start t);
@@ -111,7 +134,6 @@ let zkmini _ =
   ( Z.program (),
     fun ~sched ~reg prog ->
       let t = Z.boot ~sched ~reg ~prog () in
-      let paths = Array.init 64 (fun k -> "/l" ^ string_of_int k) in
       {
         res = t.Z.res;
         mem = t.Z.mem;
@@ -140,12 +162,12 @@ let zkmini _ =
           ( "zk-client",
             Wd_sim.Time.ms 60,
             fun i ->
-              let path = Fmt.str "/node%02d" (i mod 20) in
+              let path = zk_paths.(i mod 20) in
               if i mod 3 = 0 then Z.get t ~path
-              else Z.create t ~path ~data:(Fmt.str "d%d" i) );
+              else Z.create t ~path ~data:("d" ^ string_of_int i) );
         client =
           (fun i ->
-            let path = paths.(i mod 64) in
+            let path = zk_load_paths.(i mod 64) in
             if i mod 3 = 0 then Z.get t ~path
             else Z.create t ~path ~data:("ld" ^ string_of_int i));
         queue = Z.request_queue;
@@ -154,7 +176,7 @@ let zkmini _ =
             (fun i ->
               burst_request
                 [ ("reply", ""); ("op", "create");
-                  ("path", Fmt.str "/burst%d" (i mod 8)); ("data", "x") ]);
+                  ("path", zk_burst_paths.(i mod 8)); ("data", "x") ]);
         fleet =
           Some
             { entries = Z.leader_entries;
@@ -171,7 +193,6 @@ let dfsmini _ =
   ( D.program (),
     fun ~sched ~reg prog ->
       let t = D.boot ~sched ~reg ~prog () in
-      let blkids = Array.init 128 (fun k -> "lb" ^ string_of_int k) in
       {
         res = t.D.res;
         mem = t.D.mem;
@@ -198,13 +219,14 @@ let dfsmini _ =
           ( "dfs-client",
             Wd_sim.Time.ms 80,
             fun i ->
-              let blkid = Fmt.str "b%04d" i in
               if i mod 4 = 3 then
-                D.read_block_req t ~blkid:(Fmt.str "b%04d" (max 0 (i - 3)))
-              else D.put_block t ~blkid ~data:(Fmt.str "payload-%d" i) );
+                D.read_block_req t ~blkid:("b" ^ zero_pad4 (max 0 (i - 3)))
+              else
+                D.put_block t ~blkid:("b" ^ zero_pad4 i)
+                  ~data:("payload-" ^ string_of_int i) );
         client =
           (fun i ->
-            let blkid = blkids.(i mod 128) in
+            let blkid = dfs_load_blkids.(i mod 128) in
             if i mod 4 = 3 then D.read_block_req t ~blkid
             else D.put_block t ~blkid ~data:("lp" ^ string_of_int i));
         queue = D.request_queue;
@@ -220,7 +242,6 @@ let cstore special =
   ( C.program ~spin_bug:(special = Some "spin_bug") (),
     fun ~sched ~reg prog ->
       let t = C.boot ~sched ~reg ~prog () in
-      let keys = Array.init 128 (fun k -> "lrow" ^ string_of_int k) in
       {
         res = t.C.res;
         mem = t.C.mem;
@@ -241,12 +262,12 @@ let cstore special =
           ( "cs-client",
             Wd_sim.Time.ms 50,
             fun i ->
-              let key = Fmt.str "row%03d" (i mod 40) in
+              let key = cs_keys.(i mod 40) in
               if i mod 3 = 2 then C.read t ~key
-              else C.write t ~key ~value:(Fmt.str "cell%d" i) );
+              else C.write t ~key ~value:("cell" ^ string_of_int i) );
         client =
           (fun i ->
-            let key = keys.(i mod 128) in
+            let key = cs_load_keys.(i mod 128) in
             if i mod 3 = 2 then C.read t ~key
             else C.write t ~key ~value:("lc" ^ string_of_int i));
         queue = C.request_queue;
@@ -255,7 +276,7 @@ let cstore special =
             (fun i ->
               burst_request
                 [ ("reply", ""); ("op", "write");
-                  ("key", Fmt.str "burst%d" (i mod 8)); ("value", "x") ]);
+                  ("key", cs_burst_keys.(i mod 8)); ("value", "x") ]);
         fleet =
           Some
             { entries = C.entries;
@@ -292,7 +313,7 @@ let mqbroker _ =
         workload =
           ( "mq-producer",
             Wd_sim.Time.ms 30,
-            fun i -> M.produce t ~data:(Fmt.str "event-%d" i) );
+            fun i -> M.produce t ~data:("event-" ^ string_of_int i) );
         client = (fun i -> M.produce t ~data:("le" ^ string_of_int i));
         queue = M.request_queue;
         burst = None;

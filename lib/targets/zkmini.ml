@@ -301,6 +301,9 @@ let boot ~sched ~reg ~prog () =
   let leader = Interp.create ~node:leader_node ~res prog in
   let f1 = Interp.create ~node:follower1 ~res prog in
   let f2 = Interp.create ~node:follower2 ~res prog in
+  (* the admin handle replies on zk.replies too: it shares the client
+     handle's in-flight ids, so the one dispatcher answers ruok *)
+  let rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue in
   {
     sched;
     res;
@@ -311,9 +314,8 @@ let boot ~sched ~reg ~prog () =
     fdisk = Runtime.disk res follower_disk_name;
     net;
     mem;
-    rpc = Rpcq.create ~sched ~res ~request_queue ~replies_queue;
-    admin_rpc =
-      Rpcq.create ~sched ~res ~request_queue:admin_queue ~replies_queue;
+    rpc;
+    admin_rpc = Rpcq.sibling rpc ~request_queue:admin_queue;
   }
 
 let start t =

@@ -393,8 +393,11 @@ let gen_prim_case =
 
 let no_rt : unit Compile.rt =
   {
-    Compile.exec_op = (fun () _ ~desc:_ ~kind:_ ~target:_ _ -> assert false);
-    exec_sync = (fun () _ ~lock:_ ~desc:_ _ -> assert false);
+    Compile.exec_op0 = (fun () _ -> assert false);
+    exec_op1 = (fun () _ _ -> assert false);
+    exec_op2 = (fun () _ _ _ -> assert false);
+    exec_opn = (fun () _ _ -> assert false);
+    exec_sync = (fun () ~site:_ _ ~lock:_ ~desc:_ _ -> assert false);
     exec_hook = (fun () _ _ _ -> assert false);
   }
 

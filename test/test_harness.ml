@@ -363,6 +363,16 @@ let test_tables_render () =
   check "renders" true (String.length text > 0);
   check "has rules" true (String.contains text '+')
 
+(* The E22 table at 20,000 requests per row, by MD5 at width 1: like the
+   tables above, a change that moves every width alike (a reply routed to
+   the wrong request moves detect times everywhere) shows only here. *)
+let test_load_pinned () =
+  Experiments.set_jobs 1;
+  let e = List.find (fun e -> e.Experiments.name = "load") Experiments.all in
+  Alcotest.(check string)
+    "load --requests 20000" "5f10aba310c2fb9d44271b1fc44e4707"
+    (Digest.to_hex (Digest.string (e.Experiments.render 20_000)))
+
 let () =
   Alcotest.run "wd_harness"
     [
@@ -385,6 +395,7 @@ let () =
           Alcotest.test_case "isolation (E10)" `Slow test_isolation_properties;
           Alcotest.test_case "generation stats (E6)" `Quick test_generation_stats;
           Alcotest.test_case "rerouted tables pinned" `Slow test_tables_pinned;
+          Alcotest.test_case "load table pinned" `Slow test_load_pinned;
         ] );
       ( "plumbing",
         [

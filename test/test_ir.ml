@@ -264,6 +264,48 @@ let test_pp_smoke () =
            found := true) ftext;
      !found)
 
+(* --- allocation budgets ---
+
+   Minor words per [Interp.call] of a one-statement function (see
+   [Budget]); the call's own cost is in every figure. *)
+
+module Budget = Wd_testgen.Budget
+
+let call_words ?(traced = false) stmt =
+  let prog =
+    B.program "budget" ~funcs:[ B.func "f" ~params:[] [ stmt ] ] ~entries:[]
+  in
+  Budget.words_per_iter (fun s mark ->
+      if traced then ignore (Sched.trace s : Wd_sim.Trace.t);
+      let reg = Wd_env.Faultreg.create () in
+      let rng = Wd_sim.Rng.create ~seed:5 in
+      let res = Runtime.create ~reg ~rng in
+      Runtime.add_disk res (Wd_env.Disk.create ~reg ~rng:(Wd_sim.Rng.split rng) "d");
+      Runtime.set_global res "g" (VInt 1);
+      let main = Interp.create ~node:"node1" ~res prog in
+      ignore
+        (Sched.spawn ~name:"budget" s (fun () ->
+             for i = 0 to 2 * Budget.n do
+               mark i;
+               ignore (Interp.call main "f" [] : value)
+             done)))
+
+(* Two arguments by arity, the disk bound once: no argument list, no
+   [Some] from the resource lookup. *)
+let test_op_budget () =
+  let words =
+    call_words
+      (B.disk_write ~disk:"d" ~path:(B.s "log")
+         ~data:(Const (VBytes (Bytes.make 100 'x'))))
+  in
+  Budget.check "two-argument disk_write" ~budget:46 words
+
+(* Traced in Main mode: the site's trace key and function site are
+   cached, so the op-start/op-end pair looks nothing up. *)
+let test_traced_op_budget () =
+  let words = call_words ~traced:true (B.state_get ~bind:"x" ~global:"g") in
+  Budget.check "traced state_get" ~budget:11 words
+
 (* --- interpreter --- *)
 
 let run_main ?(globals = []) ?entries prog f =
@@ -850,6 +892,8 @@ let () =
           Alcotest.test_case "log op" `Quick test_interp_log_op;
           Alcotest.test_case "poll timeout shapes" `Quick
             test_interp_recv_timeout_shape;
+          Alcotest.test_case "op budget" `Quick test_op_budget;
+          Alcotest.test_case "traced op budget" `Quick test_traced_op_budget;
         ] );
       ( "checker-mode",
         [

@@ -1314,6 +1314,22 @@ let test_blocking_recv_budget () =
   in
   Budget.check "blocking recv_timeout with its peer" ~budget:48 words
 
+(* A spawn, the child's whole run (it returns at once) and the yield that
+   lets it run: the task record, its job and its [Some] are all a spawn
+   builds; the handler is the scheduler's. *)
+let test_spawn_budget () =
+  let words =
+    Budget.words_per_iter (fun s mark ->
+        ignore
+          (Sched.spawn ~name:"parent" s (fun () ->
+               for i = 0 to 2 * Budget.n do
+                 mark i;
+                 ignore (Sched.spawn ~name:"child" ~daemon:true s ignore);
+                 Sched.yield ()
+               done)))
+  in
+  Budget.check "spawn + first run + yield" ~budget:46 words
+
 let () =
   Alcotest.run "wd_sim"
     [
@@ -1429,5 +1445,6 @@ let () =
             test_ready_recv_budget;
           Alcotest.test_case "blocking recv_timeout with its peer" `Quick
             test_blocking_recv_budget;
+          Alcotest.test_case "spawn and first run" `Quick test_spawn_budget;
         ] );
     ]

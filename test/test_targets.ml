@@ -61,8 +61,8 @@ let test_kvs_missing_key_empty () =
       | `Ok v -> check_str "empty" "val:" (vstr v)
       | _ -> Alcotest.fail "get")
 
-(* Each request's reply queue is dropped once its reply arrives: 100 sets
-   leave the resource table's queue count where it was. *)
+(* A request leaves no queue behind in the resource table (replies land
+   in pooled mailboxes): 100 sets leave its queue count where it was. *)
 let test_kvs_requests_leak_no_queue () =
   let sched, _reg, t = boot_kvs () in
   let queues () = Hashtbl.length t.Wd_targets.Kvs.res.Wd_ir.Runtime.queues in
@@ -165,7 +165,7 @@ let test_zk_ruok () =
 
 (* A reply that lands after its request timed out (the commit path's txn
    log append is delayed past the client's deadline) is discarded: it
-   must not re-create the per-request reply queue the request dropped. *)
+   must not leave a queue in the resource table. *)
 let test_zk_late_reply_no_queue () =
   let sched, reg, t = boot_zk () in
   let queues () = Hashtbl.length t.Wd_targets.Zkmini.res.Wd_ir.Runtime.queues in
@@ -382,6 +382,173 @@ let test_mq_cleaner_stuck_is_silent () =
     (Wd_targets.Mqbroker.segment_count t
      > Wd_targets.Mqbroker.retention_segments + 2)
 
+(* --- rpcq ---
+
+   A hand-written server on "rq": it answers each request with
+   "re:<op>", after 100 ms for op "slow" and never for op "mute". *)
+
+module Rpcq = Wd_targets.Rpcq
+
+let rpc_world () =
+  let sched = Sched.create ~seed:3 () in
+  let reg = Wd_env.Faultreg.create () in
+  let res = Wd_ir.Runtime.create ~reg ~rng:(Wd_sim.Rng.create ~seed:4) in
+  let rpc =
+    Rpcq.create ~sched ~res ~request_queue:"rq" ~replies_queue:"rq.replies"
+  in
+  ignore (Rpcq.spawn_dispatcher rpc);
+  ignore
+    (Sched.spawn ~name:"server" ~daemon:true sched (fun () ->
+         let inq = Wd_ir.Runtime.queue res "rq" in
+         let out = Wd_ir.Runtime.queue res "rq.replies" in
+         while true do
+           match Wd_sim.Channel.recv inq with
+           | VMap kvs ->
+               let op = vstr (List.assoc "op" kvs) in
+               if op = "slow" then Sched.sleep (Time.ms 100);
+               if op <> "mute" then
+                 Wd_sim.Channel.send out
+                   (VMap
+                      [ ("id", List.assoc "reply" kvs); ("data", VStr ("re:" ^ op)) ])
+           | _ -> ()
+         done));
+  (sched, rpc)
+
+let ask ?timeout rpc op = Rpcq.request ?timeout rpc [ ("op", VStr op) ]
+
+(* The reply's text and the virtual time the request took. *)
+let timed sched f =
+  let t0 = Sched.now sched in
+  let r = f () in
+  let took = Int64.sub (Sched.now sched) t0 in
+  match r with
+  | `Ok v -> (vstr v, took)
+  | `Timeout -> ("timeout", took)
+  | `Err m -> ("err:" ^ m, took)
+
+let prompt took = Int64.compare took (Time.ms 10) < 0
+
+(* ruok (admin handle, id r1) and create (client handle, id r2) wait on
+   zk.replies together; each gets its own reply. *)
+let test_rpc_shared_replies () =
+  let sched, _reg, t = boot_zk () in
+  let ruok = ref "" and created = ref "" in
+  client sched (fun () ->
+      ignore (Wd_targets.Zkmini.create t ~path:"/a" ~data:"d");
+      ignore
+        (Sched.spawn ~name:"admin" ~daemon:true sched (fun () ->
+             match Wd_targets.Zkmini.ruok t with
+             | `Ok v -> ruok := vstr v
+             | _ -> ruok := "no reply"));
+      (match Wd_targets.Zkmini.create t ~path:"/b" ~data:"d" with
+      | `Ok v -> created := vstr v
+      | _ -> created := "no reply");
+      Sched.sleep (Time.sec 1));
+  check_str "ruok" "imok" !ruok;
+  check_str "create" "ok" !created
+
+(* Both handles count their ids from r1: two requests in flight on one id
+   raise rather than share a mailbox. *)
+let test_rpc_duplicate_id () =
+  let sched, _reg, t = boot_zk () in
+  let raised = ref false in
+  client sched (fun () ->
+      ignore
+        (Sched.spawn ~name:"admin" ~daemon:true sched (fun () ->
+             ignore (Wd_targets.Zkmini.ruok t)));
+      Sched.yield ();
+      match Wd_targets.Zkmini.create t ~path:"/a" ~data:"d" with
+      | _ -> ()
+      | exception Invalid_argument _ -> raised := true);
+  check "second r1 in flight raises" true !raised
+
+(* The slow reply lands after its request gave up: it is dropped, and the
+   next request on the handle gets its own reply, promptly (the expired
+   wait's stale waker is not in front of it). *)
+let test_rpc_late_reply_dropped () =
+  let sched, rpc = rpc_world () in
+  let first = ref ("", 0L) and second = ref ("", 0L) in
+  client sched (fun () ->
+      first := timed sched (fun () -> ask ~timeout:(Time.ms 50) rpc "slow");
+      Sched.sleep (Time.ms 200);
+      second := timed sched (fun () -> ask rpc "fast"));
+  check_str "first timed out" "timeout" (fst !first);
+  check_str "second gets its own reply" "re:fast" (fst !second);
+  check "second is prompt" true (prompt (snd !second))
+
+(* A timed-out wait leaves its waker in the slot's cond. Asked at once,
+   while the slow reply is still due, the next request must not wait
+   behind that waker until its own deadline. *)
+let test_rpc_expired_slot_not_reused () =
+  let sched, rpc = rpc_world () in
+  let replies = ref [] in
+  client sched (fun () ->
+      ignore (timed sched (fun () -> ask ~timeout:(Time.ms 50) rpc "slow"));
+      for _ = 1 to 3 do
+        replies := timed sched (fun () -> ask rpc "fast") :: !replies
+      done);
+  List.iter
+    (fun (r, took) ->
+      check_str "reply" "re:fast" r;
+      check "answered before its deadline" true
+        (Int64.compare took (Time.sec 1) < 0))
+    !replies
+
+(* A client killed while it waits gives its id up, and its slot (whose
+   cond still holds the dead task's waker) is never handed out again. *)
+let test_rpc_killed_client () =
+  let sched, rpc = rpc_world () in
+  let victim =
+    Sched.spawn ~name:"victim" ~daemon:true sched (fun () ->
+        ignore (ask rpc "mute"))
+  in
+  let replies = ref [] in
+  client sched (fun () ->
+      Sched.sleep (Time.ms 10);
+      Sched.kill sched victim;
+      Sched.sleep (Time.ms 10);
+      for _ = 1 to 3 do
+        replies := timed sched (fun () -> ask rpc "fast") :: !replies
+      done);
+  check "victim killed" true (Sched.task_status victim = Some Sched.Killed);
+  List.iter
+    (fun (r, took) ->
+      check_str "reply" "re:fast" r;
+      check "prompt" true (prompt took))
+    !replies
+
+(* Round trip through the dispatcher with the server's own work. *)
+let test_rpc_budget () =
+  let words =
+    Wd_testgen.Budget.words_per_iter (fun s mark ->
+        let reg = Wd_env.Faultreg.create () in
+        let res = Wd_ir.Runtime.create ~reg ~rng:(Wd_sim.Rng.create ~seed:4) in
+        let rpc =
+          Rpcq.create ~sched:s ~res ~request_queue:"rq" ~replies_queue:"rq.replies"
+        in
+        ignore (Rpcq.spawn_dispatcher rpc);
+        ignore
+          (Sched.spawn ~name:"server" ~daemon:true s (fun () ->
+               let inq = Wd_ir.Runtime.queue res "rq" in
+               let out = Wd_ir.Runtime.queue res "rq.replies" in
+               let ok = VStr "ok" in
+               while true do
+                 match Wd_sim.Channel.recv inq with
+                 | VMap ((_, id) :: _) ->
+                     Wd_sim.Channel.send out (VMap [ ("id", id); ("data", ok) ])
+                 | _ -> ()
+               done));
+        ignore
+          (Sched.spawn ~name:"client" s (fun () ->
+               for i = 0 to 2 * Wd_testgen.Budget.n do
+                 mark i;
+                 match Rpcq.request rpc [] with
+                 | `Ok _ -> ()
+                 | _ -> Alcotest.fail "no reply"
+               done)))
+  in
+  Wd_testgen.Budget.check "Rpcq.request round trip" ~budget:96 words
+
 let () =
   Alcotest.run "wd_targets"
     [
@@ -428,5 +595,18 @@ let () =
             test_mq_retention_bounds_segments;
           Alcotest.test_case "stuck cleaner is silent" `Quick
             test_mq_cleaner_stuck_is_silent;
+        ] );
+      ( "rpcq",
+        [
+          Alcotest.test_case "two handles, one replies queue" `Quick
+            test_rpc_shared_replies;
+          Alcotest.test_case "duplicate id in flight raises" `Quick
+            test_rpc_duplicate_id;
+          Alcotest.test_case "late reply dropped" `Quick test_rpc_late_reply_dropped;
+          Alcotest.test_case "expired slot not reused" `Quick
+            test_rpc_expired_slot_not_reused;
+          Alcotest.test_case "killed client's slot not reused" `Quick
+            test_rpc_killed_client;
+          Alcotest.test_case "round-trip budget" `Quick test_rpc_budget;
         ] );
     ]
